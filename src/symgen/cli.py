@@ -110,16 +110,25 @@ def _sequence_flags(sub_parser):
     sub_parser.add_argument("--at-t", default=None, metavar="RAT")
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"{flag}: not a rational number: {text}") from exc
+
+
 def _specialization(args) -> Specialization | None:
     if getattr(args, "at_root", None) is not None:
         return Specialization.at_root(args.at_root)
     if getattr(args, "at_value", None) is not None:
-        return Specialization.at_value(Fraction(args.at_value))
+        return Specialization.at_value(_rational("--at-value", args.at_value))
     at_q, at_t = getattr(args, "at_q", None), getattr(args, "at_t", None)
     if at_q is not None or at_t is not None:
         if at_q is None or at_t is None:
             raise CliError("--at-q and --at-t must be given together")
-        return Specialization.at_pair(Fraction(at_q), Fraction(at_t))
+        return Specialization.at_pair(
+            _rational("--at-q", at_q), _rational("--at-t", at_t)
+        )
     return None
 
 

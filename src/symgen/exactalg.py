@@ -907,10 +907,6 @@ class CycloElem:
             raise ValueError("polynomial must be univariate in t")
         return CycloElem(k, _poly_mod_phi(_dense_uni(p, "t"), k))
 
-    def root_power(self) -> "CycloElem":
-        """Multiply by t (the root itself)."""
-        return self * CycloElem.from_poly(T, self.k)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -6,8 +6,15 @@ independent at degree n iff that p(n) x p(n) matrix is nonsingular, and
 generates iff the determinant is a unit at every degree so far (nonzero over
 a field, +-1 over Z).  Products are convolved in the power-sum basis over
 fields and in the complete-homogeneous basis over Z, so none of the closed
-forms under test participate; only the final per-degree change to the
-monomial basis is shared plumbing.
+forms under test participate.  The final per-degree change to the monomial
+basis is shared plumbing: an integer p -> m matrix read off the p-expansions
+of the complete homogeneous basis by Hall duality (see ``symfunc``).  Each
+product u_lam is u_{lam_1} times the memoized u_{lam minus lam_1}.
+
+A specialization under which some u_k does not exist (a vanishing
+denominator) leaves ``det`` null and ``independent`` false from degree k on,
+and ``inner`` null at degree k; the criterion fields still come from
+``criteria``.
 
 Determinants: fraction-free Bareiss over Z, exact Gaussian elimination over
 the coefficient fields.
@@ -41,6 +48,7 @@ from .exactalg import (
     RING_QQT,
     RING_QT,
     CoeffRing,
+    ZeroDenominator,
     cyclo_ring,
     specialize_root_of_unity,
 )
@@ -231,12 +239,16 @@ def degree_matrix(spec: FamilySpec, seq, n: int) -> DegreeMatrix:
                     out[key] = s
         return out
 
+    products = {EMPTY: {EMPTY: ring.one}}
+
+    def product(lam: tuple) -> dict:
+        if lam not in products:
+            products[lam] = convolve(elements[lam[0]], product(lam[1:]))
+        return products[lam]
+
     rows = []
     for lam in order:
-        prod = {EMPTY: ring.one}
-        for part in lam:
-            prod = convolve(prod, elements[part])
-        as_m = to_basis(SymFunc(basis, prod, ring), "m").coeffs
+        as_m = to_basis(SymFunc(basis, product(lam), ring), "m").coeffs
         row = [as_m.get(mu, ring.zero) for mu in order]
         if use_h:
             row = [_as_int(v) for v in row]
@@ -272,11 +284,16 @@ def verdict(spec: FamilySpec, seq, max_degree: int) -> list[dict]:
         mu = Partition(mu) if mu is not None else EMPTY
         ok, reason = criterion(spec, lam, mu if spec.is_skew else None, n)
         closed = inner_value(spec, lam, mu, n)
-        mat = degree_matrix(spec, seq, n)
-        det = mat.det(spec.ring)
+        try:
+            det = degree_matrix(spec, seq, n).det(spec.ring)
+        except ZeroDenominator:  # some u_k with k <= n does not exist
+            det = None
         independent = bool(det)
         generating = generating and _is_unit(spec, det)
-        inner = recomputed_inner(spec, lam, mu, n)
+        try:
+            inner = recomputed_inner(spec, lam, mu, n)
+        except ZeroDenominator:
+            inner = None
         records.append(
             {
                 "n": n,

@@ -148,10 +148,6 @@ def stats(lam: Partition) -> PartitionStats:
     )
 
 
-def z_of(lam) -> int:
-    return stats(Partition(lam)).z
-
-
 def eps_of(lam) -> int:
     lam = tuple(lam)
     return (-1) ** (sum(lam) - len(lam))

@@ -10,8 +10,11 @@ through p:
 * ``s`` expands the Jacobi-Trudi determinant into ``h`` products,
 * ``f`` (forgotten) is the image of ``m`` under the involution omega,
 
-and the reverse direction inverts the per-degree transition matrix, which is
-computed once over Q and cached.
+and the reverse direction needs no inversion.  The Hall inner product has
+``<h_lam, m_mu> = delta`` and ``<p_lam, p_mu> = z_lam delta``, so the
+coefficient of b_mu in p_nu is ``z_nu * [p_nu] d_mu``, where d is the dual
+basis of b: m <-> h, e <-> f, s <-> s.  Those entries are integers; they are
+read off the cached p-expansions of the dual basis, once per degree.
 
 Text format: ``-1*m[3] + 3*m[2,1]`` (coefficient always explicit, terms in
 ascending canonical order: by degree, then reversed enumeration order).
@@ -60,20 +63,6 @@ class SymFunc:
 
     def degree(self) -> int:
         return max((lam.size for lam in self.coeffs), default=0)
-
-    def homogeneous_component(self, n: int) -> "SymFunc":
-        return SymFunc(
-            self.basis,
-            {lam: c for lam, c in self.coeffs.items() if lam.size == n},
-            self.ring,
-        )
-
-    def map_coefficients(self, fn, ring: CoeffRing | None = None) -> "SymFunc":
-        return SymFunc(
-            self.basis,
-            {lam: fn(c) for lam, c in self.coeffs.items()},
-            ring or self.ring,
-        )
 
     def __add__(self, other):
         if not isinstance(other, SymFunc):
@@ -232,40 +221,34 @@ def _basis_to_p(basis: str, lam: Partition) -> tuple:
     raise ValueError(f"unknown basis {basis!r}")
 
 
+# the Hall-dual basis of each basis: <b_lam, dual(b)_mu> = delta_lam,mu
+_DUAL = {"m": "h", "h": "m", "e": "f", "f": "e", "s": "s"}
+
+
 @lru_cache(maxsize=None)
 def _basis_matrix_inverse(basis: str, n: int) -> tuple:
-    """Inverse of the (basis -> p) matrix at degree n, over Q.
+    """The (p -> basis) change of basis at degree n, as Python ints.
 
     Entry [j][i] is the coefficient of basis_{mu_j} in p_{nu_i}, with both
-    indices in canonical (reverse-lex) order.
+    indices in canonical (reverse-lex) order.  Pairing p_nu with the dual
+    element d_mu and using <p_nu, p_rho> = z_nu delta gives it without any
+    inversion: entry = z_{nu_i} * [p_{nu_i}] d_{mu_j}, an integer because
+    p_nu lies in the integral ring.
     """
     order = partitions_of(n)
     idx = {lam: i for i, lam in enumerate(order)}
-    size = len(order)
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for j, mu in enumerate(order):
-        for nu, c in _basis_to_p(basis, mu):
-            mat[idx[nu]][j] = c
-    inv = _invert_fraction_matrix(mat)
-    return tuple(tuple(row) for row in inv)
-
-
-def _invert_fraction_matrix(mat):
-    size = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(size)]
-           for i, row in enumerate(mat)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular transition matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
+    z = [stats(nu).z for nu in order]
+    rows = []
+    for mu in order:
+        row = [0] * len(order)
+        for nu, c in _basis_to_p(_DUAL[basis], mu):
+            i = idx[nu]
+            entry = z[i] * c
+            if entry.denominator != 1:
+                raise ArithmeticError(f"non-integral p -> {basis} entry {entry}")
+            row[i] = entry.numerator
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +303,6 @@ def p_expansion(x: SymFunc) -> dict:
     return out
 
 
-def from_p_expansion(coeffs: dict, ring: CoeffRing) -> SymFunc:
-    return SymFunc("p", coeffs, ring)
-
-
 def to_basis(x: SymFunc, target: str) -> SymFunc:
     """Re-express x in another classical basis (exact, round-trip stable)."""
     if target not in BASES:
@@ -339,12 +318,12 @@ def to_basis(x: SymFunc, target: str) -> SymFunc:
     for n in degrees:
         order = partitions_of(n)
         inv = _basis_matrix_inverse(target, n)
-        vec = [pexp.get(lam, ring.zero) for lam in order]
-        for j, mu in enumerate(order):
+        vec = [(i, pexp[lam]) for i, lam in enumerate(order) if lam in pexp]
+        for mu, row in zip(order, inv):
             c = ring.zero
-            for i, v in enumerate(vec):
-                if not CoeffRing.is_zero(v) and inv[j][i]:
-                    c = c + v * ring.from_fraction(inv[j][i])
+            for i, v in vec:
+                if row[i]:
+                    c = c + v * row[i]
             if not CoeffRing.is_zero(c):
                 out[mu] = c
     return SymFunc(target, out, ring)

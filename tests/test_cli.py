@@ -233,3 +233,47 @@ def test_mac_pair_specialization_via_cli(capsys):
         Specialization.at_pair("1/2", "1/3"),
     )
     assert out.strip() == render_value(inner_value(spec, Partition((2,)), None, 2))
+
+
+def test_inner_zero_denominator_value_exit_code(capsys):
+    code, out, err = invoke(
+        capsys, "inner", "--family", "big-S", "--lambda", "3", "--n", "3",
+        "--at-value", "1/0",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_check_zero_denominator_pair_exit_code(capsys, ribbon_path):
+    code, out, err = invoke(
+        capsys, "check", "--family", "mac-P", "--ring", "Q",
+        "--seq-file", ribbon_path, "--at-q", "1/0", "--at-t", "2",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_oracle_undefined_specialization(capsys, tmp_path):
+    path = tmp_path / "mac.txt"
+    path.write_text("1: [1]\n2: [2]\n3: [1,1,1]\n", encoding="utf-8")
+    argv = ["--family", "mac-P", "--ring", "Q", "--seq-file", str(path),
+            "--at-q", "1", "--at-t", "1"]
+    code, out, err = invoke(capsys, "oracle", *argv)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "overall=false"
+    records = [json.loads(line) for line in lines[:-1]]
+    assert [r["n"] for r in records] == [1, 2, 3]
+    assert records[0]["det"] == "1" and records[0]["independent"]
+    assert records[0]["generates"] and records[0]["inner"] == "1"
+    # u_2 does not exist at q = t = 1; u_3 does, but its degree matrix needs u_2
+    undefined, after = records[1], records[2]
+    assert undefined["det"] is None and undefined["inner"] is None
+    assert not undefined["independent"] and not undefined["generates"]
+    assert after["det"] is None and after["inner"] == after["value"] == "1"
+    assert not after["independent"] and not after["generates"]
+    # the criterion fields are those of check on the same input
+    _, check_out, _ = invoke(capsys, "check", *argv)
+    for record, line in zip(records, check_out.splitlines()):
+        assert dict(list(record.items())[:6]) == json.loads(line)
+    assert undefined["reason"] == "specialization-undefined"

@@ -310,6 +310,23 @@ def test_transition_matrices_invertible():
     assert mat.entries[0][0] == 2 and mat.entries[1][0] == -1
 
 
+@pytest.mark.parametrize("basis", ["m", "h", "e", "f", "s"])
+def test_basis_matrix_inverse_matches_sympy(basis):
+    sympy = pytest.importorskip("sympy")
+    from symgen.symfunc import _basis_matrix_inverse, _basis_to_p
+
+    for n in range(9):
+        order = partitions_of(n)
+        idx = {lam: i for i, lam in enumerate(order)}
+        to_p = sympy.zeros(len(order), len(order))
+        for j, mu in enumerate(order):
+            for nu, c in _basis_to_p(basis, mu):
+                to_p[idx[nu], j] = sympy.Rational(c.numerator, c.denominator)
+        inverse = _basis_matrix_inverse(basis, n)
+        assert all(type(entry) is int for row in inverse for entry in row)
+        assert sympy.Matrix(inverse) == to_p.inv()
+
+
 def test_dominance():
     assert dominance_leq(P(1, 1, 1), P(3))
     assert dominance_lt(P(2, 2), P(3, 1))
