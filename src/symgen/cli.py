@@ -10,7 +10,8 @@ inner]).  Sequence files are UTF-8 text, one line per degree, "n: [lam]" or
 "n: [lam]/[mu]", '#' comments, degrees consecutive from 1.
 
 Exit codes: 0 success, 1 when a check/oracle run's overall verdict is false,
-2 on parse errors (one-line diagnostic on stderr).
+2 on parse errors or a criterion that disagrees with its own exact value
+(one-line diagnostic on stderr).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ optional parameter specialization.  ``criterion`` answers, for one degree,
 whether <u_n, p_n> is a unit of the ring, together with a structured reason
 naming the clause that fired.  ``check_sequence`` aggregates a graded (skew)
 partition sequence and also reports the exact inner-product value from the
-closed-form evaluators.
+closed-form evaluators, and requires each degree's criterion to agree with
+the unit test of that value (``CriterionMismatch`` otherwise).
 
 Reason rules (machine-readable, rendered as ``rule`` or ``rule:case``):
 
@@ -25,7 +26,8 @@ root-multiplicity-balance:1|2        floor-condition match at a k-th root
 root-q-nonvanishing                  k does not divide n and k > l(lambda)-1
 hook-and-nondividing                 hook and k does not divide n
 first-part-at-most-root-order        lambda_1 <= k (Whittaker at a root)
-parameters-multiplicatively-independent  no xi^i = eta^j found within bound
+parameters-multiplicatively-independent  no (i, j) != 0 with xi^i = eta^j
+                                     (decided exactly)
 specialized-value                    decided by exact evaluation
 specialization-undefined             the specialized family member does not
                                      exist (denominator vanishes)
@@ -79,6 +81,10 @@ class UnsupportedCombination(ValueError):
     """A family/ring/specialization combination outside the engine's scope."""
 
 
+class CriterionMismatch(ValueError):
+    """A criterion that disagrees with the unit test of its own exact value."""
+
+
 class GradingViolation(ValueError):
     """A sequence entry whose size does not match its degree."""
 
@@ -127,7 +133,6 @@ class FamilySpec:
     family: str
     ring: str
     specialization: Specialization | None = None
-    power_bound: int = 12
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -356,20 +361,65 @@ def _crit_whittaker(spec: FamilySpec, lam: Partition, n: int):
     return head <= k, Reason("first-part-at-most-root-order")
 
 
-def _powers_collide(q: Fraction, t: Fraction, bound: int):
-    """A pair (i, j) != (0, 0) with q^i = t^j within the bound, if any."""
-    for i in range(-bound, bound + 1):
-        if i < 0 and q == 0:
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 such that every positive integer in
+    ``numbers`` is a product of their powers.
+
+    Refinement by gcd splitting alone, no factoring: a pending x meeting a
+    base element b with g = gcd(x, b) > 1 is replaced, with b, by g, x/g and
+    b/g.  The product of all pending and base numbers falls at each split.
+    (Bernstein, "Factoring into coprimes in essentially linear time",
+    J. Algorithms 54 (2005), gives a faster refinement of the same output.)
+    """
+    base: list[int] = []
+    pending = list(numbers)
+    while pending:
+        x = pending.pop()
+        if x == 1:
             continue
-        qi = q**i
-        for j in range(-bound, bound + 1):
-            if (i, j) == (0, 0):
-                continue
-            if j < 0 and t == 0:
-                continue
-            if qi == t**j:
-                return (i, j)
-    return None
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                pending += [g, x // g, b // g]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _exponents(x: Fraction, base: list[int]) -> list[int]:
+    """Exponent vector of a positive rational over a coprime base of its
+    numerator and denominator."""
+    out = []
+    for b in base:
+        e, num, den = 0, x.numerator, x.denominator
+        while num % b == 0:
+            num //= b
+            e += 1
+        while den % b == 0:
+            den //= b
+            e -= 1
+        out.append(e)
+    return out
+
+
+def _parameters_collide(q: Fraction, t: Fraction) -> bool:
+    """Whether q^i = t^j for some integers (i, j) != (0, 0), decided exactly.
+
+    With a zero parameter only 0^1 = 0^1 and 0^0 = (+-1)^2 collide.  Otherwise
+    q^i = t^j implies |q|^i = |t|^j, which implies q^(2i) = t^(2j), so the
+    question is whether the exponent vectors of |q| and |t| over a common
+    coprime base are linearly dependent.
+    """
+    if q == 0 or t == 0:
+        return q == t or abs(q) == 1 or abs(t) == 1
+    q, t = abs(q), abs(t)
+    base = _coprime_base([q.numerator, q.denominator, t.numerator, t.denominator])
+    u, w = _exponents(q, base), _exponents(t, base)
+    return all(
+        u[a] * w[b] == u[b] * w[a] for a in range(len(base)) for b in range(a)
+    )
 
 
 def _crit_mac(spec: FamilySpec, lam: Partition, n: int):
@@ -377,9 +427,8 @@ def _crit_mac(spec: FamilySpec, lam: Partition, n: int):
     if spz is None:
         return True, Reason("deformed-generic")
     qv, tv = spz.q_value, spz.t_value
-    if _is_rational_root_of_unity(tv) is None and _powers_collide(
-        qv, tv, spec.power_bound
-    ) is None:
+    # t = +-1 collides (t^2 = q^0), so a free pair also keeps 1 - t^n nonzero
+    if not _parameters_collide(qv, tv):
         return True, Reason("parameters-multiplicatively-independent")
     # no shape clause applies once the parameters collide; the closed form is
     # exactly evaluable at rational points, so decide by evaluation
@@ -536,6 +585,19 @@ def value_is_unit(spec: FamilySpec, value) -> bool | None:
     return None
 
 
+def checked_criterion(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
+    """(criterion, reason, value) at one degree, where the criterion must
+    equal the unit test of the exact value (``CriterionMismatch`` if not)."""
+    ok, reason = criterion(spec, lam, mu if spec.is_skew else None, n)
+    value = inner_value(spec, lam, mu, n)
+    if ok != value_is_unit(spec, value):
+        raise CriterionMismatch(
+            f"degree {n}: criterion {ok} ({reason.code()}) disagrees with "
+            f"the value {render_value(value)}"
+        )
+    return ok, reason, value
+
+
 # ---------------------------------------------------------------------------
 # sequences
 # ---------------------------------------------------------------------------
@@ -564,8 +626,7 @@ def check_sequence(spec: FamilySpec, seq) -> SeqVerdict:
                 )
             if lam.size != n:
                 raise GradingViolation(n, f"entry {n}: |{lam}| = {lam.size} != {n}")
-        ok, reason = criterion(spec, lam, mu if spec.is_skew else None, n)
-        value = inner_value(spec, lam, mu, n)
+        ok, reason, value = checked_criterion(spec, lam, mu, n)
         per.append(PerDegree(n=n, criterion=ok, reason=reason, value=render_value(value)))
         overall = overall and ok
     return SeqVerdict(per_n=tuple(per), overall=overall)

@@ -9,12 +9,27 @@ Construction of P (both t and q,t): Gram-Schmidt on the monomial basis along
 any linear extension of dominance order, subtracting corrections only for
 strictly dominance-smaller indices.  The result is the unique m-unitriangular
 orthogonal family, independent of the extension chosen.
+
+Closed forms: the Hall-Littlewood and Macdonald pairings are a sign times a
+monomial times a quotient of products of binomials q^a t^b - q^c t^d, one
+binomial per cell of lam or per factor of a phi_r(t).  A binomial without a
+monomial factor is P^g - N^g, with P, N monomials of disjoint support and g
+the gcd of the exponent differences, and so the product of the homogenized
+cyclotomic polynomials H_d(P, N) over d | g.  Each key (d, P, N), oriented
+so that P < N (the sign absorbs the swap), stands for one polynomial, and
+distinct keys give coprime polynomials: their zero sets are the curves
+P/N = zeta for distinct (direction, root) pairs.  Cancelling equal keys
+between numerator and denominator by counting therefore leaves a coprime
+numerator and denominator, which is already the reduced form ``RatFunc.make``
+would reach through a bivariate gcd.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .exactalg import (
     P_ONE,
@@ -27,6 +42,7 @@ from .exactalg import (
     RING_QT,
     RatFunc,
     cyclo_ring,
+    cyclotomic_poly,
     specialize_root_of_unity,
 )
 from .partitions import EMPTY, Partition, partitions_of, stats
@@ -169,15 +185,8 @@ def mac_P(lam) -> SymFunc:
 
 def arm_leg_product(lam) -> Poly:
     """c_lam(q,t) = prod over cells (1 - q^arm t^(leg+1))."""
-    lam = Partition(lam)
-    conj = lam.conjugate()
-    out = P_ONE
-    for i, row in enumerate(lam, start=1):
-        for j in range(1, row + 1):
-            arm = row - j
-            leg = conj[j - 1] - i
-            out = out * (P_ONE - Poly({(arm, leg + 1): Fraction(1)}))
-    return out
+    arm_leg = _cell_binomials(Partition(lam))[1]
+    return _binomial_quotient(1, (0, 0), arm_leg, []).as_poly()
 
 
 def mac_J(lam) -> SymFunc:
@@ -206,28 +215,83 @@ def _require_size(lam: Partition, n: int):
         raise SizeMismatch(f"|{lam}| = {lam.size} != n = {n}")
 
 
+# A binomial q^a t^b - q^c t^d is written ((a, b), (c, d)).
+
+def _binomial_keys(binomial) -> tuple[int, list]:
+    """(sign, keys): the binomial is sign * prod H_d(P, N) over its keys."""
+    e1, e2 = binomial
+    if min(e1[0], e2[0]) or min(e1[1], e2[1]) or e1 == e2:
+        raise ValueError(f"{binomial} is zero or has a monomial factor")
+    g = gcd(e1[0] - e2[0], e1[1] - e2[1])
+    pos, neg = (e1[0] // g, e1[1] // g), (e2[0] // g, e2[1] // g)
+    sign = 1
+    if pos > neg:
+        pos, neg, sign = neg, pos, -1
+    return sign, [(d, pos, neg) for d in range(1, g + 1) if g % d == 0]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_factor(d: int, pos: tuple, neg: tuple) -> Poly:
+    """H_d(P, N) = N^phi(d) Phi_d(P/N), with the monomials P and N given as
+    exponent pairs (deg_q, deg_t)."""
+    phi = cyclotomic_poly(d)
+    top = phi.deg_t()
+    return Poly({
+        (k * pos[0] + (top - k) * neg[0], k * pos[1] + (top - k) * neg[1]): c
+        for (_, k), c in phi.terms.items()
+    })
+
+
+def _binomial_quotient(sign: int, monomial: tuple, num_binomials, den_binomials) -> RatFunc:
+    """sign * q^a t^b * prod(num_binomials) / prod(den_binomials) in reduced
+    form, with monomial = (a, b): equal binomial keys cancel by counting and
+    the survivors are coprime, so no gcd is taken (see the module docstring).
+    """
+    count: Counter = Counter()
+    for side, binomials in ((1, num_binomials), (-1, den_binomials)):
+        for binomial in binomials:
+            flip, keys = _binomial_keys(binomial)
+            sign *= flip
+            for key in keys:
+                count[key] += side
+    num, den = Poly({monomial: 1}), P_ONE
+    for key, mult in count.items():
+        if mult > 0:
+            num = num * _cyclotomic_factor(*key) ** mult
+        elif mult < 0:
+            den = den * _cyclotomic_factor(*key) ** -mult
+    return RatFunc._make_coprime(num, den, Fraction(sign))
+
+
+def _one_minus_t(j: int) -> tuple:
+    return ((0, 0), (0, j))
+
+
+def _hl_Q_factors(lam: Partition) -> tuple:
+    """(sign, monomial, binomials) of t^{n(lam)} phi_{l-1}(t^{-1})."""
+    st = stats(lam)
+    # t^a * phi_r(1/t) = (-1)^r * t^(a - r(r+1)/2) * phi_r(t), a >= r(r+1)/2 here
+    r = max(st.length - 1, 0)
+    shift = st.n_lambda - r * (r + 1) // 2
+    return (-1) ** r, (0, shift), [_one_minus_t(j) for j in range(1, r + 1)]
+
+
 def hl_Q_pn_closed(lam, n: int) -> RatFunc:
     """<Q_lam, p_n>_t = t^{n(lam)} phi_{l-1}(t^{-1}), cleared of t^{-1} powers."""
     lam = Partition(lam)
     _require_size(lam, n)
-    st = stats(lam)
-    length = st.length
-    # t^a * phi_r(1/t) = (-1)^r * t^(a - r(r+1)/2) * phi_r(t), a >= r(r+1)/2 here
-    r = max(length - 1, 0)
-    shift = st.n_lambda - r * (r + 1) // 2
-    num = Poly({(0, shift): Fraction((-1) ** r)}) * phi_factorial(r)
-    return RatFunc.make(num)
+    return _binomial_quotient(*_hl_Q_factors(lam), [])
 
 
 def hl_P_pn_closed(lam, n: int) -> RatFunc:
     """<P_lam, p_n> = (1-t^n) t^{n(lam)} phi_{l-1}(t^{-1}) / prod phi_{m_i}(t)."""
     lam = Partition(lam)
     _require_size(lam, n)
-    den = P_ONE
-    for m in lam.multiplicities().values():
-        den = den * phi_factorial(m)
-    num_rf = hl_Q_pn_closed(lam, n) * RatFunc.make(P_ONE - Poly.t(n))
-    return num_rf / RatFunc.make(den)
+    sign, monomial, num = _hl_Q_factors(lam)
+    den = [
+        _one_minus_t(j) for m in lam.multiplicities().values() for j in range(1, m + 1)
+    ]
+    return _binomial_quotient(sign, monomial, [_one_minus_t(n)] + num, den)
 
 
 def big_schur(lam) -> SymFunc:
@@ -274,31 +338,33 @@ def big_schur_pn_closed(lam, n: int) -> RatFunc:
     return RatFunc.make(Poly.const(sign) * (P_ONE - Poly.t(n)))
 
 
-def excess_cell_product(lam) -> Poly:
-    """X_n^lam(q,t) = prod over cells except (1,1) of (t^(i-1) - q^(j-1))."""
-    lam = Partition(lam)
-    out = P_ONE
+def _cell_binomials(lam: Partition) -> tuple[list, list]:
+    """The binomials of X_n^lam and of c_lam, one per cell (i, j) of lam:
+    t^(i-1) - q^(j-1) for every cell but (1,1), and 1 - q^arm t^(leg+1)."""
+    conj = lam.conjugate()
+    excess, arm_leg = [], []
     for i, row in enumerate(lam, start=1):
         for j in range(1, row + 1):
-            if (i, j) == (1, 1):
-                continue
-            out = out * (Poly.t(i - 1) - Poly.q(j - 1))
-    return out
+            if (i, j) != (1, 1):
+                excess.append(((0, i - 1), (j - 1, 0)))
+            arm_leg.append(((0, 0), (row - j, conj[j - 1] - i + 1)))
+    return excess, arm_leg
 
 
 def mac_P_pn_closed(lam, n: int) -> RatFunc:
     """<P_lam(q,t), p_n> = (1-t^n) X_n^lam / c_lam."""
     lam = Partition(lam)
     _require_size(lam, n)
-    num = (P_ONE - Poly.t(n)) * excess_cell_product(lam)
-    return RatFunc.make(num, arm_leg_product(lam))
+    excess, arm_leg = _cell_binomials(lam)
+    return _binomial_quotient(1, (0, 0), [_one_minus_t(n)] + excess, arm_leg)
 
 
 def mac_J_pn_closed(lam, n: int) -> RatFunc:
     """<J_lam(q,t), p_n> = (1-t^n) X_n^lam."""
     lam = Partition(lam)
     _require_size(lam, n)
-    return RatFunc.make((P_ONE - Poly.t(n)) * excess_cell_product(lam))
+    excess, _ = _cell_binomials(lam)
+    return _binomial_quotient(1, (0, 0), [_one_minus_t(n)] + excess, [])
 
 
 def whittaker_pn_closed(lam, n: int) -> RatFunc:

@@ -584,16 +584,21 @@ def _poly_gcd_prim(a: Poly, b: Poly) -> Poly:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(k: int) -> Poly:
-    """The k-th cyclotomic polynomial Phi_k(t)."""
+    """The k-th cyclotomic polynomial Phi_k(t): t^k - 1 divided by Phi_d for
+    each proper divisor d, as dense integer division by monic divisors."""
     if k < 1:
         raise ValueError("k must be positive")
-    if k == 1:
-        return T - 1
-    p = Poly.t(k) - 1
+    rem = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            p = poly_exact_div(p, cyclotomic_poly(d))
-    return p
+            div = _dense_uni(cyclotomic_poly(d), "t")
+            quo = [0] * (len(rem) - len(div) + 1)
+            for i in reversed(range(len(quo))):
+                c = quo[i] = rem[i + len(div) - 1]
+                for j, b in enumerate(div):
+                    rem[i + j] -= c * b
+            rem = quo
+    return _from_dense_uni(rem, "t")
 
 
 @lru_cache(maxsize=None)

@@ -27,8 +27,7 @@ from fractions import Fraction
 
 from .criteria import (
     FamilySpec,
-    criterion,
-    inner_value,
+    checked_criterion,
     render_value,
 )
 from .deformed import (
@@ -274,16 +273,16 @@ def _is_unit(spec: FamilySpec, det) -> bool:
 
 
 def verdict(spec: FamilySpec, seq, max_degree: int) -> list[dict]:
-    """Per-degree records: criterion + closed-form value (from criteria),
-    determinant verdicts and the recomputed inner product (from here)."""
+    """Per-degree records: criterion + closed-form value (from criteria, which
+    must agree), determinant verdicts and the recomputed inner product (from
+    here)."""
     records = []
     generating = True
     for n in range(1, max_degree + 1):
         lam, mu = seq[n - 1]
         lam = Partition(lam)
         mu = Partition(mu) if mu is not None else EMPTY
-        ok, reason = criterion(spec, lam, mu if spec.is_skew else None, n)
-        closed = inner_value(spec, lam, mu, n)
+        ok, reason, closed = checked_criterion(spec, lam, mu, n)
         try:
             det = degree_matrix(spec, seq, n).det(spec.ring)
         except ZeroDenominator:  # some u_k with k <= n does not exist

@@ -235,6 +235,35 @@ def test_mac_pair_specialization_via_cli(capsys):
     assert out.strip() == render_value(inner_value(spec, Partition((2,)), None, 2))
 
 
+def test_mac_pair_value_defined_only_after_cancellation(capsys):
+    # the unreduced <P_(2), p_2> = (1 - t^2)(1 - q) / ((1 - qt)(1 - t)) has
+    # 1 - t in its denominator; the reduced form is 2 at (q, t) = (2, 1)
+    code, out, _ = invoke(
+        capsys, "inner", "--family", "mac-P", "--lambda", "2", "--n", "2",
+        "--at-q", "2", "--at-t", "1",
+    )
+    assert code == 0 and out == "2\n"
+
+
+def test_criterion_mismatch_exits_two(capsys, monkeypatch, ribbon_path):
+    import symgen.criteria as criteria
+
+    original = criteria.criterion
+
+    def flipped(*args):
+        ok, reason = original(*args)
+        return not ok, reason
+
+    monkeypatch.setattr(criteria, "criterion", flipped)
+    for command in ("check", "oracle"):
+        code, out, err = invoke(
+            capsys, command, "--family", "skew-s", "--ring", "Z",
+            "--seq-file", ribbon_path,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: degree 1: criterion False (ribbon) disagrees with the value 1\n"
+
+
 def test_inner_zero_denominator_value_exit_code(capsys):
     code, out, err = invoke(
         capsys, "inner", "--family", "big-S", "--lambda", "3", "--n", "3",

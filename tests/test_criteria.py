@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from symgen.criteria import (
+    _parameters_collide,
     FamilySpec,
     GradingViolation,
     Reason,
@@ -224,6 +225,28 @@ def test_mac_clauses():
     ok, reason = criterion(xi_one, (2,), None, 2)
     assert reason == Reason("specialized-value")
     assert not ok
+
+
+def test_mac_collision_beyond_small_exponents():
+    # q = t^13: the closed value is exactly 0, so the pair must not pass as free
+    spec = FamilySpec("mac-J", "Q", Specialization.at_pair(2**13, 2))
+    assert criterion(spec, (2,) * 14, None, 28) == (False, Reason("specialized-value"))
+    assert inner_value(spec, (2,) * 14, None, 28) == 0
+
+
+@pytest.mark.parametrize(
+    "q,t,collide",
+    [
+        ("-8", "4", True), ("4/9", "27/8", True), ("1/2", "2", True),
+        ("-2", "2", True), ("2", "3", False), ("3", "5", False),
+        ("0", "0", True), ("0", "2", False), ("0", "-1", True), ("1", "5", True),
+    ],
+)
+def test_parameter_collisions(q, t, collide):
+    assert _parameters_collide(Fraction(q), Fraction(t)) == collide
+    spec = FamilySpec("mac-P", "Q", Specialization.at_pair(q, t))
+    _, reason = criterion(spec, (2, 1), None, 3)
+    assert (reason == Reason("parameters-multiplicatively-independent")) == (not collide)
 
 
 def test_grading_violation():

@@ -1,8 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from symgen import exactalg
 from symgen.deformed import (
+    _binomial_quotient,
+    _cyclotomic_factor,
     _gs_family,
     _pexp_inner,
     big_schur,
@@ -36,6 +40,7 @@ from symgen.exactalg import (
     RatFunc,
     T,
     cyclotomic_multiplicity,
+    cyclotomic_poly,
     specialize_root_of_unity,
 )
 from symgen.partitions import EMPTY, Partition, contains, partitions_of, stats
@@ -350,6 +355,85 @@ def test_whittaker_root_of_unity_vanishing():
 def test_mac_closed_form_size_check():
     with pytest.raises(SizeMismatch):
         mac_P_pn_closed((2,), 3)
+
+
+# ---------------------------------------------------------------------------
+# closed forms as binomial quotients
+# ---------------------------------------------------------------------------
+
+def _product(factors) -> Poly:
+    out = P_ONE
+    for factor in factors:
+        out = out * factor
+    return out
+
+
+def test_mac_closed_forms_match_expanded_quotient():
+    # the expand-then-reduce route: X_n^lam and c_lam multiplied out, then one
+    # bivariate gcd in RatFunc.make
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            conj = lam.conjugate()
+            cells = [(i, j) for i, row in enumerate(lam, 1) for j in range(1, row + 1)]
+            excess = _product(T ** (i - 1) - Q ** (j - 1) for i, j in cells[1:])
+            arm_leg = _product(
+                P_ONE - Q ** (lam[i - 1] - j) * T ** (conj[j - 1] - i + 1)
+                for i, j in cells
+            )
+            num = (P_ONE - T**n) * excess
+            assert mac_J_pn_closed(lam, n) == RatFunc.make(num), lam
+            assert mac_P_pn_closed(lam, n) == RatFunc.make(num, arm_leg), lam
+
+
+def test_hl_P_closed_form_matches_expanded_quotient():
+    for n in range(1, 10):
+        for lam in partitions_of(n):
+            # t^{n(lam)} phi_r(1/t) = t^{n(lam) - r(r+1)/2} prod_{j <= r} (t^j - 1)
+            r = len(lam) - 1
+            num = (P_ONE - T**n) * T ** (stats(lam).n_lambda - r * (r + 1) // 2)
+            num = num * _product(T**j - P_ONE for j in range(1, r + 1))
+            den = _product(phi_factorial(m) for m in lam.multiplicities().values())
+            assert hl_P_pn_closed(lam, n) == RatFunc.make(num, den), lam
+
+
+def test_binomial_quotient_cancellation_sign_orientation():
+    def one_minus_t(j):
+        return ((0, 0), (0, j))
+
+    # (1 - t^6) / ((1 - t^2)(1 - t^3)) = Phi_6 / (-Phi_1)
+    value = _binomial_quotient(1, (0, 0), [one_minus_t(6)], [one_minus_t(2), one_minus_t(3)])
+    assert value == RatFunc.make(T * T - T + P_ONE, P_ONE - T)
+    assert value == RatFunc.make(P_ONE - T**6, (P_ONE - T**2) * (P_ONE - T**3))
+    # (t^2 - q^2) / (t - q) = t + q
+    t2_q2, t_q = ((0, 2), (2, 0)), ((0, 1), (1, 0))
+    assert _binomial_quotient(1, (0, 0), [t2_q2], [t_q]) == RatFunc.make(T + Q)
+    # (q - t) / (t - q): the two orientations of one key cancel to -1
+    q_t = ((1, 0), (0, 1))
+    assert _binomial_quotient(1, (0, 0), [q_t], [t_q]) == rf(-1)
+    with pytest.raises(ValueError):
+        _binomial_quotient(1, (0, 0), [((1, 1), (1, 0))], [])
+
+
+def test_closed_forms_take_no_gcd_or_exact_division(monkeypatch):
+    # the closed forms cancel binomial factors by counting; a gcd or an exact
+    # division here would bring back the bivariate cost they avoid
+    calls: Counter = Counter()
+    for name in ("poly_gcd", "try_exact_div"):
+        original = getattr(exactalg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(exactalg, name, counted)
+    cyclotomic_poly.cache_clear()
+    _cyclotomic_factor.cache_clear()
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            mac_P_pn_closed(lam, n)
+            mac_J_pn_closed(lam, n)
+            hl_P_pn_closed(lam, n)
+    assert calls == Counter()
 
 
 # ---------------------------------------------------------------------------
