@@ -10,8 +10,9 @@ inner]).  Sequence files are UTF-8 text, one line per degree, "n: [lam]" or
 "n: [lam]/[mu]", '#' comments, degrees consecutive from 1.
 
 Exit codes: 0 success, 1 when a check/oracle run's overall verdict is false,
-2 on parse errors or a criterion that disagrees with its own exact value
-(one-line diagnostic on stderr).
+2 on parse errors, shapes that do not fit the degree (``inner`` included),
+``--max-degree`` below 1, or a criterion that disagrees with its own exact
+value (one-line diagnostic on stderr).
 """
 
 from __future__ import annotations
@@ -23,19 +24,21 @@ from fractions import Fraction
 
 from . import __version__
 from .criteria import (
+    RINGS,
     FamilySpec,
     GradingViolation,
     Specialization,
     UnsupportedCombination,
     check_sequence,
+    family,
     inner_value,
     parse_sequence_file,
     render_value,
     verdict_records,
 )
-from .exactalg import RING_Q, RING_QQT, RING_QT
-from .deformed import hl_P, skew_hl_P
-from .oracle import conjecture_probe, verdict
+from .exactalg import RING_Q
+from .deformed import skew_hl_P
+from .oracle import PROBE_MAX_DEGREE, conjecture_probe, verdict
 from .partitions import parse_partition
 from .symfunc import parse_symfunc, render_symfunc, skew, sym, to_basis
 from .tabloids import enumerate_tabloids, w
@@ -50,7 +53,11 @@ class CliError(Exception):
     pass
 
 
-_RINGS = {"Q": RING_Q, "Qt": RING_QT, "Qqt": RING_QQT, "Z": RING_Q}
+# the skew subcommand's element constructors and default target bases
+_SKEW_ELEMENTS = {
+    **{b: (lambda lam, mu, b=b: skew(b, lam, mu, RING_Q), "h") for b in "mhesf"},
+    "hl-P": (lambda lam, mu: skew_hl_P(lam, mu), "m"),
+}
 
 
 def _build_parser() -> _Parser:
@@ -78,7 +85,7 @@ def _build_parser() -> _Parser:
     p_inner.add_argument("--at-t", default=None, metavar="RAT")
 
     p_skew = sub.add_parser("skew", help="expand a skew family element")
-    p_skew.add_argument("--family", required=True, choices=["m", "h", "e", "s", "f", "hl-P"])
+    p_skew.add_argument("--family", required=True, choices=list(_SKEW_ELEMENTS))
     p_skew.add_argument("--lambda", dest="lam", required=True)
     p_skew.add_argument("--mu", default="")
     p_skew.add_argument("--to", default=None, choices=list("mhepsf"))
@@ -147,7 +154,7 @@ def _manifest(args) -> dict:
 
 
 def _cmd_expand(args) -> int:
-    ring = _RINGS[args.ring]
+    ring = RINGS[args.ring]
     element = parse_symfunc(args.expr, ring)
     _emit(render_symfunc(to_basis(element, args.to)))
     return 0
@@ -164,27 +171,16 @@ def _cmd_inner(args) -> int:
 
 
 def _family_spec_for_inner(args) -> FamilySpec:
+    """The family over its generic ring, or over Q when specialized."""
     spz = _specialization(args)
-    family = args.family
-    if family in ("hl-P", "hl-Q", "big-S", "whittaker"):
-        ring = "Qt" if spz is None else "Q"
-    elif family in ("mac-P", "mac-J"):
-        ring = "Qqt" if spz is None else "Q"
-    else:
-        ring = "Q"
-    return FamilySpec(family, ring, spz)
+    ring = family(args.family).rings[0] if spz is None else "Q"
+    return FamilySpec(args.family, ring, spz)
 
 
 def _cmd_skew(args) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    if args.family == "hl-P":
-        element = skew_hl_P(lam, mu)
-        target = args.to or "m"
-    else:
-        element = skew(args.family, lam, mu, RING_Q)
-        target = args.to or "h"
-    _emit(render_symfunc(to_basis(element, target)))
+    build, target = _SKEW_ELEMENTS[args.family]
+    element = build(parse_partition(args.lam), parse_partition(args.mu))
+    _emit(render_symfunc(to_basis(element, args.to or target)))
     return 0
 
 
@@ -222,6 +218,8 @@ def _cmd_oracle(args) -> int:
     spec = FamilySpec(args.family, args.ring, _specialization(args))
     seq = _load_sequence(args.seq_file)
     max_degree = args.max_degree if args.max_degree is not None else len(seq)
+    if max_degree < 1:
+        raise CliError(f"--max-degree {max_degree} is below 1")
     if max_degree > len(seq):
         raise CliError(
             f"--max-degree {max_degree} exceeds the {len(seq)} degrees in the file"
@@ -235,8 +233,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    if args.max_degree > 5:
-        raise CliError("probe degrees are capped at 5")
+    if not 1 <= args.max_degree <= PROBE_MAX_DEGREE:
+        raise CliError(f"probe --max-degree must lie in 1..{PROBE_MAX_DEGREE}")
     seq = _load_sequence(args.seq_file)
     max_degree = min(args.max_degree, len(seq))
     for record in conjecture_probe(seq, max_degree):

@@ -1,7 +1,10 @@
 """Per-degree generating-set criteria and whole-sequence verdicts.
 
 A FamilySpec names a symmetric-function family, a coefficient ring and an
-optional parameter specialization.  ``criterion`` answers, for one degree,
+optional parameter specialization.  Everything that depends on the family
+(its rings, parameter, element constructor, closed-form pairing and clause)
+is one ``Family`` record in the ``FAMILIES`` table, and every specialization
+goes through ``Specialization.apply``.  ``criterion`` answers, for one degree,
 whether <u_n, p_n> is a unit of the ring, together with a structured reason
 naming the clause that fired.  ``check_sequence`` aggregates a graded (skew)
 partition sequence and also reports the exact inner-product value from the
@@ -39,22 +42,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Callable
 
-from .exactalg import (
-    CycloElem,
-    RatFunc,
-    ZeroDenominator,
-    specialize_root_of_unity,
-)
 from .deformed import (
+    big_schur,
     big_schur_pn_closed,
+    hl_P,
     hl_P_pn_closed,
+    hl_Q,
     hl_Q_pn_closed,
+    mac_J,
     mac_J_pn_closed,
+    mac_P,
     mac_P_pn_closed,
+    whittaker,
     whittaker_pn_closed,
 )
-from .exactalg import P_ONE, Poly
+from .exactalg import (
+    P_ONE,
+    RING_Q,
+    RING_QQT,
+    RING_QT,
+    CoeffRing,
+    CycloElem,
+    Poly,
+    RatFunc,
+    Specialization,
+    ZeroDenominator,
+)
 from .partitions import (
     EMPTY,
     Partition,
@@ -64,17 +79,10 @@ from .partitions import (
     refines,
     ribbon_height,
 )
-from .symfunc import hall_inner, multiply, skew_monomial_pn_inner, sym
+from .symfunc import hall_inner, multiply, skew, skew_monomial_pn_inner, sym
 
-FAMILIES = (
-    "m", "f", "skew-m", "skew-f", "skew-h", "skew-e", "s", "skew-s",
-    "hl-P", "hl-Q", "big-S", "whittaker", "mac-P", "mac-J",
-)
-SKEW_FAMILIES = ("skew-m", "skew-f", "skew-h", "skew-e", "skew-s")
-CLASSICAL_FAMILIES = ("m", "f", "skew-m", "skew-f", "skew-h", "skew-e", "s", "skew-s")
-T_FAMILIES = ("hl-P", "hl-Q", "big-S", "whittaker")
-QT_FAMILIES = ("mac-P", "mac-J")
-RINGS = ("Q", "Z", "Qt", "Qqt")
+# ring name -> the field its values are computed in (Z values lie in Q)
+RINGS = {"Q": RING_Q, "Z": RING_Q, "Qt": RING_QT, "Qqt": RING_QQT}
 
 
 class UnsupportedCombination(ValueError):
@@ -94,38 +102,37 @@ class GradingViolation(ValueError):
 
 
 @dataclass(frozen=True)
-class Specialization:
-    """t = value, t = primitive k-th root of unity, or a (q,t) rational pair.
+class Family:
+    """Everything the engine needs to know about one family.
 
-    For the Whittaker family the single parameter is q, not t.
+    ``deformation`` is "" for a classical family (over Q or Z), "t" for a
+    one-parameter family (generic over Q(t), or over Q at a rational value or
+    a root of unity of ``variable``) and "qt" for a Macdonald family (generic
+    over Q(q,t), or over Q at a rational (q,t) pair).  ``element(lam, mu)``
+    builds u_n and ``pairing(lam, mu, n)`` is the closed form of <u_n, p_n>,
+    both unspecialized; ``clause(spec, lam, mu, n)`` is the per-degree
+    criterion.  Straight families get mu = EMPTY.
     """
 
-    kind: str  # "value" | "root" | "pair"
-    value: Fraction | None = None
-    root_order: int | None = None
-    q_value: Fraction | None = None
-    t_value: Fraction | None = None
+    name: str
+    skew: bool
+    deformation: str
+    element: Callable
+    pairing: Callable
+    clause: Callable
+    variable: str = "t"
 
-    @staticmethod
-    def at_value(v) -> "Specialization":
-        return Specialization(kind="value", value=Fraction(v))
+    @property
+    def rings(self) -> tuple:
+        """The ring names the family is treated over, the generic one first."""
+        return {"": ("Q", "Z"), "t": ("Qt", "Q"), "qt": ("Qqt", "Q")}[self.deformation]
 
-    @staticmethod
-    def at_root(k: int) -> "Specialization":
-        if k < 1:
-            raise ValueError("root order must be positive")
-        return Specialization(kind="root", root_order=k)
 
-    @staticmethod
-    def at_pair(q, t) -> "Specialization":
-        return Specialization(kind="pair", q_value=Fraction(q), t_value=Fraction(t))
-
-    def describe(self) -> str:
-        if self.kind == "value":
-            return f"t={self.value}"
-        if self.kind == "root":
-            return f"t=zeta_{self.root_order}"
-        return f"q={self.q_value},t={self.t_value}"
+def family(name: str) -> Family:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise UnsupportedCombination(f"unknown family {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -135,46 +142,35 @@ class FamilySpec:
     specialization: Specialization | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise UnsupportedCombination(f"unknown family {self.family!r}")
-        if self.ring not in RINGS:
-            raise UnsupportedCombination(f"unknown ring {self.ring!r}")
-        fam, ring, spz = self.family, self.ring, self.specialization
-        if fam in CLASSICAL_FAMILIES:
-            if ring not in ("Q", "Z") or spz is not None:
+        fam, ring, spz = family(self.family), self.ring, self.specialization
+        if ring not in fam.rings:
+            raise UnsupportedCombination(f"family {fam.name} is not treated over {ring}")
+        if not fam.deformation or ring != "Q":
+            if spz is not None:
                 raise UnsupportedCombination(
-                    f"family {fam} is only treated over Q or Z, unspecialized"
+                    f"family {fam.name} over {ring} takes no specialization"
                 )
-        elif fam in T_FAMILIES:
-            if ring == "Qt":
-                if spz is not None:
-                    raise UnsupportedCombination(
-                        "generic deformed families take no specialization"
-                    )
-            elif ring == "Q":
-                if spz is None or spz.kind == "pair":
-                    raise UnsupportedCombination(
-                        f"family {fam} over Q needs a t=value or root specialization"
-                    )
-            else:
-                raise UnsupportedCombination(f"family {fam} is not treated over {ring}")
-        else:  # mac families
-            if ring == "Qqt":
-                if spz is not None:
-                    raise UnsupportedCombination(
-                        "generic Macdonald families take no specialization"
-                    )
-            elif ring == "Q":
-                if spz is None or spz.kind != "pair":
-                    raise UnsupportedCombination(
-                        f"family {fam} over Q needs a (q,t) pair specialization"
-                    )
-            else:
-                raise UnsupportedCombination(f"family {fam} is not treated over {ring}")
+        elif spz is None or (spz.kind == "pair") != (fam.deformation == "qt"):
+            wanted = (
+                "(q,t) pair" if fam.deformation == "qt" else f"{fam.variable}=value or root"
+            )
+            raise UnsupportedCombination(
+                f"family {fam.name} over Q needs a {wanted} specialization"
+            )
+
+    @property
+    def definition(self) -> Family:
+        return FAMILIES[self.family]
 
     @property
     def is_skew(self) -> bool:
-        return self.family in SKEW_FAMILIES
+        return self.definition.skew
+
+    @property
+    def coeff_ring(self) -> CoeffRing:
+        """The field the family's elements and values are computed in."""
+        spz = self.specialization
+        return RINGS[self.ring] if spz is None else spz.ring
 
 
 @dataclass(frozen=True)
@@ -232,14 +228,14 @@ def _column_plus_rectangle(lam: Partition, n: int):
 # per-family criteria
 # ---------------------------------------------------------------------------
 
-def _crit_monomial(ring: str, lam: Partition, n: int):
-    if ring == "Q":
+def _crit_monomial(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
+    if spec.ring == "Q":
         return True, Reason("monomial-generates")
     return lam == _ones(n), Reason("single-column")
 
 
-def _crit_skew_monomial(ring: str, lam: Partition, mu: Partition, n: int):
-    if ring == "Q":
+def _crit_skew_monomial(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
+    if spec.ring == "Q":
         return refines(lam, n), Reason("refines-degree")
     m = mu.size
     if mu == _ones(m):
@@ -258,9 +254,9 @@ def _crit_skew_monomial(ring: str, lam: Partition, mu: Partition, n: int):
     return False, Reason("skew-monomial-unit")
 
 
-def _crit_skew_complete(ring: str, lam: Partition, mu: Partition, n: int):
+def _crit_skew_complete(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
     reaches = bool(lam) and lam[0] >= n
-    if ring == "Q":
+    if spec.ring == "Q":
         return reaches, Reason("first-part-reaches-degree")
     if not reaches:
         return False, Reason("first-part-reaches-degree")
@@ -275,28 +271,32 @@ def _crit_skew_complete(ring: str, lam: Partition, mu: Partition, n: int):
     return False, Reason("skew-complete-unit")
 
 
-def _is_rational_root_of_unity(x: Fraction):
-    """Order k when x is a rational root of unity (1 or -1), else None."""
-    if x == 1:
-        return 1
-    if x == -1:
-        return 2
-    return None
+def _crit_hook(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
+    return is_hook(lam), Reason("hook")
 
 
-def _crit_hl_P(spec: FamilySpec, lam: Partition, n: int):
+def _crit_ribbon(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
+    return is_ribbon(SkewPartition(lam, mu)), Reason("ribbon")
+
+
+def _one_parameter(spec: FamilySpec, lam: Partition, at_root, away=None):
+    """The clause of a one-parameter family: ``at_root(k)`` when the parameter
+    is a primitive k-th root of unity (1 and -1 are the rational ones), the
+    hook rule at 0, and ``away`` when the parameter is generic or another
+    rational (by default true, as deformed-generic or nonroot-parameter)."""
     spz = spec.specialization
     if spz is None:
-        return True, Reason("deformed-generic")
-    if spz.kind == "root":
-        return _floor_condition(lam, n, spz.root_order)
-    v = spz.value
-    if v == 0:
-        return is_hook(lam), Reason("hook")
-    k = _is_rational_root_of_unity(v)
+        return away or (True, Reason("deformed-generic"))
+    k = spz.root_order if spz.kind == "root" else {1: 1, -1: 2}.get(spz.value)
     if k is not None:
-        return _floor_condition(lam, n, k)
-    return True, Reason("nonroot-parameter")
+        return at_root(k)
+    if spz.value == 0:
+        return is_hook(lam), Reason("hook")
+    return away or (True, Reason("nonroot-parameter"))
+
+
+def _crit_hl_P(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
+    return _one_parameter(spec, lam, lambda k: _floor_condition(lam, n, k))
 
 
 def _floor_condition(lam: Partition, n: int, k: int):
@@ -310,55 +310,31 @@ def _floor_condition(lam: Partition, n: int, k: int):
     return ok, Reason("root-multiplicity-balance", 2)
 
 
-def _crit_hl_Q(spec: FamilySpec, lam: Partition, n: int):
-    spz = spec.specialization
-    if spz is None:
-        return True, Reason("deformed-generic")
-    if spz.kind == "root":
-        k = spz.root_order
-    else:
-        v = spz.value
-        if v == 0:
-            return is_hook(lam), Reason("hook")
-        k = _is_rational_root_of_unity(v)
-        if k is None:
-            return True, Reason("nonroot-parameter")
+def _crit_hl_Q(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
     # the strict form k > l(lambda)-1 (equivalently k >= l) is forced by the
     # factorization: phi_{l-1} vanishes at a k-th root as soon as l-1 >= k
-    ok = n % k != 0 and k > len(lam) - 1
-    return ok, Reason("root-q-nonvanishing")
+    return _one_parameter(
+        spec,
+        lam,
+        lambda k: (n % k != 0 and k > len(lam) - 1, Reason("root-q-nonvanishing")),
+    )
 
 
-def _crit_big_schur(spec: FamilySpec, lam: Partition, n: int):
-    spz = spec.specialization
+def _crit_big_schur(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
     hook = is_hook(lam)
-    if spz is None:
-        return hook, Reason("hook")
-    if spz.kind == "root":
-        k = spz.root_order
-    else:
-        v = spz.value
-        k = _is_rational_root_of_unity(v)
-        if k is None:
-            return hook, Reason("hook")
-    return hook and n % k != 0, Reason("hook-and-nondividing")
+    return _one_parameter(
+        spec,
+        lam,
+        lambda k: (hook and n % k != 0, Reason("hook-and-nondividing")),
+        away=(hook, Reason("hook")),
+    )
 
 
-def _crit_whittaker(spec: FamilySpec, lam: Partition, n: int):
-    spz = spec.specialization
-    if spz is None:
-        return True, Reason("deformed-generic")
-    if spz.kind == "root":
-        k = spz.root_order
-    else:
-        v = spz.value
-        if v == 0:
-            return is_hook(lam), Reason("hook")
-        k = _is_rational_root_of_unity(v)
-        if k is None:
-            return True, Reason("nonroot-parameter")
+def _crit_whittaker(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
     head = lam[0] if lam else 0
-    return head <= k, Reason("first-part-at-most-root-order")
+    return _one_parameter(
+        spec, lam, lambda k: (head <= k, Reason("first-part-at-most-root-order"))
+    )
 
 
 def _coprime_base(numbers) -> list[int]:
@@ -422,77 +398,29 @@ def _parameters_collide(q: Fraction, t: Fraction) -> bool:
     )
 
 
-def _crit_mac(spec: FamilySpec, lam: Partition, n: int):
+def _crit_mac(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
     spz = spec.specialization
     if spz is None:
         return True, Reason("deformed-generic")
-    qv, tv = spz.q_value, spz.t_value
     # t = +-1 collides (t^2 = q^0), so a free pair also keeps 1 - t^n nonzero
-    if not _parameters_collide(qv, tv):
+    if not _parameters_collide(spz.q_value, spz.t_value):
         return True, Reason("parameters-multiplicatively-independent")
     # no shape clause applies once the parameters collide; the closed form is
     # exactly evaluable at rational points, so decide by evaluation
-    closed = mac_P_pn_closed if spec.family == "mac-P" else mac_J_pn_closed
     try:
-        value = closed(lam, n).subs(q=qv, t=tv).as_fraction()
+        value = spz.apply(spec.definition.pairing(lam, mu, n))
     except ZeroDenominator:
         return False, Reason("specialization-undefined")
     return value != 0, Reason("specialized-value")
 
 
-def criterion(spec: FamilySpec, lam, mu, n: int):
-    """The per-degree criterion with a structured reason.
-
-    ``mu`` is required (possibly empty) for skew families and must be None or
-    empty for straight ones; shapes must be sized consistently with n.
-    """
-    lam = Partition(lam)
-    mu = Partition(mu) if mu is not None else EMPTY
-    if spec.is_skew:
-        if lam.size - mu.size != n:
-            raise GradingViolation(n, f"|{lam}| - |{mu}| != {n}")
-    else:
-        if mu:
-            raise ValueError(f"family {spec.family} takes no inner shape")
-        if lam.size != n:
-            raise GradingViolation(n, f"|{lam}| != {n}")
-    fam = spec.family
-    if fam in ("m", "f"):
-        return _crit_monomial(spec.ring, lam, n)
-    if fam in ("skew-m", "skew-f"):
-        return _crit_skew_monomial(spec.ring, lam, mu, n)
-    if fam in ("skew-h", "skew-e"):
-        return _crit_skew_complete(spec.ring, lam, mu, n)
-    if fam == "s":
-        return is_hook(lam), Reason("hook")
-    if fam == "skew-s":
-        return is_ribbon(SkewPartition(lam, mu)), Reason("ribbon")
-    if fam == "hl-P":
-        return _crit_hl_P(spec, lam, n)
-    if fam == "hl-Q":
-        return _crit_hl_Q(spec, lam, n)
-    if fam == "big-S":
-        return _crit_big_schur(spec, lam, n)
-    if fam == "whittaker":
-        return _crit_whittaker(spec, lam, n)
-    return _crit_mac(spec, lam, n)
-
-
 # ---------------------------------------------------------------------------
-# exact inner-product values
+# exact inner-product values (unspecialized)
 # ---------------------------------------------------------------------------
 
-def _schur_pn_value(lam: Partition, n: int) -> Fraction:
-    if not is_hook(lam):
-        return Fraction(0)
-    return Fraction((-1) ** (n - lam[0]))
-
-
-def _skew_schur_pn_value(lam: Partition, mu: Partition) -> Fraction:
-    sp = SkewPartition(lam, mu)
-    if not is_ribbon(sp):
-        return Fraction(0)
-    return Fraction((-1) ** ribbon_height(sp))
+def _omega(pairing):
+    """The pairing of the omega image: <omega u, p_n> = (-1)^(n-1) <u, p_n>."""
+    return lambda lam, mu, n: (-1) ** (n - 1) * pairing(lam, mu, n)
 
 
 def _skew_complete_pn_value(lam: Partition, mu: Partition, n: int) -> Fraction:
@@ -501,61 +429,103 @@ def _skew_complete_pn_value(lam: Partition, mu: Partition, n: int) -> Fraction:
     )
 
 
-def _specialize(spec: FamilySpec, closed: RatFunc, variable: str):
-    """Apply the spec's specialization to one closed-form value."""
-    spz = spec.specialization
-    if spz is None:
-        return closed
-    if spz.kind == "root":
-        f = closed.swap_vars() if variable == "q" else closed
-        return specialize_root_of_unity(f, spz.root_order)
-    if spz.kind == "value":
-        kw = {variable: spz.value}
-        return closed.subs(**kw).as_fraction()
-    return closed.subs(q=spz.q_value, t=spz.t_value).as_fraction()
+def _schur_pn_value(lam: Partition, mu: Partition, n: int) -> Fraction:
+    if not is_hook(lam):
+        return Fraction(0)
+    return Fraction((-1) ** (n - lam[0]))
+
+
+def _skew_schur_pn_value(lam: Partition, mu: Partition, n: int) -> Fraction:
+    sp = SkewPartition(lam, mu)
+    if not is_ribbon(sp):
+        return Fraction(0)
+    return Fraction((-1) ** ribbon_height(sp))
+
+
+def _hl_Q_pn_value(lam: Partition, mu: Partition, n: int) -> RatFunc:
+    """Under the Hall form: (1 - t^n) times the t-form closed evaluator."""
+    return hl_Q_pn_closed(lam, n) * RatFunc.make(P_ONE - Poly.t(n))
+
+
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+# The deformed closed forms are called through their module-level names, so
+# that swapping a module attribute (as a tracer or a test does) reaches them.
+FAMILIES = {fam.name: fam for fam in (
+    Family("m", False, "", lambda lam, mu: sym("m", lam),
+           skew_monomial_pn_inner, _crit_monomial),
+    Family("f", False, "", lambda lam, mu: sym("f", lam),
+           _omega(skew_monomial_pn_inner), _crit_monomial),
+    Family("skew-m", True, "", lambda lam, mu: skew("m", lam, mu),
+           skew_monomial_pn_inner, _crit_skew_monomial),
+    Family("skew-f", True, "", lambda lam, mu: skew("f", lam, mu),
+           _omega(skew_monomial_pn_inner), _crit_skew_monomial),
+    Family("skew-h", True, "", lambda lam, mu: skew("h", lam, mu),
+           _skew_complete_pn_value, _crit_skew_complete),
+    Family("skew-e", True, "", lambda lam, mu: skew("e", lam, mu),
+           _omega(_skew_complete_pn_value), _crit_skew_complete),
+    Family("s", False, "", lambda lam, mu: sym("s", lam),
+           _schur_pn_value, _crit_hook),
+    Family("skew-s", True, "", lambda lam, mu: skew("s", lam, mu),
+           _skew_schur_pn_value, _crit_ribbon),
+    Family("hl-P", False, "t", lambda lam, mu: hl_P(lam),
+           lambda lam, mu, n: hl_P_pn_closed(lam, n), _crit_hl_P),
+    Family("hl-Q", False, "t", lambda lam, mu: hl_Q(lam),
+           _hl_Q_pn_value, _crit_hl_Q),
+    Family("big-S", False, "t", lambda lam, mu: big_schur(lam),
+           lambda lam, mu, n: big_schur_pn_closed(lam, n), _crit_big_schur),
+    Family("whittaker", False, "t", lambda lam, mu: whittaker(lam),
+           lambda lam, mu, n: whittaker_pn_closed(lam, n), _crit_whittaker,
+           variable="q"),
+    Family("mac-P", False, "qt", lambda lam, mu: mac_P(lam),
+           lambda lam, mu, n: mac_P_pn_closed(lam, n), _crit_mac),
+    Family("mac-J", False, "qt", lambda lam, mu: mac_J(lam),
+           lambda lam, mu, n: mac_J_pn_closed(lam, n), _crit_mac),
+)}
+
+
+# ---------------------------------------------------------------------------
+# per-degree entry points
+# ---------------------------------------------------------------------------
+
+def _graded(spec: FamilySpec, lam, mu, n: int) -> tuple[Partition, Partition]:
+    """(lam, mu) as partitions, checked to form a degree-n entry of the
+    spec's family (``GradingViolation`` otherwise): |lam| = n for a straight
+    family, which takes no inner shape, |lam| - |mu| = n for a skew one.
+    ``mu`` None is the empty inner shape."""
+    lam = Partition(lam)
+    mu = Partition(mu) if mu is not None else EMPTY
+    if mu and not spec.is_skew:
+        raise GradingViolation(n, f"degree {n}: family {spec.family} takes no inner shape")
+    if lam.size - mu.size != n:
+        shape = f"|{lam}| - |{mu}|" if spec.is_skew else f"|{lam}|"
+        raise GradingViolation(n, f"degree {n}: {shape} = {lam.size - mu.size} != {n}")
+    return lam, mu
+
+
+def criterion(spec: FamilySpec, lam, mu, n: int):
+    """The per-degree criterion with a structured reason (see ``_graded``
+    for the shapes accepted)."""
+    lam, mu = _graded(spec, lam, mu, n)
+    return spec.definition.clause(spec, lam, mu, n)
 
 
 def inner_value(spec: FamilySpec, lam, mu, n: int):
-    """<u_n, p_n> for the family, exactly, under any specialization.
+    """<u_n, p_n> for the family, exactly, under any specialization (None
+    where the specialization leaves it undefined).
 
     Deformed families pair with the Hall form (the form in the generation
     lemma); for hl-Q that is (1 - t^n) times the t-form closed evaluator.
     """
-    lam = Partition(lam)
-    mu = Partition(mu) if mu is not None else EMPTY
-    fam = spec.family
-    if fam == "m":
-        return skew_monomial_pn_inner(lam, EMPTY, n)
-    if fam == "f":
-        return (-1) ** (n - 1) * skew_monomial_pn_inner(lam, EMPTY, n)
-    if fam == "skew-m":
-        return skew_monomial_pn_inner(lam, mu, n)
-    if fam == "skew-f":
-        return (-1) ** (n - 1) * skew_monomial_pn_inner(lam, mu, n)
-    if fam == "skew-h":
-        return _skew_complete_pn_value(lam, mu, n)
-    if fam == "skew-e":
-        return (-1) ** (n - 1) * _skew_complete_pn_value(lam, mu, n)
-    if fam == "s":
-        return _schur_pn_value(lam, n)
-    if fam == "skew-s":
-        return _skew_schur_pn_value(lam, mu)
-    if fam == "hl-P":
-        return _specialize(spec, hl_P_pn_closed(lam, n), "t")
-    if fam == "hl-Q":
-        hall = hl_Q_pn_closed(lam, n) * RatFunc.make(P_ONE - Poly.t(n))
-        return _specialize(spec, hall, "t")
-    if fam == "big-S":
-        return _specialize(spec, big_schur_pn_closed(lam, n), "t")
-    if fam == "whittaker":
-        return _specialize(spec, whittaker_pn_closed(lam, n), "q")
-    closed = mac_P_pn_closed(lam, n) if fam == "mac-P" else mac_J_pn_closed(lam, n)
+    lam, mu = _graded(spec, lam, mu, n)
+    fam = spec.definition
+    value = fam.pairing(lam, mu, n)
     if spec.specialization is None:
-        return closed
+        return value
     try:
-        return closed.subs(
-            q=spec.specialization.q_value, t=spec.specialization.t_value
-        ).as_fraction()
+        return spec.specialization.apply(value, fam.variable)
     except ZeroDenominator:
         return None
 
@@ -563,32 +533,23 @@ def inner_value(spec: FamilySpec, lam, mu, n: int):
 def render_value(value) -> str | None:
     if value is None:
         return None
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (RatFunc, CycloElem)):
         return value.render()
     return str(value)
 
 
-def value_is_unit(spec: FamilySpec, value) -> bool | None:
-    """Unit test of a computed value in the spec's ring (None: undecidable)."""
-    if value is None:
-        return False
+def value_is_unit(spec: FamilySpec, value) -> bool:
+    """Unit test of an exact value (int, Fraction, RatFunc or CycloElem) in
+    the spec's ring; an undefined value (None) is no unit."""
     if spec.ring == "Z":
-        return isinstance(value, Fraction) and abs(value) == 1
-    if isinstance(value, Fraction):
-        return value != 0
-    if isinstance(value, RatFunc):
-        return not value.is_zero()
-    if isinstance(value, CycloElem):
-        return not value.is_zero()
-    return None
+        return isinstance(value, (int, Fraction)) and abs(value) == 1
+    return bool(value)
 
 
-def checked_criterion(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
+def checked_criterion(spec: FamilySpec, lam, mu, n: int):
     """(criterion, reason, value) at one degree, where the criterion must
     equal the unit test of the exact value (``CriterionMismatch`` if not)."""
-    ok, reason = criterion(spec, lam, mu if spec.is_skew else None, n)
+    ok, reason = criterion(spec, lam, mu, n)
     value = inner_value(spec, lam, mu, n)
     if ok != value_is_unit(spec, value):
         raise CriterionMismatch(
@@ -605,31 +566,15 @@ def checked_criterion(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
 def check_sequence(spec: FamilySpec, seq) -> SeqVerdict:
     """Per-degree criteria and values for a graded (skew) partition sequence.
 
-    ``seq`` lists (lam, mu-or-None) for n = 1..N; degree n entries must
-    satisfy |lam| = n (straight) or |lam| - |mu| = n (skew).
+    ``seq`` lists (lam, mu-or-None) for n = 1..N; each entry must be graded
+    as ``criterion`` requires (``GradingViolation`` names the first that
+    is not).
     """
     per = []
-    overall = True
-    for i, (lam, mu) in enumerate(seq):
-        n = i + 1
-        lam = Partition(lam)
-        mu = Partition(mu) if mu is not None else EMPTY
-        if spec.is_skew:
-            if lam.size - mu.size != n:
-                raise GradingViolation(
-                    n, f"entry {n}: |{lam}| - |{mu}| = {lam.size - mu.size} != {n}"
-                )
-        else:
-            if mu:
-                raise GradingViolation(
-                    n, f"entry {n}: family {spec.family} takes no inner shape"
-                )
-            if lam.size != n:
-                raise GradingViolation(n, f"entry {n}: |{lam}| = {lam.size} != {n}")
+    for n, (lam, mu) in enumerate(seq, start=1):
         ok, reason, value = checked_criterion(spec, lam, mu, n)
         per.append(PerDegree(n=n, criterion=ok, reason=reason, value=render_value(value)))
-        overall = overall and ok
-    return SeqVerdict(per_n=tuple(per), overall=overall)
+    return SeqVerdict(per_n=tuple(per), overall=all(entry.criterion for entry in per))
 
 
 def parse_sequence_file(text: str):

@@ -37,13 +37,11 @@ from .exactalg import (
     Poly,
     RF_ONE,
     RF_ZERO,
-    RING_Q,
     RING_QQT,
     RING_QT,
     RatFunc,
-    cyclo_ring,
+    Specialization,
     cyclotomic_poly,
-    specialize_root_of_unity,
 )
 from .partitions import EMPTY, Partition, partitions_of, stats
 from .symfunc import (
@@ -468,36 +466,20 @@ def _pexp_mul(a: dict, b: dict) -> dict:
 # coefficient specialization of whole elements
 # ---------------------------------------------------------------------------
 
-def specialize_coeffs(x: SymFunc, *, q=None, t=None) -> SymFunc:
-    """Substitute rational values into RatFunc coefficients.
-
-    Fully specialized elements come back over Q; partially specialized ones
-    stay over the univariate function field.
-    """
-    out = {}
-    full = (q is not None or not _uses_q(x)) and t is not None
-    for lam, c in x.coeffs.items():
-        val = c.subs(q=q, t=t)
-        out[lam] = val.as_fraction() if full else val
-    return SymFunc(x.basis, out, RING_Q if full else RING_QT)
-
-
-def _uses_q(x: SymFunc) -> bool:
-    return any(
-        not c.num.is_univariate_t() or not c.den.is_univariate_t()
-        for c in x.coeffs.values()
+def specialize_coeffs(
+    x: SymFunc, spz: Specialization | None = None, variable: str = "t", *, t=None
+) -> SymFunc:
+    """x with ``spz`` (by default t = ``t``) applied to the parameter
+    ``variable`` of every coefficient, over Q or Q(zeta_k)."""
+    spz = Specialization.at_value(t) if spz is None else spz
+    return SymFunc(
+        x.basis, {lam: spz.apply(c, variable) for lam, c in x.coeffs.items()}, spz.ring
     )
 
 
 def specialize_coeffs_root(x: SymFunc, k: int) -> SymFunc:
     """Substitute a primitive k-th root of unity for t in every coefficient."""
-    ring = cyclo_ring(k)
-    out = {}
-    for lam, c in x.coeffs.items():
-        val = specialize_root_of_unity(c, k)
-        if not val.is_zero():
-            out[lam] = val
-    return SymFunc(x.basis, out, ring)
+    return specialize_coeffs(x, Specialization.at_root(k))
 
 
 def subs_q_to_t(x: SymFunc) -> SymFunc:

@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic: sparse rational polynomials in q and t,
-reduced rational functions, and cyclotomic residue rings for evaluating at
-roots of unity.
+reduced rational functions, cyclotomic residue rings for evaluating at
+roots of unity, and the parameter specializations that evaluate a rational
+function at a rational value, a rational (q,t) pair or a root of unity.
 
 Canonical forms
 ---------------
@@ -27,20 +28,21 @@ P the residue polynomial in t.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
 
 
 class ZeroDenominator(ZeroDivisionError):
-    """Denominator polynomial is identically zero."""
+    """A denominator vanishes: the value (or the specialized value) is undefined."""
 
 
 class ZeroPolynomial(ValueError):
     """Operation undefined for the zero polynomial."""
 
 
-class PoleAtRootOfUnity(ZeroDivisionError):
+class PoleAtRootOfUnity(ZeroDenominator):
     """The rational function has a genuine pole at the requested root of unity."""
 
 
@@ -1117,3 +1119,48 @@ def cyclo_ring(k: int) -> CoeffRing:
         lambda fr, k=k: CycloElem.from_fraction(fr, k),
         lambda v: v.render(),
     )
+
+
+@dataclass(frozen=True)
+class Specialization:
+    """t = value, t = primitive k-th root of unity, or a (q,t) rational pair.
+
+    A one-parameter specialization sets the family's one parameter: t, or q
+    for the q-Whittaker family.
+    """
+
+    kind: str  # "value" | "root" | "pair"
+    value: Fraction | None = None
+    root_order: int | None = None
+    q_value: Fraction | None = None
+    t_value: Fraction | None = None
+
+    @staticmethod
+    def at_value(v) -> "Specialization":
+        return Specialization(kind="value", value=Fraction(v))
+
+    @staticmethod
+    def at_root(k: int) -> "Specialization":
+        if k < 1:
+            raise ValueError("root order must be positive")
+        return Specialization(kind="root", root_order=k)
+
+    @staticmethod
+    def at_pair(q, t) -> "Specialization":
+        return Specialization(kind="pair", q_value=Fraction(q), t_value=Fraction(t))
+
+    @property
+    def ring(self) -> CoeffRing:
+        """The field of the specialized values: Q, or Q(zeta_k) at a root."""
+        return cyclo_ring(self.root_order) if self.kind == "root" else RING_Q
+
+    def apply(self, value: RatFunc, variable: str = "t"):
+        """``value`` with ``variable`` (t or q; a pair sets both) specialized:
+        a Fraction, or a CycloElem at a root of unity.  Raises
+        ZeroDenominator where the specialized value is undefined."""
+        if self.kind == "root":
+            in_t = value.swap_vars() if variable == "q" else value
+            return specialize_root_of_unity(in_t, self.root_order)
+        if self.kind == "value":
+            return value.subs(**{variable: self.value}).as_fraction()
+        return value.subs(q=self.q_value, t=self.t_value).as_fraction()

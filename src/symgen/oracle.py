@@ -29,28 +29,10 @@ from .criteria import (
     FamilySpec,
     checked_criterion,
     render_value,
+    value_is_unit,
 )
-from .deformed import (
-    big_schur,
-    deformed_inner,
-    hl_P,
-    hl_Q,
-    mac_J,
-    mac_P,
-    skew_hl_P,
-    specialize_coeffs,
-    specialize_coeffs_root,
-    whittaker,
-)
-from .exactalg import (
-    RING_Q,
-    RING_QQT,
-    RING_QT,
-    CoeffRing,
-    ZeroDenominator,
-    cyclo_ring,
-    specialize_root_of_unity,
-)
+from .deformed import deformed_inner, skew_hl_P, specialize_coeffs
+from .exactalg import RING_QT, CoeffRing, ZeroDenominator
 from .partitions import (
     EMPTY,
     Partition,
@@ -62,7 +44,10 @@ from .partitions import (
     partitions_of,
     union,
 )
-from .symfunc import SymFunc, p_expansion, skew, sym, to_basis
+from .symfunc import SymFunc, p_expansion, sym, to_basis
+
+# the highest degree the skew Hall-Littlewood probe computes
+PROBE_MAX_DEGREE = 5
 
 
 @dataclass(frozen=True)
@@ -138,66 +123,13 @@ def det_gauss(mat: list):
 # ---------------------------------------------------------------------------
 
 def family_element(spec: FamilySpec, lam, mu=None) -> SymFunc:
-    """The sequence element u_n of the family, over the working ring,
-    with the spec's specialization already applied to the coefficients."""
-    lam = Partition(lam)
-    mu = Partition(mu) if mu is not None else EMPTY
-    fam = spec.family
-    if fam in ("m", "f", "s"):
-        base = sym(fam, lam)
-    elif fam.startswith("skew-"):
-        base = skew(fam.split("-")[1], lam, mu)
-    elif fam == "hl-P":
-        base = hl_P(lam)
-    elif fam == "hl-Q":
-        base = hl_Q(lam)
-    elif fam == "big-S":
-        base = big_schur(lam)
-    elif fam == "whittaker":
-        base = whittaker(lam)
-    elif fam == "mac-P":
-        base = mac_P(lam)
-    else:
-        base = mac_J(lam)
-    spz = spec.specialization
-    if spz is None:
-        return base
-    if spz.kind == "value":
-        if fam == "whittaker":
-            return SymFunc(
-                base.basis,
-                {k: v.subs(q=spz.value).as_fraction() for k, v in base.coeffs.items()},
-                RING_Q,
-            )
-        return specialize_coeffs(base, t=spz.value)
-    if spz.kind == "root":
-        if fam == "whittaker":
-            ring = cyclo_ring(spz.root_order)
-            out = {}
-            for k, v in base.coeffs.items():
-                val = specialize_root_of_unity(v.swap_vars(), spz.root_order)
-                if not val.is_zero():
-                    out[k] = val
-            return SymFunc(base.basis, out, ring)
-        return specialize_coeffs_root(base, spz.root_order)
-    return SymFunc(
-        base.basis,
-        {
-            k: v.subs(q=spz.q_value, t=spz.t_value).as_fraction()
-            for k, v in base.coeffs.items()
-        },
-        RING_Q,
-    )
-
-
-def _working_ring(spec: FamilySpec) -> CoeffRing:
+    """The sequence element u_n of the family, over the spec's coefficient
+    field, with the spec's specialization already applied."""
+    fam = spec.definition
+    base = fam.element(Partition(lam), Partition(mu) if mu is not None else EMPTY)
     if spec.specialization is None:
-        if spec.ring in ("Q", "Z"):
-            return RING_Q
-        return RING_QT if spec.ring == "Qt" else RING_QQT
-    if spec.specialization.kind == "root":
-        return cyclo_ring(spec.specialization.root_order)
-    return RING_Q
+        return base
+    return specialize_coeffs(base, spec.specialization, fam.variable)
 
 
 def _as_int(value: Fraction) -> int:
@@ -216,7 +148,7 @@ def degree_matrix(spec: FamilySpec, seq, n: int) -> DegreeMatrix:
     """
     if len(seq) < n:
         raise ValueError(f"sequence defines degrees 1..{len(seq)}, need {n}")
-    ring = _working_ring(spec)
+    ring = spec.coeff_ring
     order = partitions_of(n)
     use_h = spec.ring == "Z"
     basis = "h" if use_h else "p"
@@ -260,16 +192,10 @@ def recomputed_inner(spec: FamilySpec, lam, mu, n: int):
     forms): n times the coefficient of p_(n)."""
     u = family_element(spec, lam, mu)
     coeff = p_expansion(u).get(Partition((n,)))
-    ring = _working_ring(spec)
+    ring = spec.coeff_ring
     if coeff is None:
         return ring.zero
     return coeff * ring.from_int(n)
-
-
-def _is_unit(spec: FamilySpec, det) -> bool:
-    if spec.ring == "Z":
-        return det in (1, -1)
-    return bool(det)
 
 
 def verdict(spec: FamilySpec, seq, max_degree: int) -> list[dict]:
@@ -280,15 +206,13 @@ def verdict(spec: FamilySpec, seq, max_degree: int) -> list[dict]:
     generating = True
     for n in range(1, max_degree + 1):
         lam, mu = seq[n - 1]
-        lam = Partition(lam)
-        mu = Partition(mu) if mu is not None else EMPTY
         ok, reason, closed = checked_criterion(spec, lam, mu, n)
         try:
             det = degree_matrix(spec, seq, n).det(spec.ring)
         except ZeroDenominator:  # some u_k with k <= n does not exist
             det = None
         independent = bool(det)
-        generating = generating and _is_unit(spec, det)
+        generating = generating and value_is_unit(spec, det)
         try:
             inner = recomputed_inner(spec, lam, mu, n)
         except ZeroDenominator:
@@ -301,7 +225,7 @@ def verdict(spec: FamilySpec, seq, max_degree: int) -> list[dict]:
                 "criterion": ok,
                 "reason": reason.code(),
                 "value": render_value(closed),
-                "det": render_value(det) if not isinstance(det, int) else str(det),
+                "det": render_value(det),
                 "independent": independent,
                 "generates": generating,
                 "inner": render_value(inner),
@@ -322,8 +246,8 @@ def conjecture_probe(seq, max_degree: int) -> list[dict]:
     whose inner product is nonzero while the conjectured shape condition
     fails.  No assertion about the conjecture itself is made.
     """
-    if max_degree > 5:
-        raise ValueError("probe degrees are capped at 5")
+    if max_degree > PROBE_MAX_DEGREE:
+        raise ValueError(f"probe degrees are capped at {PROBE_MAX_DEGREE}")
     records = []
     for n in range(1, max_degree + 1):
         lam, mu = seq[n - 1]

@@ -108,10 +108,6 @@ def sym(basis: str, lam, ring: CoeffRing = RING_Q, coeff=None) -> SymFunc:
     return SymFunc(basis, {Partition(lam): coeff if coeff is not None else ring.one}, ring)
 
 
-def sym_one(ring: CoeffRing = RING_Q) -> SymFunc:
-    return SymFunc("p", {EMPTY: ring.one}, ring)
-
-
 # ---------------------------------------------------------------------------
 # transitions into the power-sum basis (exact, over Q, cached)
 # ---------------------------------------------------------------------------

@@ -215,6 +215,33 @@ def test_check_at_root_via_cli(capsys, tmp_path):
     assert records == verdict_records(spec, check_sequence(spec, seq))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "s", "--lambda", "2", "--n", "3"),
+        ("--family", "s", "--lambda", "2", "--n", "0"),
+        ("--family", "skew-h", "--lambda", "3,1", "--n", "2"),
+        ("--family", "s", "--lambda", "2", "--mu", "1", "--n", "1"),
+    ],
+)
+def test_inner_rejects_ungraded_input(capsys, argv):
+    code, out, err = invoke(capsys, "inner", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command", [("oracle", "--family", "skew-s", "--ring", "Z"), ("probe",)]
+)
+def test_max_degree_below_one_exit_code(capsys, ribbon_path, command, degree):
+    code, out, err = invoke(
+        capsys, *command, "--seq-file", ribbon_path, "--max-degree", degree
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_probe_rejects_large_degree(capsys, ribbon_path):
     code, _, err = invoke(
         capsys, "probe", "--seq-file", ribbon_path, "--max-degree", "9"

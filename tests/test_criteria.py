@@ -1,15 +1,21 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symgen.criteria import (
     _parameters_collide,
+    FAMILIES,
     FamilySpec,
     GradingViolation,
     Reason,
     Specialization,
     UnsupportedCombination,
     check_sequence,
+    checked_criterion,
     criterion,
     inner_value,
     parse_sequence_file,
@@ -17,7 +23,7 @@ from symgen.criteria import (
     value_is_unit,
     verdict_records,
 )
-from symgen.exactalg import CycloElem, RatFunc
+from symgen.exactalg import P_ONE, T, CycloElem, RatFunc, ZeroDenominator
 from symgen.partitions import EMPTY, Partition, partitions_of
 
 
@@ -356,6 +362,107 @@ def test_specialized_criterion_matches_value(family, k):
             ok, _ = criterion(spec, lam, None, n)
             value = inner_value(spec, lam, None, n)
             assert ok == (not value.is_zero()), (family, k, lam, n)
+
+
+# one-parameter values and roots, and (q,t) pairs: free, q = t = 1 (where
+# some P_lam do not exist), q = t^13 and q^4 = t^5
+SWEEP_VALUES = (0, 1, -1, Fraction(2, 3))
+SWEEP_ROOTS = (2, 3, 4)
+SWEEP_PAIRS = ((2, 3), (1, 1), (2**13, 2), (3**5, 3**4))
+
+
+def _admitted_specs():
+    for name, fam in FAMILIES.items():
+        for ring in fam.rings:
+            if ring != "Q" or not fam.deformation:
+                yield FamilySpec(name, ring)
+            elif fam.deformation == "t":
+                for v in SWEEP_VALUES:
+                    yield FamilySpec(name, ring, Specialization.at_value(v))
+                for k in SWEEP_ROOTS:
+                    yield FamilySpec(name, ring, Specialization.at_root(k))
+            else:
+                for q, t in SWEEP_PAIRS:
+                    yield FamilySpec(name, ring, Specialization.at_pair(q, t))
+
+
+def _spec_id(spec):
+    spz = spec.specialization
+    if spz is None:
+        return f"{spec.family}-{spec.ring}"
+    at = {
+        "value": spz.value,
+        "root": f"zeta{spz.root_order}",
+        "pair": f"{spz.q_value},{spz.t_value}",
+    }[spz.kind]
+    return f"{spec.family}-{spec.ring}-{at}"
+
+
+@pytest.mark.parametrize("spec", list(_admitted_specs()), ids=_spec_id)
+def test_every_admitted_spec_criterion_matches_value(spec):
+    """checked_criterion raises CriterionMismatch on any disagreement."""
+    inners = (EMPTY, P(1), P(2), P(1, 1)) if spec.is_skew else (EMPTY,)
+    for n in range(1, 9):
+        for mu in inners:
+            for lam in partitions_of(n + mu.size):
+                checked_criterion(spec, lam, mu, n)
+
+
+def _rationals(bound):
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, bound))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["mac-P", "mac-J"]),
+    pair=st.one_of(
+        st.tuples(_rationals(10**30), _rationals(10**30)),
+        # q = b^i and t = +-b^j collide: q^(2j) = t^(2i)
+        st.builds(
+            lambda base, i, j, sign: (base**i, sign * base**j),
+            _rationals(10**12).filter(bool),
+            st.integers(-6, 6),
+            st.integers(-6, 6),
+            st.sampled_from([1, -1]),
+        ),
+    ),
+)
+def test_mac_rational_pairs_criterion_matches_value(family, pair):
+    spec = FamilySpec(family, "Q", Specialization.at_pair(*pair))
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            checked_criterion(spec, lam, None, n)
+
+
+def test_specialization_apply():
+    f = RatFunc.make(P_ONE - T * T, P_ONE - T)  # 1 + t
+    assert Specialization.at_value(2).apply(f) == 3
+    assert Specialization.at_root(3).apply(f).render() == "(t + 1) mod Phi_3"
+    assert Specialization.at_value(2).apply(f.swap_vars(), "q") == 3
+    assert Specialization.at_root(2).apply(f.swap_vars(), "q").as_fraction() == 0
+    assert Specialization.at_pair(5, 2).apply(f) == 3
+    pole = RatFunc.make(P_ONE, P_ONE - T)
+    for spz in (Specialization.at_value(1), Specialization.at_root(1)):
+        with pytest.raises(ZeroDenominator):
+            spz.apply(pole)
+
+
+def test_value_is_unit_accepts_integer_determinants():
+    assert value_is_unit(FamilySpec("s", "Z"), -1)
+    assert not value_is_unit(FamilySpec("s", "Z"), 2)
+    assert not value_is_unit(FamilySpec("s", "Z"), None)
+
+
+def test_readme_families_table_matches_family_table():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Families and rings")[1]
+    listed = {}
+    rows = [row for row in section.split("\n## ")[0].splitlines() if row.startswith("|")]
+    for row in rows[2:]:  # below the header and the rule
+        names, rings = row.split("|")[1:3]
+        for name in names.split(","):
+            listed[name.strip()] = set(re.findall(r"\b(?:Qqt|Qt|Q|Z)\b", rings))
+    assert listed == {name: set(fam.rings) for name, fam in FAMILIES.items()}
 
 
 def test_omega_duality_of_verdicts():
