@@ -11,8 +11,9 @@ inner]).  Sequence files are UTF-8 text, one line per degree, "n: [lam]" or
 
 Exit codes: 0 success, 1 when a check/oracle run's overall verdict is false,
 2 on parse errors, shapes that do not fit the degree (``inner`` included),
-``--max-degree`` below 1, or a criterion that disagrees with its own exact
-value (one-line diagnostic on stderr).
+a ``--max-degree`` below 1 or beyond the file (or, for probe, beyond
+``oracle.PROBE_MAX_DEGREE``), or a criterion that disagrees with its own
+exact value (one-line diagnostic on stderr).
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from .criteria import (
 )
 from .exactalg import RING_Q
 from .deformed import skew_hl_P
-from .oracle import PROBE_MAX_DEGREE, conjecture_probe, verdict
+from .oracle import conjecture_probe, verdict
 from .partitions import parse_partition
-from .symfunc import parse_symfunc, render_symfunc, skew, sym, to_basis
+from .symfunc import parse_symfunc, render_symfunc, skew, to_basis
 from .tabloids import enumerate_tabloids, w
 
 
@@ -52,6 +53,9 @@ class _Parser(argparse.ArgumentParser):
 class CliError(Exception):
     pass
 
+
+# probe's last degree when --max-degree is not given
+PROBE_DEFAULT_DEGREE = 4
 
 # the skew subcommand's element constructors and default target bases
 _SKEW_ELEMENTS = {
@@ -104,8 +108,19 @@ def _build_parser() -> _Parser:
 
     p_probe = sub.add_parser("probe", help="skew Hall-Littlewood conjecture probe")
     p_probe.add_argument("--seq-file", required=True)
-    p_probe.add_argument("--max-degree", type=int, default=4)
+    p_probe.add_argument("--max-degree", type=int, default=None)
     return parser
+
+
+_PARSER: _Parser | None = None
+
+
+def _parser() -> _Parser:
+    """The parser, built on first use and shared by every later ``run``."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
 
 
 def _sequence_flags(sub_parser):
@@ -214,17 +229,23 @@ def _cmd_check(args) -> int:
     return 0 if result.overall else 1
 
 
+def _max_degree(requested: int | None, seq, default: int) -> int:
+    """The last degree to run: ``requested`` when it lies in 1..len(seq),
+    else exit 2; without a request, ``default`` or every degree of a
+    shorter file."""
+    if requested is None:
+        return min(default, len(seq))
+    if requested < 1:
+        raise CliError(f"--max-degree {requested} is below 1")
+    if requested > len(seq):
+        raise CliError(f"--max-degree {requested} exceeds the {len(seq)} degrees in the file")
+    return requested
+
+
 def _cmd_oracle(args) -> int:
     spec = FamilySpec(args.family, args.ring, _specialization(args))
     seq = _load_sequence(args.seq_file)
-    max_degree = args.max_degree if args.max_degree is not None else len(seq)
-    if max_degree < 1:
-        raise CliError(f"--max-degree {max_degree} is below 1")
-    if max_degree > len(seq):
-        raise CliError(
-            f"--max-degree {max_degree} exceeds the {len(seq)} degrees in the file"
-        )
-    records = verdict(spec, seq, max_degree)
+    records = verdict(spec, seq, _max_degree(args.max_degree, seq, len(seq)))
     for record in records:
         _emit(json.dumps(record))
     overall = bool(records) and records[-1]["generates"]
@@ -233,10 +254,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    if not 1 <= args.max_degree <= PROBE_MAX_DEGREE:
-        raise CliError(f"probe --max-degree must lie in 1..{PROBE_MAX_DEGREE}")
     seq = _load_sequence(args.seq_file)
-    max_degree = min(args.max_degree, len(seq))
+    max_degree = _max_degree(args.max_degree, seq, PROBE_DEFAULT_DEGREE)
     for record in conjecture_probe(seq, max_degree):
         _emit(json.dumps(record))
     return 0
@@ -254,9 +273,8 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.seed_manifest:
             _emit(json.dumps(_manifest(args)))
         return _COMMANDS[args.command](args)

@@ -10,6 +10,10 @@ any linear extension of dominance order, subtracting corrections only for
 strictly dominance-smaller indices.  The result is the unique m-unitriangular
 orthogonal family, independent of the extension chosen.
 
+Skew Hall-Littlewood P: both forms are diagonal on the power sums, so the
+adjoint of multiplication by P_mu is ``symfunc.skew_p`` under the t-norms,
+with no Gram matrix of the P family to invert.
+
 Closed forms: the Hall-Littlewood and Macdonald pairings are a sign times a
 monomial times a quotient of products of binomials q^a t^b - q^c t^d, one
 binomial per cell of lam or per factor of a phi_r(t).  A binomial without a
@@ -49,7 +53,9 @@ from .symfunc import (
     dominance_lt,
     multiply,
     p_expansion,
+    skew_p,
     sym,
+    to_basis,
 )
 from .tabloids import SizeMismatch
 
@@ -382,84 +388,32 @@ def whittaker_pn_closed(lam, n: int) -> RatFunc:
 # skew Hall-Littlewood
 # ---------------------------------------------------------------------------
 
+def _t_norm(nu: Partition) -> RatFunc:
+    """<p_nu, p_nu>_t = z_nu prod 1/(1-t^{nu_i})."""
+    return _p_norm_weight(nu, "t") * stats(nu).z
+
+
 @lru_cache(maxsize=None)
-def _gram_inverse_t(n: int) -> tuple:
-    """Inverse of the Gram matrix <P_rho, P_nu>_t at degree n."""
-    family = _gs_family(n, "t")
-    order = [entry[0] for entry in family]
-    size = len(order)
-    gram = [
-        [_pexp_inner(family[i][2], family[j][2], "t") for j in range(size)]
-        for i in range(size)
-    ]
-    # Gauss-Jordan over the field of rational functions
-    aug = [
-        row + [RF_ONE if i == j else RF_ZERO for j in range(size)]
-        for i, row in enumerate(gram)
-    ]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if not aug[r][col].is_zero())
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = RF_ONE / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(size):
-            if r != col and not aug[r][col].is_zero():
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(order), tuple(tuple(row[size:]) for row in aug)
+def _gram_inverse_t(n: int) -> dict:
+    """1/<p_nu, p_nu>_t for every nu of n: the t-form's Gram matrix on the
+    power sums is diagonal, so this is its inverse."""
+    return {nu: RF_ONE / _t_norm(nu) for nu in partitions_of(n)}
 
 
 def skew_hl_P(lam, mu) -> SymFunc:
-    """P_{lam/mu}, defined by <P_{lam/mu}, P_nu>_t = <P_lam, P_mu P_nu>_t.
+    """P_{lam/mu}, defined by <P_{lam/mu}, f>_t = <P_lam, P_mu f>_t.
 
-    Reconstructed against the t-dual family of {P_nu} (inverse Gram matrix);
-    |lam| < |mu| gives the zero element.  At t=0 this is the skew Schur
-    function.
+    That is the adjoint of multiplication by P_mu under the t-form applied to
+    P_lam, computed on the power sums (``skew_p``, where the t-form is
+    diagonal) and given on the m-basis; |lam| < |mu| gives the zero element.
+    At t=0 this is the skew Schur function.
     """
     lam, mu = Partition(lam), Partition(mu)
-    d = lam.size - mu.size
-    if d < 0:
-        return SymFunc("m", {}, RING_QT)
-    p_lam = hl_P(lam)
-    p_mu_p = p_expansion(hl_P(mu))
-    order, gram_inv = _gram_inverse_t(d)
-    family = {entry[0]: entry for entry in _gs_family(d, "t")}
-    values = []
-    for nu in order:
-        prod_p = _pexp_mul(p_mu_p, family[nu][2])
-        values.append(_pexp_inner(p_expansion(p_lam), prod_p, "t"))
-    coeffs: dict = {}
-    for i, rho in enumerate(order):
-        c = RF_ZERO
-        for j in range(len(order)):
-            if not values[j].is_zero() and not gram_inv[i][j].is_zero():
-                c = c + gram_inv[i][j] * values[j]
-        if c.is_zero():
-            continue
-        for key, val in family[rho][1].items():
-            cur = coeffs.get(key, RF_ZERO) + c * val
-            if cur.is_zero():
-                coeffs.pop(key, None)
-            else:
-                coeffs[key] = cur
-    return SymFunc("m", coeffs, RING_QT)
-
-
-def _pexp_mul(a: dict, b: dict) -> dict:
-    from .partitions import union
-
-    out: dict = {}
-    for la, ca in a.items():
-        ca = ca if isinstance(ca, RatFunc) else RatFunc.from_fraction(ca)
-        for lb, cb in b.items():
-            cb = cb if isinstance(cb, RatFunc) else RatFunc.from_fraction(cb)
-            key = union(la, lb)
-            s = out.get(key, RF_ZERO) + ca * cb
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
+    coeffs = skew_p(
+        p_expansion(hl_P(lam)), p_expansion(hl_P(mu)), RING_QT,
+        norm=_t_norm, inverse=_gram_inverse_t(lam.size - mu.size),
+    )
+    return to_basis(SymFunc("p", coeffs, RING_QT), "m")
 
 
 # ---------------------------------------------------------------------------

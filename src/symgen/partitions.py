@@ -182,6 +182,17 @@ def union(lam, mu) -> Partition:
     return Partition(sorted(tuple(lam) + tuple(mu), reverse=True))
 
 
+def difference(lam, mu) -> Partition | None:
+    """Remove mu's parts from lam's part multiset, the inverse of ``union``;
+    None when mu's parts are not a sub-multiset of lam's."""
+    rest = list(lam)
+    for part in mu:
+        if part not in rest:
+            return None
+        rest.remove(part)
+    return Partition(rest)
+
+
 def contains(mu, lam) -> bool:
     """True iff the diagram of mu fits inside the diagram of lam."""
     mu, lam = tuple(mu), tuple(lam)

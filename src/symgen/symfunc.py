@@ -16,6 +16,12 @@ coefficient of b_mu in p_nu is ``z_nu * [p_nu] d_mu``, where d is the dual
 basis of b: m <-> h, e <-> f, s <-> s.  Those entries are integers; they are
 read off the cached p-expansions of the dual basis, once per degree.
 
+Skewing is the adjoint of multiplication, and under any form that is
+diagonal on the power sums (the Hall form here, the t-form in ``deformed``)
+that adjoint is one formula on p-coefficients, ``skew_p``: p_beta removes
+the parts of beta from p_alpha, rescaled by the ratio of the norms.
+``skew`` (every classical skew family) and ``pn_perp`` are built on it.
+
 Text format: ``-1*m[3] + 3*m[2,1]`` (coefficient always explicit, terms in
 ascending canonical order: by degree, then reversed enumeration order).
 """
@@ -31,6 +37,7 @@ from .exactalg import RING_Q, CoeffRing
 from .partitions import (
     EMPTY,
     Partition,
+    difference,
     eps_of,
     format_partition,
     partitions_of,
@@ -366,49 +373,54 @@ def omega(x: SymFunc) -> SymFunc:
     return SymFunc("p", out, ring)
 
 
+def skew_p(xp: dict, yp: dict, ring: CoeffRing, norm=None, inverse=None) -> dict:
+    """p-coefficients of y^perp x, the adjoint of multiplication by y.
+
+    The form must be diagonal on the power sums, with norm(nu) = <p_nu, p_nu>
+    (default z_nu, the Hall form); p_beta p_gamma = p_{beta u gamma} then gives
+    <p_gamma, p_gamma> [p_gamma] y^perp x = sum_beta y_beta x_{beta u gamma}
+    <p_{beta u gamma}, p_{beta u gamma}>.  ``inverse`` maps each gamma that
+    can occur to 1 / norm(gamma), when the caller has those values cached.
+    """
+    if norm is None:
+        def norm(nu):
+            return ring.from_int(stats(nu).z)
+    out: dict = {}
+    for alpha, cx in xp.items():
+        weighted = cx * norm(alpha)
+        for beta, cy in yp.items():
+            gamma = difference(alpha, beta)
+            if gamma is not None:
+                out[gamma] = out.get(gamma, ring.zero) + cy * weighted
+    return {
+        gamma: c * (ring.one / norm(gamma) if inverse is None else inverse[gamma])
+        for gamma, c in out.items()
+        if not CoeffRing.is_zero(c)
+    }
+
+
+def _skew_h(x: SymFunc, yp: dict) -> SymFunc:
+    """y^perp x under the Hall form, on the h-basis."""
+    return to_basis(SymFunc("p", skew_p(p_expansion(x), yp, x.ring), x.ring), "h")
+
+
 def pn_perp(x: SymFunc, n: int) -> SymFunc:
-    """Adjoint of multiplication by p_n: sum_j h_j d/dh_{n+j} on the h-basis."""
+    """Adjoint of multiplication by p_n (n d/dp_n), on the h-basis."""
     if n < 1:
         raise ValueError("n must be positive")
-    ring = x.ring
-    xh = to_basis(x, "h")
-    out: dict = {}
-    for lam, c in xh.coeffs.items():
-        for v, m in lam.multiplicities().items():
-            if v < n:
-                continue
-            rest = list(lam)
-            rest.remove(v)
-            j = v - n
-            key = union(rest, (j,) if j else ())
-            s = out.get(key, ring.zero) + c * ring.from_int(m)
-            if CoeffRing.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return SymFunc("h", out, ring)
+    return _skew_h(x, {Partition((n,)): x.ring.one})
 
 
 def skew(family: str, lam, mu, ring: CoeffRing = RING_Q) -> SymFunc:
     """The skew element u_{lam/mu} defined by <u_{lam/mu}, f> = <u_lam, u_mu f>.
 
-    Reconstructed on the h-basis as sum_nu <u_lam, u_mu m_nu> h_nu; pairs with
+    That is u_mu^perp u_lam, the adjoint of multiplication by u_mu applied to
+    u_lam on the power sums (``skew_p``), given on the h-basis; pairs with
     |lam| < |mu| give the zero element.
     """
     if family not in ("m", "h", "e", "s", "f"):
         raise ValueError(f"no skew family for basis {family!r}")
-    lam, mu = Partition(lam), Partition(mu)
-    d = lam.size - mu.size
-    if d < 0:
-        return SymFunc("h", {}, ring)
-    u_lam = sym(family, lam, ring)
-    u_mu = sym(family, mu, ring)
-    coeffs = {}
-    for nu in partitions_of(d):
-        c = hall_inner(u_lam, multiply(u_mu, sym("m", nu, ring)))
-        if not CoeffRing.is_zero(c):
-            coeffs[nu] = c
-    return SymFunc("h", coeffs, ring)
+    return _skew_h(sym(family, lam, ring), p_expansion(sym(family, mu, ring)))
 
 
 def skew_monomial_weight_sum(lam, mu, n: int) -> Fraction:

@@ -249,6 +249,39 @@ def test_probe_rejects_large_degree(capsys, ribbon_path):
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.fixture
+def two_line_path(tmp_path):
+    path = tmp_path / "two.txt"
+    path.write_text("1: [1]\n2: [2]\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command", [("oracle", "--family", "skew-s", "--ring", "Z"), ("probe",)]
+)
+def test_max_degree_beyond_file_exit_code(capsys, two_line_path, command):
+    code, out, err = invoke(
+        capsys, *command, "--seq-file", two_line_path, "--max-degree", "5"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --max-degree 5 exceeds the 2 degrees in the file\n"
+
+
+def test_probe_default_degree_stops_at_short_file(capsys, two_line_path):
+    code, out, _ = invoke(capsys, "probe", "--seq-file", two_line_path)
+    assert code == 0 and len(out.splitlines()) == 2
+
+
+def test_probe_rejects_degree_above_cap(capsys, tmp_path):
+    path = tmp_path / "six.txt"
+    path.write_text("".join(f"{n}: [{n}]\n" for n in range(1, 7)), encoding="utf-8")
+    code, out, err = invoke(
+        capsys, "probe", "--seq-file", str(path), "--max-degree", "6"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_mac_pair_specialization_via_cli(capsys):
     code, out, _ = invoke(
         capsys, "inner", "--family", "mac-P", "--lambda", "2", "--n", "2",

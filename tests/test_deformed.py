@@ -7,6 +7,7 @@ from symgen import exactalg
 from symgen.deformed import (
     _binomial_quotient,
     _cyclotomic_factor,
+    _gram_inverse_t,
     _gs_family,
     _pexp_inner,
     big_schur,
@@ -449,6 +450,16 @@ def test_skew_hl_examples():
     value = deformed_inner(skew_hl_P((2, 2), (1,)), sym("p", (3,), RING_QT), "t")
     assert value.subs(t=Fraction(0)).as_fraction() == -1
     assert skew_hl_P((1,), (2,)).is_zero()
+
+
+def test_gram_inverse_t_inverts_the_power_sum_gram_matrix():
+    for n in range(1, 6):
+        inverse = _gram_inverse_t(n)
+        assert set(inverse) == set(partitions_of(n))
+        for rho in partitions_of(n):
+            for nu in partitions_of(n):
+                gram = deformed_inner(sym("p", rho, RING_QT), sym("p", nu, RING_QT), "t")
+                assert gram * inverse[nu] == (RF_ONE if rho == nu else RF_ZERO)
 
 
 def test_skew_hl_defining_identity():

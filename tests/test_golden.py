@@ -27,6 +27,10 @@ CASES = {
                            "--n", "3"]),
     "tabloids.txt": (0, ["tabloids", "--shape", "3,2", "--type", "2,2,1",
                          "--list"]),
+    "skew_hl_p.txt": (0, ["skew", "--family", "hl-P", "--lambda", "3,2",
+                          "--mu", "1"]),
+    "skew_s_m.txt": (0, ["skew", "--family", "s", "--lambda", "3,2,1",
+                         "--mu", "2", "--to", "m"]),
 }
 
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symgen.partitions import (
     EMPTY,
@@ -10,6 +12,7 @@ from symgen.partitions import (
     SkewPartition,
     column_separated,
     contains,
+    difference,
     eps_of,
     format_partition,
     is_hook,
@@ -93,6 +96,30 @@ def test_hook_rectangular_union_contains():
     assert contains(Partition((2, 1)), Partition((3, 1)))
     assert not contains(Partition((2, 2)), Partition((3, 1)))
     assert contains(EMPTY, EMPTY)
+
+
+def test_difference():
+    assert difference(Partition((3, 2, 1, 1)), Partition((2, 1))) == Partition((3, 1))
+    # a repeated part is removed once per occurrence in mu
+    assert difference(Partition((2, 2, 2)), Partition((2, 2))) == Partition((2,))
+    assert difference(Partition((2, 2)), Partition((2, 2, 2))) is None
+    # a part of mu missing from lam
+    assert difference(Partition((3, 1)), Partition((2,))) is None
+    assert difference(Partition((3, 1)), EMPTY) == Partition((3, 1))
+    assert difference(EMPTY, EMPTY) == EMPTY
+    assert difference(EMPTY, Partition((1,))) is None
+
+
+_parts = st.lists(st.integers(1, 4), max_size=6).map(
+    lambda xs: Partition(sorted(xs, reverse=True))
+)
+
+
+@given(_parts, _parts)
+def test_difference_inverts_union(a, b):
+    assert difference(union(a, b), b) == a
+    sub_multiset = all(b.count(part) <= a.count(part) for part in set(b))
+    assert (difference(a, b) is None) == (not sub_multiset)
 
 
 def test_ribbon_examples():

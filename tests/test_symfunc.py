@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from symgen.exactalg import RING_Q
 from symgen.partitions import (
     EMPTY,
     Partition,
@@ -26,6 +27,7 @@ from symgen.symfunc import (
     skew,
     skew_monomial_pn_inner,
     skew_monomial_weight_sum,
+    skew_p,
     sym,
     to_basis,
 )
@@ -164,6 +166,24 @@ def test_pn_perp_examples():
     assert pn_perp(sym("h", (2,)), 2).coeffs == {EMPTY: F(1)}
     assert pn_perp(sym("h", (2, 1)), 2).coeffs == {P(1): F(1)}
     assert pn_perp(sym("h", (1, 1)), 2).is_zero()
+
+
+def test_pn_perp_rejects_nonpositive_n():
+    with pytest.raises(ValueError):
+        pn_perp(sym("h", (2,)), 0)
+
+
+def test_skew_p_cached_inverse_and_mixed_degrees():
+    # p_2^perp (p_2 p_1 + p_2) = 2 p_1 + 2 under the Hall form
+    xp = {P(2, 1): F(1), P(2): F(1)}
+    yp = {P(2): F(1)}
+    expected = {P(1): F(2), EMPTY: F(2)}
+    assert skew_p(xp, yp, RING_Q) == expected
+    inverse = {nu: Fraction(1, stats(nu).z) for nu in (EMPTY, P(1))}
+    assert skew_p(xp, yp, RING_Q, inverse=inverse) == expected
+    # (p_{2,1} + p_2)^perp p_2: only p_2 acts; p_2^perp p_1 = 0
+    assert skew_p(yp, xp, RING_Q) == {EMPTY: F(2)}
+    assert skew_p({P(1): F(1)}, yp, RING_Q) == {}
 
 
 def test_pn_perp_adjoint_identity():
