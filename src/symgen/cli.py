@@ -54,8 +54,13 @@ class CliError(Exception):
     pass
 
 
+class _Default(int):
+    """A --max-degree the user did not give: unlike a given one, it stops at
+    the end of a shorter file instead of being rejected."""
+
+
 # probe's last degree when --max-degree is not given
-PROBE_DEFAULT_DEGREE = 4
+PROBE_DEFAULT_DEGREE = _Default(4)
 
 # the skew subcommand's element constructors and default target bases
 _SKEW_ELEMENTS = {
@@ -108,19 +113,8 @@ def _build_parser() -> _Parser:
 
     p_probe = sub.add_parser("probe", help="skew Hall-Littlewood conjecture probe")
     p_probe.add_argument("--seq-file", required=True)
-    p_probe.add_argument("--max-degree", type=int, default=None)
+    p_probe.add_argument("--max-degree", type=int, default=PROBE_DEFAULT_DEGREE)
     return parser
-
-
-_PARSER: _Parser | None = None
-
-
-def _parser() -> _Parser:
-    """The parser, built on first use and shared by every later ``run``."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    return _PARSER
 
 
 def _sequence_flags(sub_parser):
@@ -229,12 +223,13 @@ def _cmd_check(args) -> int:
     return 0 if result.overall else 1
 
 
-def _max_degree(requested: int | None, seq, default: int) -> int:
-    """The last degree to run: ``requested`` when it lies in 1..len(seq),
-    else exit 2; without a request, ``default`` or every degree of a
-    shorter file."""
+def _max_degree(requested: int | None, seq) -> int:
+    """The last degree to run: a given ``requested`` must lie in 1..len(seq),
+    else exit 2; None runs every degree, a ``_Default`` at most that many."""
     if requested is None:
-        return min(default, len(seq))
+        return len(seq)
+    if isinstance(requested, _Default):
+        return min(requested, len(seq))
     if requested < 1:
         raise CliError(f"--max-degree {requested} is below 1")
     if requested > len(seq):
@@ -245,7 +240,7 @@ def _max_degree(requested: int | None, seq, default: int) -> int:
 def _cmd_oracle(args) -> int:
     spec = FamilySpec(args.family, args.ring, _specialization(args))
     seq = _load_sequence(args.seq_file)
-    records = verdict(spec, seq, _max_degree(args.max_degree, seq, len(seq)))
+    records = verdict(spec, seq, _max_degree(args.max_degree, seq))
     for record in records:
         _emit(json.dumps(record))
     overall = bool(records) and records[-1]["generates"]
@@ -255,7 +250,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_probe(args) -> int:
     seq = _load_sequence(args.seq_file)
-    max_degree = _max_degree(args.max_degree, seq, PROBE_DEFAULT_DEGREE)
+    max_degree = _max_degree(args.max_degree, seq)
     for record in conjecture_probe(seq, max_degree):
         _emit(json.dumps(record))
     return 0
@@ -273,8 +268,9 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
+    parser = _build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
         if args.seed_manifest:
             _emit(json.dumps(_manifest(args)))
         return _COMMANDS[args.command](args)

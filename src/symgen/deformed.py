@@ -405,12 +405,16 @@ def skew_hl_P(lam, mu) -> SymFunc:
 
     That is the adjoint of multiplication by P_mu under the t-form applied to
     P_lam, computed on the power sums (``skew_p``, where the t-form is
-    diagonal) and given on the m-basis; |lam| < |mu| gives the zero element.
+    diagonal; the p-coefficients of P_lam and P_mu come from the cached
+    Gram-Schmidt family) and given on the m-basis; |lam| < |mu| gives the
+    zero element without building either family.
     At t=0 this is the skew Schur function.
     """
     lam, mu = Partition(lam), Partition(mu)
+    if lam.size < mu.size:
+        return SymFunc("m", {}, RING_QT)
     coeffs = skew_p(
-        p_expansion(hl_P(lam)), p_expansion(hl_P(mu)), RING_QT,
+        _family_entry(lam, "t")[2], _family_entry(mu, "t")[2], RING_QT,
         norm=_t_norm, inverse=_gram_inverse_t(lam.size - mu.size),
     )
     return to_basis(SymFunc("p", coeffs, RING_QT), "m")

@@ -420,6 +420,8 @@ def skew(family: str, lam, mu, ring: CoeffRing = RING_Q) -> SymFunc:
     """
     if family not in ("m", "h", "e", "s", "f"):
         raise ValueError(f"no skew family for basis {family!r}")
+    if Partition(lam).size < Partition(mu).size:
+        return SymFunc("h", {}, ring)
     return _skew_h(sym(family, lam, ring), p_expansion(sym(family, mu, ring)))
 
 

@@ -272,6 +272,15 @@ def test_probe_default_degree_stops_at_short_file(capsys, two_line_path):
     assert code == 0 and len(out.splitlines()) == 2
 
 
+@pytest.mark.parametrize(
+    "command, recorded",
+    [(("oracle", "--family", "skew-s", "--ring", "Z"), None), (("probe",), 4)],
+)
+def test_seed_manifest_default_max_degree(capsys, two_line_path, command, recorded):
+    _, out, _ = invoke(capsys, "--seed-manifest", *command, "--seq-file", two_line_path)
+    assert json.loads(out.splitlines()[0])["invocation"]["max_degree"] == recorded
+
+
 def test_probe_rejects_degree_above_cap(capsys, tmp_path):
     path = tmp_path / "six.txt"
     path.write_text("".join(f"{n}: [{n}]\n" for n in range(1, 7)), encoding="utf-8")

@@ -452,6 +452,12 @@ def test_skew_hl_examples():
     assert skew_hl_P((1,), (2,)).is_zero()
 
 
+def test_skew_hl_smaller_lam_builds_no_family():
+    before = _gs_family.cache_info().misses, _gram_inverse_t.cache_info().misses
+    assert skew_hl_P((1,), (3, 3, 1)).is_zero()
+    assert (_gs_family.cache_info().misses, _gram_inverse_t.cache_info().misses) == before
+
+
 def test_gram_inverse_t_inverts_the_power_sum_gram_matrix():
     for n in range(1, 6):
         inverse = _gram_inverse_t(n)
