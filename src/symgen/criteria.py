@@ -492,9 +492,11 @@ FAMILIES = {fam.name: fam for fam in (
 
 def _graded(spec: FamilySpec, lam, mu, n: int) -> tuple[Partition, Partition]:
     """(lam, mu) as partitions, checked to form a degree-n entry of the
-    spec's family (``GradingViolation`` otherwise): |lam| = n for a straight
-    family, which takes no inner shape, |lam| - |mu| = n for a skew one.
-    ``mu`` None is the empty inner shape."""
+    spec's family (``GradingViolation`` otherwise): n >= 1, |lam| = n for a
+    straight family, which takes no inner shape, |lam| - |mu| = n for a skew
+    one.  ``mu`` None is the empty inner shape."""
+    if n < 1:
+        raise GradingViolation(n, f"degree {n}: degrees start at 1")
     lam = Partition(lam)
     mu = Partition(mu) if mu is not None else EMPTY
     if mu and not spec.is_skew:

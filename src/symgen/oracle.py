@@ -4,20 +4,22 @@ For a graded sequence u_1, ..., u_N the products u_lam = prod u_{lam_i} over
 lam |- n are expanded into the monomial basis; the sequence is algebraically
 independent at degree n iff that p(n) x p(n) matrix is nonsingular, and
 generates iff the determinant is a unit at every degree so far (nonzero over
-a field, +-1 over Z).  Products are convolved in the power-sum basis over
-fields and in the complete-homogeneous basis over Z, so none of the closed
-forms under test participate.  The final per-degree change to the monomial
-basis is shared plumbing: an integer p -> m matrix read off the p-expansions
-of the complete homogeneous basis by Hall duality (see ``symfunc``).  Each
-product u_lam is u_{lam_1} times the memoized u_{lam minus lam_1}.
+a field, +-1 over Z).  Every ring takes one route: products are convolved in
+the power-sum basis, so none of the closed forms under test participate, and
+then taken to the monomial basis by the integer p -> m matrix that
+``symfunc`` reads off the p-expansions of the complete homogeneous basis by
+Hall duality.  Each product u_lam is u_{lam_1} times the memoized
+u_{lam minus lam_1}; ``verdict`` keeps one memo of elements and products
+across all its degrees, so each u_k is built once.
 
 A specialization under which some u_k does not exist (a vanishing
 denominator) leaves ``det`` null and ``independent`` false from degree k on,
 and ``inner`` null at degree k; the criterion fields still come from
 ``criteria``.
 
-Determinants: fraction-free Bareiss over Z, exact Gaussian elimination over
-the coefficient fields.
+Determinants: a classical family's matrix on m is integral over Q as over Z,
+so it is checked to be integral and its determinant is fraction-free Bareiss;
+exact Gaussian elimination serves the deformed families' coefficient fields.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .criteria import (
     value_is_unit,
 )
 from .deformed import deformed_inner, skew_hl_P, specialize_coeffs
-from .exactalg import RING_QT, CoeffRing, ZeroDenominator
+from .exactalg import RING_QT, ZeroDenominator
 from .partitions import (
     EMPTY,
     Partition,
@@ -42,9 +44,8 @@ from .partitions import (
     format_partition,
     is_ribbon,
     partitions_of,
-    union,
 )
-from .symfunc import SymFunc, p_expansion, sym, to_basis
+from .symfunc import SymFunc, multiply, p_expansion, sym, to_basis
 
 # the highest degree the skew Hall-Littlewood probe computes
 PROBE_MAX_DEGREE = 5
@@ -57,10 +58,12 @@ class DegreeMatrix:
     cols: tuple  # partitions indexing the monomial coordinates
     entries: tuple  # row-major, exact ring values
 
-    def det(self, ring_name: str):
-        if ring_name == "Z":
-            return det_bareiss([list(r) for r in self.entries])
-        return det_gauss([list(r) for r in self.entries])
+    def det(self):
+        """Bareiss for integer entries, Gaussian elimination for field ones."""
+        mat = [list(r) for r in self.entries]
+        if all(isinstance(v, int) for r in mat for v in r):
+            return det_bareiss(mat)
+        return det_gauss(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -138,50 +141,37 @@ def _as_int(value: Fraction) -> int:
     return value.numerator
 
 
-def degree_matrix(spec: FamilySpec, seq, n: int) -> DegreeMatrix:
+def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> DegreeMatrix:
     """The matrix of the products u_lam (lam |- n) on the monomial basis.
 
     Rows follow the canonical order of the product index lam; columns the
-    canonical order of the monomial index.  Over Z the expansion runs through
-    the h-basis and the entries are integers; over the coefficient fields it
-    runs through the p-basis.
+    canonical order of the monomial index.  Products are convolved on the
+    p-basis and then taken to m; a classical family's entries are ints
+    (checked integral), a deformed family's stay in its coefficient field.
+    ``memo`` maps each product index to its p-expansion (u_k at (k,)); pass
+    the same dict for every degree of one sequence to build each element and
+    product once.
     """
     if len(seq) < n:
         raise ValueError(f"sequence defines degrees 1..{len(seq)}, need {n}")
     ring = spec.coeff_ring
+    if memo is None:
+        memo = {}
+
+    def product(lam: tuple) -> SymFunc:
+        if lam not in memo:
+            if len(lam) == 1:
+                memo[lam] = to_basis(family_element(spec, *seq[lam[0] - 1]), "p")
+            else:
+                memo[lam] = multiply(product(lam[:1]), product(lam[1:]))
+        return memo[lam]
+
     order = partitions_of(n)
-    use_h = spec.ring == "Z"
-    basis = "h" if use_h else "p"
-    elements = {}
-    for k in range(1, n + 1):
-        lam_k, mu_k = seq[k - 1]
-        u_k = family_element(spec, lam_k, mu_k)
-        elements[k] = dict(to_basis(u_k, basis).coeffs)
-
-    def convolve(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for la, ca in a.items():
-            for lb, cb in b.items():
-                key = union(la, lb)
-                s = out.get(key, ring.zero) + ca * cb
-                if CoeffRing.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
-
-    products = {EMPTY: {EMPTY: ring.one}}
-
-    def product(lam: tuple) -> dict:
-        if lam not in products:
-            products[lam] = convolve(elements[lam[0]], product(lam[1:]))
-        return products[lam]
-
     rows = []
     for lam in order:
-        as_m = to_basis(SymFunc(basis, product(lam), ring), "m").coeffs
+        as_m = to_basis(product(lam), "m").coeffs
         row = [as_m.get(mu, ring.zero) for mu in order]
-        if use_h:
+        if not spec.definition.deformation:
             row = [_as_int(v) for v in row]
         rows.append(tuple(row))
     return DegreeMatrix(degree=n, rows=order, cols=order, entries=tuple(rows))
@@ -204,11 +194,12 @@ def verdict(spec: FamilySpec, seq, max_degree: int) -> list[dict]:
     here)."""
     records = []
     generating = True
+    memo: dict = {}
     for n in range(1, max_degree + 1):
         lam, mu = seq[n - 1]
         ok, reason, closed = checked_criterion(spec, lam, mu, n)
         try:
-            det = degree_matrix(spec, seq, n).det(spec.ring)
+            det = degree_matrix(spec, seq, n, memo).det()
         except ZeroDenominator:  # some u_k with k <= n does not exist
             det = None
         independent = bool(det)

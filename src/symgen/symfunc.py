@@ -519,8 +519,11 @@ def parse_symfunc(text: str, ring: CoeffRing = RING_Q) -> SymFunc:
         elif basis != match.group("basis"):
             raise ValueError("mixed bases in one expression")
         sign = -1 if match.group("sign") == "-" else 1
-        coeff_form = match.group("coeff")
-        fr = Fraction(coeff_form) if coeff_form else Fraction(1)
+        coeff_form = match.group("coeff") or "1"
+        try:
+            fr = Fraction(coeff_form)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in coefficient {coeff_form}") from None
         lam = Partition(
             int(tok) for tok in match.group("parts").split(",") if tok.strip()
         )

@@ -4,6 +4,7 @@ import pytest
 
 from symgen.cli import run
 from symgen.criteria import (
+    FAMILIES,
     FamilySpec,
     Specialization,
     check_sequence,
@@ -228,6 +229,19 @@ def test_inner_rejects_ungraded_input(capsys, argv):
     code, out, err = invoke(capsys, "inner", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_inner_rejects_degree_zero(capsys, name):
+    code, out, err = invoke(capsys, "inner", "--family", name, "--lambda", "0", "--n", "0")
+    assert code == 2 and out == ""
+    assert err == "error: degree 0: degrees start at 1\n"
+
+
+def test_expand_zero_denominator_exit_code(capsys):
+    code, out, err = invoke(capsys, "expand", "--expr", "1/0*m[2]", "--to", "p")
+    assert code == 2 and out == ""
+    assert err == "error: zero denominator in coefficient 1/0\n"
 
 
 @pytest.mark.parametrize("degree", ["0", "-1"])

@@ -19,6 +19,8 @@ CASES = {
                              "--seq-file", SEQ]),
     "oracle_skew_m.txt": (1, ["oracle", "--family", "skew-m", "--ring", "Z",
                               "--seq-file", SEQ]),
+    "oracle_skew_m_q.txt": (1, ["oracle", "--family", "skew-m", "--ring", "Q",
+                                "--seq-file", SEQ]),
     "probe.txt": (0, ["probe", "--seq-file", SEQ, "--max-degree", "5"]),
     "expand_p3_s.txt": (0, ["expand", "--expr", "p[3]", "--to", "s"]),
     "inner_mac_j.txt": (0, ["inner", "--family", "mac-J", "--lambda", "2,2",

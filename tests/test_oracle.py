@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from symgen.criteria import FamilySpec, Specialization, criterion
+from symgen import oracle
+from symgen.criteria import FAMILIES, FamilySpec, Specialization, criterion
 from symgen.oracle import (
     conjecture_probe,
     degree_matrix,
@@ -60,7 +61,7 @@ def test_degree_matrix_monomial_example():
     assert mat.rows == partitions_of(2)
     assert mat.cols == partitions_of(2)
     assert mat.entries == ((1, 0), (1, 2))
-    assert mat.det("Z") == 2
+    assert mat.det() == 2
 
 
 def test_degree_matrix_needs_full_sequence():
@@ -72,7 +73,7 @@ def test_schur_hooks_unimodular():
     spec = FamilySpec("s", "Z")
     seq = seq_of((1,), (2,), (2, 1))
     for n in range(1, 4):
-        assert degree_matrix(spec, seq, n).det("Z") in (1, -1)
+        assert degree_matrix(spec, seq, n).det() in (1, -1)
 
 
 def test_complete_family_unimodular():
@@ -80,7 +81,7 @@ def test_complete_family_unimodular():
     spec = FamilySpec("skew-h", "Z")
     seq = [((n,), EMPTY) for n in range(1, 7)]
     for n in range(1, 7):
-        assert degree_matrix(spec, seq, n).det("Z") in (1, -1)
+        assert degree_matrix(spec, seq, n).det() in (1, -1)
 
 
 def test_power_sequence_independent_not_generating():
@@ -98,7 +99,50 @@ def test_non_refining_skew_monomial_gives_zero_det():
     # lambda = (2,2) does not refine 3
     seq = [(P(1), EMPTY), (P(2), EMPTY), (P(2, 2), P(1))]
     mat = degree_matrix(spec, seq, 3)
-    assert mat.det("Q") == 0
+    assert mat.det() == 0
+
+
+STRAIGHT_SEQ = seq_of((1,), (1, 1), (2, 1), (2, 2), (3, 1, 1), (3, 2, 1))
+SKEW_SEQ = [(P(1), EMPTY), (P(2, 1), P(1)), (P(2, 2), P(1)), (P(3, 2), P(1)),
+            (P(3, 2, 1), P(1)), (P(4, 2, 1), P(1))]
+
+
+@pytest.mark.parametrize("ring", ["Q", "Z"])
+@pytest.mark.parametrize(
+    "name", sorted(name for name, fam in FAMILIES.items() if not fam.deformation)
+)
+def test_classical_degree_matrices_are_integral(name, ring):
+    spec = FamilySpec(name, ring)
+    seq = SKEW_SEQ if spec.is_skew else STRAIGHT_SEQ
+    memo = {}
+    for n in range(1, 7):
+        mat = degree_matrix(spec, seq, n, memo)
+        assert all(type(v) is int for row in mat.entries for v in row)
+        frac = [[Fraction(v) for v in row] for row in mat.entries]
+        assert mat.det() == det_bareiss(mat.entries) == det_gauss(frac)
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("s", "Z"), FamilySpec("hl-P", "Qt")])
+def test_degree_matrix_memo_gives_equal_matrices(spec):
+    seq = seq_of((1,), (2,), (2, 1), (2, 2))
+    memo = {}
+    for n in range(1, 5):
+        assert degree_matrix(spec, seq, n, memo) == degree_matrix(spec, seq, n)
+
+
+def test_verdict_builds_each_element_once_per_degree(monkeypatch):
+    built = []
+    real = oracle.family_element
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "family_element", counting)
+    seq = seq_of((1,), (2,), (2, 1), (2, 2), (3, 1, 1))
+    verdict(FamilySpec("s", "Q"), seq, 5)
+    # one build for the matrices, one for recomputed_inner, at each degree
+    assert len(built) == 2 * 5
 
 
 def test_recomputed_inner_matches_closed_value():
@@ -228,7 +272,7 @@ def test_four_case_skew_monomial_sequences_unimodular():
         for n in range(1, 5):
             lam, mu = seq[n - 1]
             assert criterion(spec, lam, mu, n)[0], (lam, mu, n)
-            assert degree_matrix(spec, seq, n).det("Z") in (1, -1)
+            assert degree_matrix(spec, seq, n).det() in (1, -1)
 
 
 
