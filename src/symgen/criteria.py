@@ -45,12 +45,14 @@ from math import gcd
 from typing import Callable
 
 from .deformed import (
+    _binomial_quotient,
+    _hl_Q_factors,
+    _one_minus,
     big_schur,
     big_schur_pn_closed,
     hl_P,
     hl_P_pn_closed,
     hl_Q,
-    hl_Q_pn_closed,
     mac_J,
     mac_J_pn_closed,
     mac_P,
@@ -59,13 +61,11 @@ from .deformed import (
     whittaker_pn_closed,
 )
 from .exactalg import (
-    P_ONE,
     RING_Q,
     RING_QQT,
     RING_QT,
     CoeffRing,
     CycloElem,
-    Poly,
     RatFunc,
     Specialization,
     ZeroDenominator,
@@ -111,7 +111,7 @@ class Family:
     over Q(q,t), or over Q at a rational (q,t) pair).  ``element(lam, mu)``
     builds u_n and ``pairing(lam, mu, n)`` is the closed form of <u_n, p_n>,
     both unspecialized; ``clause(spec, lam, mu, n)`` is the per-degree
-    criterion.  Straight families get mu = EMPTY.
+    criterion, None leaving it to the value.  Straight families get mu = EMPTY.
     """
 
     name: str
@@ -406,12 +406,8 @@ def _crit_mac(spec: FamilySpec, lam: Partition, mu: Partition, n: int):
     if not _parameters_collide(spz.q_value, spz.t_value):
         return True, Reason("parameters-multiplicatively-independent")
     # no shape clause applies once the parameters collide; the closed form is
-    # exactly evaluable at rational points, so decide by evaluation
-    try:
-        value = spz.apply(spec.definition.pairing(lam, mu, n))
-    except ZeroDenominator:
-        return False, Reason("specialization-undefined")
-    return value != 0, Reason("specialized-value")
+    # exactly evaluable at rational points, so the value decides
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +439,9 @@ def _skew_schur_pn_value(lam: Partition, mu: Partition, n: int) -> Fraction:
 
 
 def _hl_Q_pn_value(lam: Partition, mu: Partition, n: int) -> RatFunc:
-    """Under the Hall form: (1 - t^n) times the t-form closed evaluator."""
-    return hl_Q_pn_closed(lam, n) * RatFunc.make(P_ONE - Poly.t(n))
+    """Under the Hall form: (1 - t^n) <Q_lam, p_n>_t, one binomial more."""
+    sign, monomial, binomials = _hl_Q_factors(lam)
+    return _binomial_quotient(sign, monomial, [_one_minus(0, n)] + binomials, [])
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +504,17 @@ def _graded(spec: FamilySpec, lam, mu, n: int) -> tuple[Partition, Partition]:
     return lam, mu
 
 
-def criterion(spec: FamilySpec, lam, mu, n: int):
-    """The per-degree criterion with a structured reason (see ``_graded``
-    for the shapes accepted)."""
+def criterion(spec: FamilySpec, lam, mu, n: int, evaluate=None):
+    """The per-degree criterion with a structured reason (shapes as in
+    ``_graded``); a clause that defers to the value gets it from ``evaluate``."""
     lam, mu = _graded(spec, lam, mu, n)
-    return spec.definition.clause(spec, lam, mu, n)
+    decided = spec.definition.clause(spec, lam, mu, n)
+    if decided is None:
+        value = (evaluate or inner_value)(spec, lam, mu, n)
+        if value is None:
+            return False, Reason("specialization-undefined")
+        return value != 0, Reason("specialized-value")
+    return decided
 
 
 def inner_value(spec: FamilySpec, lam, mu, n: int):
@@ -551,8 +554,8 @@ def value_is_unit(spec: FamilySpec, value) -> bool:
 def checked_criterion(spec: FamilySpec, lam, mu, n: int):
     """(criterion, reason, value) at one degree, where the criterion must
     equal the unit test of the exact value (``CriterionMismatch`` if not)."""
-    ok, reason = criterion(spec, lam, mu, n)
     value = inner_value(spec, lam, mu, n)
+    ok, reason = criterion(spec, lam, mu, n, lambda *_: value)
     if ok != value_is_unit(spec, value):
         raise CriterionMismatch(
             f"degree {n}: criterion {ok} ({reason.code()}) disagrees with "

@@ -5,10 +5,13 @@ The t-inner product scales the power-sum norms by prod 1/(1-t^{lam_i}); the
 Schur, Macdonald P/J and the q-Whittaker functions are all built here, along
 with the exact closed forms of their pairings against p_n.
 
-Construction of P (both t and q,t): Gram-Schmidt on the monomial basis along
-any linear extension of dominance order, subtracting corrections only for
-strictly dominance-smaller indices.  The result is the unique m-unitriangular
-orthogonal family, independent of the extension chosen.
+Construction of P: the tableau sum P_lam = sum_T psi_T x^T over the
+semistandard tableaux of shape lam (Macdonald, Symmetric Functions and Hall
+Polynomials, VI (7.13')), psi_T being one factor psi per horizontal strip of
+T; Hall-Littlewood P is its q = 0 case (III (5.11')), the q-Whittaker
+functions its t = 0 case.  No inner product enters, and no gcd: every psi is
+a quotient of binomials, and the sums run in polynomials (for Macdonald, in
+the integral form J = c_lam P).
 
 Skew Hall-Littlewood P: both forms are diagonal on the power sums, so the
 adjoint of multiplication by P_mu is ``symfunc.skew_p`` under the t-norms,
@@ -25,7 +28,9 @@ distinct keys give coprime polynomials: their zero sets are the curves
 P/N = zeta for distinct (direction, root) pairs.  Cancelling equal keys
 between numerator and denominator by counting therefore leaves a coprime
 numerator and denominator, which is already the reduced form ``RatFunc.make``
-would reach through a bivariate gcd.
+would reach through a bivariate gcd.  The key polynomials are irreducible (a
+unimodular change of monomials takes P/N to one variable), so trial division
+by the keys of a known denominator reduces a quotient too.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from .exactalg import (
@@ -46,15 +52,16 @@ from .exactalg import (
     RatFunc,
     Specialization,
     cyclotomic_poly,
+    poly_exact_div,
+    try_exact_div,
 )
-from .partitions import EMPTY, Partition, partitions_of, stats
+from .partitions import EMPTY, Partition, is_hook, partitions_of, stats
 from .symfunc import (
     SymFunc,
-    dominance_lt,
+    _jacobi_trudi_h_terms,
     multiply,
     p_expansion,
     skew_p,
-    sym,
     to_basis,
 )
 from .tabloids import SizeMismatch
@@ -69,17 +76,12 @@ def phi_factorial(r: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _p_norm_weight(nu: Partition, kind: str) -> RatFunc:
-    """<p_nu, p_nu>_* / z_nu: prod 1/(1-t^i) or prod (1-q^i)/(1-t^i).
-
-    The internal kind "q0" is the (q,t) form at t = 0 (weights prod (1-q^i)),
-    the form the q-Whittaker family is orthogonal under.
-    """
-    num, den = P_ONE, P_ONE
+def _p_norm(nu: Partition, kind: str = "t") -> RatFunc:
+    """<p_nu, p_nu>_*: z_nu prod 1/(1-t^i), or z_nu prod (1-q^i)/(1-t^i)."""
+    num, den = Poly.const(stats(nu).z), P_ONE
     for part in nu:
-        if kind != "q0":
-            den = den * (P_ONE - Poly.t(part))
-        if kind in ("qt", "q0"):
+        den = den * (P_ONE - Poly.t(part))
+        if kind == "qt":
             num = num * (P_ONE - Poly.q(part))
     return RatFunc.make(num, den)
 
@@ -91,135 +93,25 @@ def deformed_inner(x: SymFunc, y: SymFunc, kind: str = "t") -> RatFunc:
     return _pexp_inner(p_expansion(x), p_expansion(y), kind)
 
 
-# ---------------------------------------------------------------------------
-# Gram-Schmidt families
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _gs_family(n: int, kind: str) -> tuple:
-    """Orthogonal m-unitriangular family at degree n for the chosen form.
-
-    Returns ((lam, m_coeffs, p_coeffs, norm), ...) in increasing processing
-    order; coefficient maps are dicts Partition -> RatFunc.
-    """
-    ring = RING_QQT if kind == "qt" else RING_QT
-    done: list = []
-    for lam in reversed(partitions_of(n)):
-        m_row = dict(p_expansion(sym("m", lam, ring)))
-        m_coeffs = {lam: RF_ONE}
-        p_coeffs = dict(m_row)
-        for mu, mu_m, mu_p, mu_norm in done:
-            if not dominance_lt(mu, lam):
-                continue
-            cross = _pexp_inner(m_row, mu_p, kind)
-            if cross.is_zero():
-                continue
-            coef = cross / mu_norm
-            for key, val in mu_m.items():
-                m_coeffs[key] = m_coeffs.get(key, RF_ZERO) - coef * val
-            for key, val in mu_p.items():
-                p_coeffs[key] = p_coeffs.get(key, RF_ZERO) - coef * val
-        m_coeffs = {k: v for k, v in m_coeffs.items() if not v.is_zero()}
-        p_coeffs = {k: v for k, v in p_coeffs.items() if not v.is_zero()}
-        norm = _pexp_inner(p_coeffs, p_coeffs, kind)
-        done.append((lam, m_coeffs, p_coeffs, norm))
-    return tuple(done)
-
-
 def _pexp_inner(xp: dict, yp: dict, kind: str) -> RatFunc:
-    """Dot product of two p-expansions under the deformed form.
-
-    Accumulated lazily over a running common denominator so that only one
-    reduction happens at the end (and none at all for a zero result).
-    """
-    num_acc, den_acc = P_ZERO, P_ONE
+    """Dot product of two p-expansions under the deformed form."""
+    total = RF_ZERO
     for nu, cx in xp.items():
-        cy = yp.get(nu)
-        if cy is None:
-            continue
-        cx = cx if isinstance(cx, RatFunc) else RatFunc.from_fraction(cx)
-        cy = cy if isinstance(cy, RatFunc) else RatFunc.from_fraction(cy)
-        if cx.is_zero() or cy.is_zero():
-            continue
-        weight = _p_norm_weight(nu, kind)
-        scalar = cx.scale * cy.scale * weight.scale * stats(nu).z
-        term_num = cx.num * cy.num * weight.num * scalar
-        term_den = cx.den * cy.den * weight.den
-        num_acc = num_acc * term_den + term_num * den_acc
-        den_acc = den_acc * term_den
-    if num_acc.is_zero():
-        return RF_ZERO
-    return RatFunc.make(num_acc, den_acc)
-
-
-def _family_entry(lam: Partition, kind: str):
-    for entry in _gs_family(lam.size, kind):
-        if entry[0] == lam:
-            return entry
-    raise KeyError(lam)
-
-
-def hl_P(lam) -> SymFunc:
-    """Hall-Littlewood P: m-unitriangular, orthogonal for the t-form."""
-    lam = Partition(lam)
-    return SymFunc("m", _family_entry(lam, "t")[1], RING_QT)
-
-
-def hl_Q(lam) -> SymFunc:
-    """Q = prod_i phi_{m_i(lam)}(t) * P."""
-    lam = Partition(lam)
-    factor = P_ONE
-    for m in lam.multiplicities().values():
-        factor = factor * phi_factorial(m)
-    return hl_P(lam).scaled(RatFunc.make(factor))
-
-
-def qn(n: int) -> SymFunc:
-    """The one-row Q, the generators of the big Schur determinant."""
-    if n == 0:
-        return SymFunc("m", {EMPTY: RF_ONE}, RING_QT)
-    return hl_Q((n,))
-
-
-def mac_P(lam) -> SymFunc:
-    """Macdonald P: m-unitriangular, orthogonal for the (q,t)-form."""
-    lam = Partition(lam)
-    return SymFunc("m", _family_entry(lam, "qt")[1], RING_QQT)
-
-
-def arm_leg_product(lam) -> Poly:
-    """c_lam(q,t) = prod over cells (1 - q^arm t^(leg+1))."""
-    arm_leg = _cell_binomials(Partition(lam))[1]
-    return _binomial_quotient(1, (0, 0), arm_leg, []).as_poly()
-
-
-def mac_J(lam) -> SymFunc:
-    """Integral form J = c_lam(q,t) * P."""
-    lam = Partition(lam)
-    return mac_P(lam).scaled(RatFunc.make(arm_leg_product(lam)))
-
-
-def whittaker(lam) -> SymFunc:
-    """q-Whittaker W: the Macdonald P with t set to 0.
-
-    Constructed directly as the m-unitriangular family orthogonal under the
-    t=0 form (polynomial weights prod (1-q^i)); coefficientwise agreement
-    with the substituted Macdonald P is part of the acceptance checks.
-    """
-    lam = Partition(lam)
-    return SymFunc("m", _family_entry(lam, "q0")[1], RING_QT)
+        if nu in yp:
+            total = total + _p_norm(nu, kind) * cx * yp[nu]
+    return total
 
 
 # ---------------------------------------------------------------------------
-# closed-form pairings against p_n
+# binomials and their cyclotomic keys
 # ---------------------------------------------------------------------------
-
-def _require_size(lam: Partition, n: int):
-    if lam.size != n:
-        raise SizeMismatch(f"|{lam}| = {lam.size} != n = {n}")
-
 
 # A binomial q^a t^b - q^c t^d is written ((a, b), (c, d)).
+
+def _one_minus(a: int, b: int) -> tuple:
+    """The binomial 1 - q^a t^b."""
+    return ((0, 0), (a, b))
+
 
 def _binomial_keys(binomial) -> tuple[int, list]:
     """(sign, keys): the binomial is sign * prod H_d(P, N) over its keys."""
@@ -246,29 +138,179 @@ def _cyclotomic_factor(d: int, pos: tuple, neg: tuple) -> Poly:
     })
 
 
-def _binomial_quotient(sign: int, monomial: tuple, num_binomials, den_binomials) -> RatFunc:
-    """sign * q^a t^b * prod(num_binomials) / prod(den_binomials) in reduced
-    form, with monomial = (a, b): equal binomial keys cancel by counting and
-    the survivors are coprime, so no gcd is taken (see the module docstring).
-    """
-    count: Counter = Counter()
+def _binomial_count(num_binomials, den_binomials) -> tuple[int, Counter]:
+    """(sign, count) with prod(num_binomials) / prod(den_binomials) =
+    sign * prod H_key^count[key]: equal keys cancel by counting."""
+    sign, count = 1, Counter()
     for side, binomials in ((1, num_binomials), (-1, den_binomials)):
         for binomial in binomials:
             flip, keys = _binomial_keys(binomial)
             sign *= flip
             for key in keys:
                 count[key] += side
-    num, den = Poly({monomial: 1}), P_ONE
+    return sign, count
+
+
+def _key_product(count: Counter, out: Poly = P_ONE) -> Poly:
+    """out * prod H_key^count[key] over the keys counted positive."""
     for key, mult in count.items():
         if mult > 0:
-            num = num * _cyclotomic_factor(*key) ** mult
-        elif mult < 0:
-            den = den * _cyclotomic_factor(*key) ** -mult
-    return RatFunc._make_coprime(num, den, Fraction(sign))
+            out = out * _cyclotomic_factor(*key) ** mult
+    return out
 
 
-def _one_minus_t(j: int) -> tuple:
-    return ((0, 0), (0, j))
+def _binomial_quotient(sign: int, monomial: tuple, num_binomials, den_binomials) -> RatFunc:
+    """sign * q^a t^b * prod(num_binomials) / prod(den_binomials), with
+    monomial = (a, b), reduced without a gcd (see the module docstring)."""
+    flip, count = _binomial_count(num_binomials, den_binomials)
+    num = _key_product(count, Poly({monomial: 1}))
+    return RatFunc._make_coprime(num, _key_product(-count), Fraction(sign * flip))
+
+
+# ---------------------------------------------------------------------------
+# the families as sums over semistandard tableaux
+# ---------------------------------------------------------------------------
+
+def _horizontal_strips(mu: Partition, k: int):
+    """Every lam with lam/mu a horizontal strip of k cells: mu_i <= lam_i <= mu_{i-1}."""
+    rows = list(mu) + [0]
+    bounds = zip(rows, [rows[0] + k] + list(mu))
+    for parts in product(*(range(low, high + 1) for low, high in bounds)):
+        if sum(parts) == mu.size + k:
+            yield Partition(parts)
+
+
+@lru_cache(maxsize=None)
+def _strip_factor(mu: Partition, lam: Partition, kind: str) -> tuple:
+    """(sign, key count) of psi_{lam/mu} c_lam / c_mu for a horizontal strip
+    lam/mu; c is the arm-leg product for kind "qt" and 1 otherwise.
+
+    psi_{lam/mu} = prod b_mu(s) / b_lam(s) over the cells s of mu in a row
+    but not in a column that meets the strip (VI (6.24)); such an s keeps
+    its leg l, and b(s) = (1 - q^a t^(l+1)) / (1 - q^(a+1) t^l) for its arm
+    a.  At q = 0 ("t") the numerator survives only where a = 0, which makes
+    psi the prod (1 - t^{m_j(mu)}) of III (5.8'); at t = 0 ("q0") the
+    denominator survives only where l = 0.
+    """
+    mu_c, lam_c = mu.conjugate(), lam.conjugate()
+    num, den = [], []
+    for i, row in enumerate(mu, start=1):
+        if lam[i - 1] == row:
+            continue
+        for j in range(1, row + 1):
+            if lam_c[j - 1] > mu_c[j - 1]:  # column j meets the strip
+                continue
+            leg = mu_c[j - 1] - i
+            for arm, above, below in ((row - j, num, den), (lam[i - 1] - j, den, num)):
+                if kind == "qt" or (kind == "t" and arm == 0):
+                    above.append(_one_minus(arm, leg + 1))
+                if kind == "qt" or (kind == "q0" and leg == 0):
+                    below.append(_one_minus(arm + 1, leg))
+    if kind == "qt":
+        num += _cell_binomials(lam)[1]
+        den += _cell_binomials(mu)[1]
+    return _binomial_count(num, den)
+
+
+@lru_cache(maxsize=None)
+def _tableau_states(content: tuple, kind: str) -> dict:
+    """{lam: [x^content] c_lam P_lam}, the tableaux of each shape grown by
+    the last part of the content as a horizontal strip.  The values are
+    polynomials (for "qt" those of J_lam, VI (8.11)), so the lcm of the key
+    denominators of the terms reaching one shape divides their sum exactly.
+    """
+    if not content:
+        return {EMPTY: P_ONE}
+    incoming: dict = {}
+    for mu, coeff in _tableau_states(content[:-1], kind).items():
+        for lam in _horizontal_strips(mu, content[-1]):
+            incoming.setdefault(lam, []).append((coeff, _strip_factor(mu, lam, kind)))
+    out = {}
+    for lam, terms in incoming.items():
+        lcm: Counter = Counter()
+        for _, (_, count) in terms:
+            lcm |= -count
+        total = sum((c * s * _key_product(count + lcm) for c, (s, count) in terms), P_ZERO)
+        out[lam] = poly_exact_div(total, _key_product(lcm)) if lcm else total
+    return out
+
+
+def _over_c(coeff: Poly, lam: Partition, kind: str) -> RatFunc:
+    """coeff / c_lam (c as in ``_strip_factor``), reduced by trial division."""
+    sign, count = _binomial_count(_cell_binomials(lam)[1] if kind == "qt" else [], [])
+    den = P_ONE
+    for key, mult in count.items():
+        factor = _cyclotomic_factor(*key)
+        while mult and (quotient := try_exact_div(coeff, factor)) is not None:
+            coeff, mult = quotient, mult - 1
+        den = den * factor ** mult
+    return RatFunc._make_coprime(coeff, den, Fraction(sign))
+
+
+@lru_cache(maxsize=None)
+def _gs_family(n: int, kind: str) -> dict:
+    """{lam: {nu: [m_nu] P_lam}} for every lam of n, read off the tableau
+    sums (see the module docstring) at x^nu.  The name is historical (the
+    families came from Gram-Schmidt); the traced benchmark looks it up.
+    """
+    family: dict = {lam: {} for lam in partitions_of(n)}
+    for nu in partitions_of(n):
+        for lam, coeff in _tableau_states(tuple(nu), kind).items():
+            family[lam][nu] = _over_c(coeff, lam, kind)
+    return family
+
+
+def hl_P(lam) -> SymFunc:
+    """Hall-Littlewood P: m-unitriangular, orthogonal for the t-form."""
+    lam = Partition(lam)
+    return SymFunc("m", _gs_family(lam.size, "t")[lam], RING_QT)
+
+
+def hl_Q(lam) -> SymFunc:
+    """Q = prod_i phi_{m_i(lam)}(t) * P."""
+    lam = Partition(lam)
+    factor = P_ONE
+    for m in lam.multiplicities().values():
+        factor = factor * phi_factorial(m)
+    return hl_P(lam).scaled(RatFunc.make(factor))
+
+
+def qn(n: int) -> SymFunc:
+    """The one-row Q, the generators of the big Schur determinant."""
+    return hl_Q((n,))
+
+
+def mac_P(lam) -> SymFunc:
+    """Macdonald P: m-unitriangular, orthogonal for the (q,t)-form."""
+    lam = Partition(lam)
+    return SymFunc("m", _gs_family(lam.size, "qt")[lam], RING_QQT)
+
+
+def arm_leg_product(lam) -> Poly:
+    """c_lam(q,t) = prod over cells (1 - q^arm t^(leg+1))."""
+    return _binomial_quotient(1, (0, 0), _cell_binomials(Partition(lam))[1], []).as_poly()
+
+
+def mac_J(lam) -> SymFunc:
+    """Integral form J = c_lam(q,t) * P."""
+    lam = Partition(lam)
+    return mac_P(lam).scaled(RatFunc.make(arm_leg_product(lam)))
+
+
+def whittaker(lam) -> SymFunc:
+    """q-Whittaker W: the Macdonald P at t = 0, from the tableau sum with psi
+    at t = 0; the tests check it against the substituted Macdonald P."""
+    lam = Partition(lam)
+    return SymFunc("m", _gs_family(lam.size, "q0")[lam], RING_QT)
+
+
+# ---------------------------------------------------------------------------
+# closed-form pairings against p_n
+# ---------------------------------------------------------------------------
+
+def _require_size(lam: Partition, n: int):
+    if lam.size != n:
+        raise SizeMismatch(f"|{lam}| = {lam.size} != n = {n}")
 
 
 def _hl_Q_factors(lam: Partition) -> tuple:
@@ -277,7 +319,7 @@ def _hl_Q_factors(lam: Partition) -> tuple:
     # t^a * phi_r(1/t) = (-1)^r * t^(a - r(r+1)/2) * phi_r(t), a >= r(r+1)/2 here
     r = max(st.length - 1, 0)
     shift = st.n_lambda - r * (r + 1) // 2
-    return (-1) ** r, (0, shift), [_one_minus_t(j) for j in range(1, r + 1)]
+    return (-1) ** r, (0, shift), [_one_minus(0, j) for j in range(1, r + 1)]
 
 
 def hl_Q_pn_closed(lam, n: int) -> RatFunc:
@@ -292,50 +334,26 @@ def hl_P_pn_closed(lam, n: int) -> RatFunc:
     lam = Partition(lam)
     _require_size(lam, n)
     sign, monomial, num = _hl_Q_factors(lam)
-    den = [
-        _one_minus_t(j) for m in lam.multiplicities().values() for j in range(1, m + 1)
-    ]
-    return _binomial_quotient(sign, monomial, [_one_minus_t(n)] + num, den)
+    den = [_one_minus(0, j) for m in lam.multiplicities().values() for j in range(1, m + 1)]
+    return _binomial_quotient(sign, monomial, [_one_minus(0, n)] + num, den)
 
 
 def big_schur(lam) -> SymFunc:
-    """S_lam(x;t) = det(q_{lam_i - i + j}) over the one-row Q generators."""
-    lam = Partition(lam)
-    size = len(lam)
-    if size == 0:
-        return SymFunc("m", {EMPTY: RF_ONE}, RING_QT)
-
-    rows = []
-    for i in range(1, size + 1):
-        rows.append([lam[i - 1] - i + j for j in range(1, size + 1)])
-
-    zero = SymFunc("p", {}, RING_QT)
-
-    def det(rows_left: tuple, cols: tuple) -> SymFunc:
-        if not rows_left:
-            return SymFunc("p", {EMPTY: RF_ONE}, RING_QT)
-        i = rows_left[0]
-        total = zero
-        for pos, j in enumerate(cols):
-            k = rows[i][j]
-            if k < 0:
-                continue
-            sub = det(rows_left[1:], cols[:pos] + cols[pos + 1 :])
-            if sub.is_zero():
-                continue
-            term = multiply(qn(k), sub) if k > 0 else sub
-            total = total + (term if pos % 2 == 0 else term.scaled(-RF_ONE))
-        return total
-
-    return det(tuple(range(size)), tuple(range(size)))
+    """S_lam(x;t) = det(q_{lam_i - i + j}) over the one-row Q generators: the
+    Jacobi-Trudi expansion of s_lam with every h_r read as q_r."""
+    total = SymFunc("p", {}, RING_QT)
+    for parts, sign in _jacobi_trudi_h_terms(Partition(lam)):
+        term = SymFunc("p", {EMPTY: RatFunc.from_fraction(sign)}, RING_QT)
+        for part in parts:
+            term = multiply(term, qn(part))
+        total = total + term
+    return total
 
 
 def big_schur_pn_closed(lam, n: int) -> RatFunc:
     """(-1)^(n - lam_1) (1 - t^n) for hooks, 0 otherwise."""
     lam = Partition(lam)
     _require_size(lam, n)
-    from .partitions import is_hook
-
     if not is_hook(lam):
         return RF_ZERO
     sign = (-1) ** (n - lam[0])
@@ -351,7 +369,7 @@ def _cell_binomials(lam: Partition) -> tuple[list, list]:
         for j in range(1, row + 1):
             if (i, j) != (1, 1):
                 excess.append(((0, i - 1), (j - 1, 0)))
-            arm_leg.append(((0, 0), (row - j, conj[j - 1] - i + 1)))
+            arm_leg.append(_one_minus(row - j, conj[j - 1] - i + 1))
     return excess, arm_leg
 
 
@@ -360,7 +378,7 @@ def mac_P_pn_closed(lam, n: int) -> RatFunc:
     lam = Partition(lam)
     _require_size(lam, n)
     excess, arm_leg = _cell_binomials(lam)
-    return _binomial_quotient(1, (0, 0), [_one_minus_t(n)] + excess, arm_leg)
+    return _binomial_quotient(1, (0, 0), [_one_minus(0, n)] + excess, arm_leg)
 
 
 def mac_J_pn_closed(lam, n: int) -> RatFunc:
@@ -368,54 +386,43 @@ def mac_J_pn_closed(lam, n: int) -> RatFunc:
     lam = Partition(lam)
     _require_size(lam, n)
     excess, _ = _cell_binomials(lam)
-    return _binomial_quotient(1, (0, 0), [_one_minus_t(n)] + excess, [])
+    return _binomial_quotient(1, (0, 0), [_one_minus(0, n)] + excess, [])
 
 
 def whittaker_pn_closed(lam, n: int) -> RatFunc:
     """<W_lam(q), p_n> = (-1)^(n-lam_1) q^(n(lam') - C(lam_1,2)) prod_{i<lam_1}(1-q^i)."""
     lam = Partition(lam)
     _require_size(lam, n)
-    st = stats(lam)
     head = lam[0] if lam else 0
-    shift = st.n_lambda_conj - head * (head - 1) // 2
-    out = Poly({(shift, 0): Fraction((-1) ** (n - head))})
-    for i in range(1, head):
-        out = out * (P_ONE - Poly.q(i))
-    return RatFunc.make(out)
+    shift = stats(lam).n_lambda_conj - head * (head - 1) // 2
+    binomials = [_one_minus(i, 0) for i in range(1, head)]
+    return _binomial_quotient((-1) ** (n - head), (shift, 0), binomials, [])
 
 
 # ---------------------------------------------------------------------------
 # skew Hall-Littlewood
 # ---------------------------------------------------------------------------
 
-def _t_norm(nu: Partition) -> RatFunc:
-    """<p_nu, p_nu>_t = z_nu prod 1/(1-t^{nu_i})."""
-    return _p_norm_weight(nu, "t") * stats(nu).z
-
-
 @lru_cache(maxsize=None)
 def _gram_inverse_t(n: int) -> dict:
     """1/<p_nu, p_nu>_t for every nu of n: the t-form's Gram matrix on the
     power sums is diagonal, so this is its inverse."""
-    return {nu: RF_ONE / _t_norm(nu) for nu in partitions_of(n)}
+    return {nu: RF_ONE / _p_norm(nu) for nu in partitions_of(n)}
 
 
 def skew_hl_P(lam, mu) -> SymFunc:
-    """P_{lam/mu}, defined by <P_{lam/mu}, f>_t = <P_lam, P_mu f>_t.
-
-    That is the adjoint of multiplication by P_mu under the t-form applied to
-    P_lam, computed on the power sums (``skew_p``, where the t-form is
-    diagonal; the p-coefficients of P_lam and P_mu come from the cached
-    Gram-Schmidt family) and given on the m-basis; |lam| < |mu| gives the
-    zero element without building either family.
-    At t=0 this is the skew Schur function.
+    """P_{lam/mu}, defined by <P_{lam/mu}, f>_t = <P_lam, P_mu f>_t: the
+    adjoint of multiplication by P_mu under the t-form applied to P_lam,
+    computed on the power sums (``skew_p``) and given on the m-basis;
+    |lam| < |mu| gives zero without building either family.  At t=0 this is
+    the skew Schur function.
     """
     lam, mu = Partition(lam), Partition(mu)
     if lam.size < mu.size:
         return SymFunc("m", {}, RING_QT)
     coeffs = skew_p(
-        _family_entry(lam, "t")[2], _family_entry(mu, "t")[2], RING_QT,
-        norm=_t_norm, inverse=_gram_inverse_t(lam.size - mu.size),
+        p_expansion(hl_P(lam)), p_expansion(hl_P(mu)), RING_QT,
+        norm=_p_norm, inverse=_gram_inverse_t(lam.size - mu.size),
     )
     return to_basis(SymFunc("p", coeffs, RING_QT), "m")
 
@@ -438,10 +445,3 @@ def specialize_coeffs(
 def specialize_coeffs_root(x: SymFunc, k: int) -> SymFunc:
     """Substitute a primitive k-th root of unity for t in every coefficient."""
     return specialize_coeffs(x, Specialization.at_root(k))
-
-
-def subs_q_to_t(x: SymFunc) -> SymFunc:
-    """Identify q with t in every coefficient (for the q=t degeneration)."""
-    return SymFunc(
-        x.basis, {lam: c.subs_q_to_t() for lam, c in x.coeffs.items()}, RING_QT
-    )

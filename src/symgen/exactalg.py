@@ -670,10 +670,6 @@ class RatFunc:
             return RF_ZERO
         return RatFunc(fr, P_ONE, P_ONE, _raw=True)
 
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc.make(p)
-
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
         return self.scale == 0

@@ -434,6 +434,46 @@ def test_mac_rational_pairs_criterion_matches_value(family, pair):
             checked_criterion(spec, lam, None, n)
 
 
+
+def test_colliding_pair_evaluates_the_closed_form_once(monkeypatch):
+    # at q = t^2 the Macdonald verdict is the specialized value itself; the
+    # clause takes it from the value the check computes anyway
+    import symgen.criteria as criteria
+
+    calls = []
+    original = criteria.mac_P_pn_closed
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(criteria, "mac_P_pn_closed", counted)
+    spec = FamilySpec("mac-P", "Q", Specialization.at_pair(4, 2))
+    ok, reason, value = checked_criterion(spec, (2, 1), None, 3)
+    assert (ok, reason.code()) == (value != 0, "specialized-value")
+    assert len(calls) == 1
+
+
+def test_hl_Q_value_counts_one_minus_t_n_as_a_binomial(monkeypatch):
+    from symgen import exactalg
+    from symgen.criteria import _hl_Q_pn_value
+    from symgen.deformed import _cyclotomic_factor, hl_Q_pn_closed
+
+    cases = [(lam, n) for n in range(1, 9) for lam in partitions_of(n)]
+    products = [hl_Q_pn_closed(lam, n) * RatFunc.make(P_ONE - T**n) for lam, n in cases]
+    calls = []
+    original = exactalg.poly_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exactalg, "poly_gcd", counted)
+    exactalg.cyclotomic_poly.cache_clear()
+    _cyclotomic_factor.cache_clear()
+    assert [_hl_Q_pn_value(lam, EMPTY, n) for lam, n in cases] == products
+    assert calls == []
+
 def test_specialization_apply():
     f = RatFunc.make(P_ONE - T * T, P_ONE - T)  # 1 + t
     assert Specialization.at_value(2).apply(f) == 3

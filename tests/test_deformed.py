@@ -9,7 +9,8 @@ from symgen.deformed import (
     _cyclotomic_factor,
     _gram_inverse_t,
     _gs_family,
-    _pexp_inner,
+    _strip_factor,
+    _tableau_states,
     big_schur,
     big_schur_pn_closed,
     deformed_inner,
@@ -26,7 +27,6 @@ from symgen.deformed import (
     skew_hl_P,
     specialize_coeffs,
     specialize_coeffs_root,
-    subs_q_to_t,
     whittaker,
     whittaker_pn_closed,
 )
@@ -93,49 +93,105 @@ def test_deformed_inner_rejects_bad_kind():
 
 
 # ---------------------------------------------------------------------------
-# Gram-Schmidt families: unitriangularity, orthogonality, extension freedom
+# the tableau families against Gram-Schmidt, the independent reference
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind,cap", [("t", 5), ("qt", 4)])
-def test_family_unitriangular_and_orthogonal(kind, cap):
+# kind -> (constructor, highest degree checked against Gram-Schmidt); "q0" is
+# the (q,t)-form at t = 0, under which the q-Whittaker family is orthogonal
+FAMILY_KINDS = {"t": (hl_P, 6), "qt": (mac_P, 4), "q0": (whittaker, 4)}
+
+
+def _norm_weight(nu, kind) -> RatFunc:
+    """<p_nu, p_nu>_* / z_nu under the kind's form."""
+    num, den = P_ONE, P_ONE
+    for part in nu:
+        if kind != "q0":
+            den = den * (P_ONE - Poly.t(part))
+        if kind != "t":
+            num = num * (P_ONE - Poly.q(part))
+    return RatFunc.make(num, den)
+
+
+def _form(xp: dict, yp: dict, kind) -> RatFunc:
+    """The kind's form on two p-expansions."""
+    total = RF_ZERO
+    for nu, cx in xp.items():
+        if nu in yp:
+            total = total + cx * yp[nu] * _norm_weight(nu, kind) * stats(nu).z
+    return total
+
+
+def _gram_schmidt(n: int, kind) -> dict:
+    """{lam: m-coefficients} of the m-unitriangular family orthogonal under
+    the kind's form, by Gram-Schmidt on the monomials in ascending
+    lexicographic order (a linear extension of dominance), correcting
+    against every element already processed."""
+    ring = RING_QQT if kind == "qt" else RING_QT
+    done, family = [], {}
+    for lam in sorted(partitions_of(n), key=tuple):
+        m_row = p_expansion(sym("m", lam, ring))
+        m_coeffs, p_coeffs = {lam: RF_ONE}, dict(m_row)
+        for mu_m, mu_p, mu_norm in done:
+            coef = _form(m_row, mu_p, kind) / mu_norm
+            for key, val in mu_m.items():
+                m_coeffs[key] = m_coeffs.get(key, RF_ZERO) - coef * val
+            for key, val in mu_p.items():
+                p_coeffs[key] = p_coeffs.get(key, RF_ZERO) - coef * val
+        m_coeffs = {k: v for k, v in m_coeffs.items() if not v.is_zero()}
+        p_coeffs = {k: v for k, v in p_coeffs.items() if not v.is_zero()}
+        done.append((m_coeffs, p_coeffs, _form(p_coeffs, p_coeffs, kind)))
+        family[lam] = m_coeffs
+    return family
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+def test_family_matches_gram_schmidt(kind):
+    build, cap = FAMILY_KINDS[kind]
     for n in range(cap + 1):
-        family = {entry[0]: entry for entry in _gs_family(n, kind)}
-        for lam, (_, m_coeffs, p_coeffs, norm) in family.items():
-            assert m_coeffs[lam] == RF_ONE
-            for mu in m_coeffs:
-                assert mu == lam or dominance_lt(mu, lam)
-            assert not norm.is_zero()
-        items = list(family.items())
-        for i, (lam, entry_a) in enumerate(items):
-            for mu, entry_b in items[i + 1 :]:
-                assert _pexp_inner(entry_a[2], entry_b[2], kind).is_zero()
+        for lam, m_coeffs in _gram_schmidt(n, kind).items():
+            assert build(lam).coeffs == m_coeffs, (kind, lam)
 
 
-@pytest.mark.parametrize("kind", ["t", "qt"])
-def test_family_independent_of_linear_extension(kind):
-    # re-run Gram-Schmidt over a different linear extension of dominance
-    # (ascending lexicographic), correcting against every processed element
-    for n in range(5):
-        reference = {e[0]: e[1] for e in _gs_family(n, kind)}
-        ring = RING_QT if kind == "t" else RING_QQT
-        order = sorted(partitions_of(n), key=lambda lam: tuple(lam))
-        done = []
-        for lam in order:
-            m_coeffs = {lam: RF_ONE}
-            p_coeffs = dict(p_expansion(sym("m", lam, ring)))
-            for mu_m, mu_p, mu_norm in done:
-                cross = _pexp_inner(p_expansion(sym("m", lam, ring)), mu_p, kind)
-                if cross.is_zero():
-                    continue
-                coef = cross / mu_norm
-                for key, val in mu_m.items():
-                    m_coeffs[key] = m_coeffs.get(key, RF_ZERO) - coef * val
-                for key, val in mu_p.items():
-                    p_coeffs[key] = p_coeffs.get(key, RF_ZERO) - coef * val
-            m_coeffs = {k: v for k, v in m_coeffs.items() if not v.is_zero()}
-            p_coeffs = {k: v for k, v in p_coeffs.items() if not v.is_zero()}
-            done.append((m_coeffs, p_coeffs, _pexp_inner(p_coeffs, p_coeffs, kind)))
-            assert m_coeffs == reference[lam], (kind, lam)
+@pytest.mark.parametrize("kind,cap", [("t", 5), ("qt", 4), ("q0", 4)])
+def test_family_unitriangular_and_orthogonal(kind, cap):
+    build = FAMILY_KINDS[kind][0]
+    for n in range(cap + 1):
+        family = {lam: build(lam) for lam in partitions_of(n)}
+        for lam, element in family.items():
+            assert element.coeffs[lam] == RF_ONE
+            assert all(mu == lam or dominance_lt(mu, lam) for mu in element.coeffs)
+        p_coeffs = {lam: to_basis(x, "p").coeffs for lam, x in family.items()}
+        for lam, xp in p_coeffs.items():
+            for mu, yp in p_coeffs.items():
+                assert _form(xp, yp, kind).is_zero() == (lam != mu), (kind, lam, mu)
+
+
+def test_psi_worked_cases():
+    # [m_11] P_(2): the tableau 1 2 has psi = psi_{(2)/(1)}, one cell of
+    # (1) in the row but not the column of the strip
+    assert hl_P((2,)).coeffs[P(1, 1)] == RatFunc.make(P_ONE - T)
+    assert mac_P((2,)).coeffs[P(1, 1)] == RatFunc.make(
+        (P_ONE + Q) * (P_ONE - T), P_ONE - Q * T
+    )
+    assert whittaker((2,)).coeffs[P(1, 1)] == RatFunc.make(P_ONE + Q)
+
+
+def test_hl_family_takes_no_gcd(monkeypatch):
+    calls = []
+    original = exactalg.poly_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exactalg, "poly_gcd", counted)
+    for cache in (
+        _gs_family, _tableau_states, _strip_factor, _cyclotomic_factor, cyclotomic_poly
+    ):
+        cache.cache_clear()
+    for n in range(9):
+        _gs_family(n, "t")
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +361,7 @@ def test_mac_P_examples():
 
 
 def test_mac_constructed_matches_closed_forms():
-    for n in range(1, 5):
+    for n in range(1, 6):
         p_n = sym("p", (n,), RING_QQT)
         for lam in partitions_of(n):
             assert hall_inner(mac_P(lam), p_n) == mac_P_pn_closed(lam, n)
@@ -323,12 +379,12 @@ def test_mac_degenerations():
     for n in range(1, 5):
         for lam in partitions_of(n):
             # q = t gives the Schur functions
-            at_qt = subs_q_to_t(mac_P(lam))
+            at_qt = {mu: c.subs_q_to_t() for mu, c in mac_P(lam).coeffs.items()}
             want = {
                 mu: RatFunc.from_fraction(c)
                 for mu, c in to_basis(sym("s", lam), "m").coeffs.items()
             }
-            assert dict(at_qt.coeffs) == want
+            assert at_qt == want
             # q = 0 gives Hall-Littlewood P
             at_q0 = {
                 mu: c.subs(q=Fraction(0)) for mu, c in mac_P(lam).coeffs.items()
@@ -336,7 +392,7 @@ def test_mac_degenerations():
             assert {k: v for k, v in at_q0.items() if not v.is_zero()} == dict(
                 hl_P(lam).coeffs
             )
-            # t = 0 gives the q-Whittaker functions (by construction)
+            # t = 0 gives the q-Whittaker functions, built from psi at t = 0
             assert whittaker(lam).coeffs == {
                 mu: c.subs(t=Fraction(0))
                 for mu, c in mac_P(lam).coeffs.items()
