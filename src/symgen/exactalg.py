@@ -15,6 +15,15 @@ Canonical forms
 * ``CycloElem`` is a residue mod the k-th cyclotomic polynomial, stored as a
   vector of phi(k) rationals.
 
+GCD routes
+----------
+``poly_gcd`` answers 1 at once when either argument is a constant, without
+touching the ``_poly_gcd_prim`` cache; that is the common case, since a
+polynomial's denominator is 1.  The cached core first takes out the common
+monomial.  A pair that is then constant has gcd 1; a pair in t alone takes
+a dense integer primitive PRS (polynomial remainder sequence); every other
+pair takes the gcd of its q-contents times the primitive PRS in t over Z[q].
+
 Rendering grammar (golden files depend on it)
 ---------------------------------------------
 ``Poly``: terms in graded-lex t>q descending order, joined by `` + ``/`` - ``;
@@ -115,9 +124,6 @@ class Poly:
 
     def is_univariate_t(self) -> bool:
         return all(dq == 0 for dq, _ in self.terms)
-
-    def is_univariate_q(self) -> bool:
-        return all(dt == 0 for _, dt in self.terms)
 
     def deg_t(self) -> int:
         return max((dt for _, dt in self.terms), default=0)
@@ -496,44 +502,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.primitive()
     if b.is_zero():
         return a.primitive()
+    if a.is_const() or b.is_const():
+        return P_ONE
     return _poly_gcd_prim(a.primitive(), b.primitive())
-
-
-def _lead_coeff_poly(p: Poly, main: str) -> Poly:
-    """Leading coefficient of p as a polynomial in the main variable."""
-    deg = p.deg_t() if main == "t" else p.deg_q()
-    terms = {}
-    for (dq, dt), c in p.terms.items():
-        if (dt if main == "t" else dq) == deg:
-            terms[(dq, 0) if main == "t" else (0, dt)] = c
-    return Poly(terms)
-
-
-def _certified_coprime(a: Poly, b: Poly) -> bool:
-    """True only with proof that gcd(a, b) = 1.
-
-    If an evaluation point r keeps the leading t-coefficient of a nonzero,
-    then deg_t gcd(a,b) <= deg_t gcd(a(r,t), b(r,t)) (the leading coefficient
-    of any divisor divides that of a, so its image keeps full degree).  A
-    constant univariate gcd in each variable therefore certifies coprimality.
-    """
-    for main, other in (("t", "q"), ("q", "t")):
-        lead = _lead_coeff_poly(a, main)
-        point = None
-        for r in (1, -1, 2, 3, 5, -2, 7, -3):
-            if not lead.subs(q=r, t=r).is_zero():
-                point = r
-                break
-        if point is None:
-            return False
-        image_a = a.subs(**{other: Fraction(point)})
-        image_b = b.subs(**{other: Fraction(point)})
-        if image_a.is_zero() or image_b.is_zero():
-            return False
-        g = _uni_gcd(image_a, image_b, main)
-        if not g.is_const():
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -549,34 +520,22 @@ def _poly_gcd_prim(a: Poly, b: Poly) -> Poly:
     if bmq or bmt:
         b = Poly({(dq - bmq, dt - bmt): c for (dq, dt), c in b.terms.items()})
     mono = Poly({(mq, mt): Fraction(1)})
-    if a == P_ONE or b == P_ONE or a.is_const() or b.is_const():
+    if a.is_const() or b.is_const():
         core = P_ONE
     elif a.is_univariate_t() and b.is_univariate_t():
         core = _uni_gcd(a, b, "t")
-    elif a.is_univariate_q() and b.is_univariate_q():
-        core = _uni_gcd(a, b, "q")
-    elif a.is_univariate_t() and b.is_univariate_q():
-        core = P_ONE
-    elif a.is_univariate_q() and b.is_univariate_t():
-        core = P_ONE
     else:
+        # the gcd of the q-contents times that of the t-primitive parts; a
+        # side free of t has t-primitive part 1, and the PRS ends at once
         ta, tb = _as_t_coeffs(a), _as_t_coeffs(b)
-        if max(ta) == 0 or max(tb) == 0:
-            # one argument is free of t: gcd sits in the q-content
-            ca = _t_content(ta) if max(ta) else list(ta.values())[0].primitive()
-            cb = _t_content(tb) if max(tb) else list(tb.values())[0].primitive()
-            core = _uni_gcd(ca, cb, "q")
-        elif _certified_coprime(a, b):
-            core = P_ONE
-        else:
-            cont = _uni_gcd(_t_content(ta), _t_content(tb), "q")
-            fa, fb = _t_primitive(ta), _t_primitive(tb)
-            if max(fa) < max(fb):
-                fa, fb = fb, fa
-            while fb:
-                r = _t_prem(fa, fb)
-                fa, fb = fb, (_t_primitive(r) if r else {})
-            core = (_from_t_coeffs(_t_primitive(fa)) * cont).primitive()
+        cont = _uni_gcd(_t_content(ta), _t_content(tb), "q")
+        fa, fb = _t_primitive(ta), _t_primitive(tb)
+        if max(fa) < max(fb):
+            fa, fb = fb, fa
+        while fb:
+            r = _t_prem(fa, fb)
+            fa, fb = fb, (_t_primitive(r) if r else {})
+        core = (_from_t_coeffs(_t_primitive(fa)) * cont).primitive()
     return (mono * core).primitive()
 
 
@@ -816,7 +775,10 @@ class RatFunc:
     def swap_vars(self) -> "RatFunc":
         if self.is_zero():
             return self
-        return RatFunc.make(self.num.swap_vars(), self.den.swap_vars(), self.scale)
+        # an automorphism keeps coprime parts coprime: no gcd is needed
+        return RatFunc._make_coprime(
+            self.num.swap_vars(), self.den.swap_vars(), self.scale
+        )
 
     def subs_q_to_t(self) -> "RatFunc":
         if self.is_zero():

@@ -399,30 +399,27 @@ def skew_p(xp: dict, yp: dict, ring: CoeffRing, norm=None, inverse=None) -> dict
     }
 
 
-def _skew_h(x: SymFunc, yp: dict) -> SymFunc:
-    """y^perp x under the Hall form, on the h-basis."""
-    return to_basis(SymFunc("p", skew_p(p_expansion(x), yp, x.ring), x.ring), "h")
-
-
 def pn_perp(x: SymFunc, n: int) -> SymFunc:
-    """Adjoint of multiplication by p_n (n d/dp_n), on the h-basis."""
+    """Adjoint of multiplication by p_n (n d/dp_n), on the p-basis."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _skew_h(x, {Partition((n,)): x.ring.one})
+    yp = {Partition((n,)): x.ring.one}
+    return SymFunc("p", skew_p(p_expansion(x), yp, x.ring), x.ring)
 
 
 def skew(family: str, lam, mu, ring: CoeffRing = RING_Q) -> SymFunc:
     """The skew element u_{lam/mu} defined by <u_{lam/mu}, f> = <u_lam, u_mu f>.
 
     That is u_mu^perp u_lam, the adjoint of multiplication by u_mu applied to
-    u_lam on the power sums (``skew_p``), given on the h-basis; pairs with
+    u_lam on the power sums (``skew_p``), given on the p-basis; pairs with
     |lam| < |mu| give the zero element.
     """
     if family not in ("m", "h", "e", "s", "f"):
         raise ValueError(f"no skew family for basis {family!r}")
     if Partition(lam).size < Partition(mu).size:
-        return SymFunc("h", {}, ring)
-    return _skew_h(sym(family, lam, ring), p_expansion(sym(family, mu, ring)))
+        return SymFunc("p", {}, ring)
+    xp = p_expansion(sym(family, lam, ring))
+    return SymFunc("p", skew_p(xp, p_expansion(sym(family, mu, ring)), ring), ring)
 
 
 def skew_monomial_weight_sum(lam, mu, n: int) -> Fraction:

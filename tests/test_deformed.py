@@ -493,6 +493,33 @@ def test_closed_forms_take_no_gcd_or_exact_division(monkeypatch):
     assert calls == Counter()
 
 
+def test_swap_vars_takes_no_gcd(monkeypatch):
+    # exchanging q and t is a ring automorphism, so coprime parts stay
+    # coprime and swap_vars needs no gcd
+    values = [
+        closed(lam, n)
+        for closed in (mac_P_pn_closed, whittaker_pn_closed)
+        for n in range(1, 7)
+        for lam in partitions_of(n)
+    ]
+    calls = []
+    original = exactalg.poly_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exactalg, "poly_gcd", counted)
+    swapped = [value.swap_vars() for value in values]
+    assert calls == []
+    monkeypatch.undo()
+    for value, got in zip(values, swapped):
+        expected = RatFunc.make(
+            value.num.swap_vars(), value.den.swap_vars(), value.scale
+        )
+        assert got == expected, value
+
+
 # ---------------------------------------------------------------------------
 # skew Hall-Littlewood
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symgen.exactalg import (
+    _poly_gcd_prim,
     P_ONE,
     P_ZERO,
     Poly,
@@ -111,6 +114,64 @@ def test_gcd_univariate_and_monomial_content():
     assert g == (T * (P_ONE - T)).primitive() * -1 or g == (T * (P_ONE - T) * -1).primitive()
     # up to the canonical sign: t(1-t) ~ t^2 - t with positive leading
     assert g == (t_pow(2) - T)
+
+
+_SQ, _ST = sympy.symbols("q t")
+# each shape of gcd argument: (has q, has t)
+_SHAPES = {"const": (False, False), "t": (False, True), "q": (True, False), "qt": (True, True)}
+
+
+def _random_shape(rng, shape):
+    """A nonzero integer polynomial that is constant, in t only, in q only,
+    or in both variables."""
+    has_q, has_t = _SHAPES[shape]
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            key = (rng.randint(0, 2) if has_q else 0, rng.randint(0, 2) if has_t else 0)
+            terms[key] = Fraction(rng.randint(-3, 3))
+        p = Poly({k: c for k, c in terms.items() if c})
+        found = (any(dq for dq, _ in p.terms), any(dt for _, dt in p.terms))
+        if not p.is_zero() and found == (has_q, has_t):
+            return p
+
+
+def _to_sympy(p):
+    return sum(int(c) * _SQ**dq * _ST**dt for (dq, dt), c in p.terms.items())
+
+
+def _sympy_gcd(a, b):
+    """sympy's gcd, normalized to primitive with positive graded-lex leading
+    coefficient like poly_gcd."""
+    g = sympy.Poly(sympy.gcd(_to_sympy(a), _to_sympy(b)), _SQ, _ST)
+    return Poly({m: Fraction(int(c)) for m, c in g.terms()}).primitive()
+
+
+def test_gcd_matches_sympy_on_every_shape():
+    # g*x and g*y for g, x, y constant, t-only, q-only or bivariate; about
+    # half the pairs share a monomial factor, and some x carry one of their own
+    rng = random.Random(20240817)
+    for gs in _SHAPES:
+        for xs in _SHAPES:
+            for ys in _SHAPES:
+                for _ in range(3):
+                    g = _random_shape(rng, gs)
+                    x = _random_shape(rng, xs)
+                    y = _random_shape(rng, ys)
+                    if rng.random() < 0.5:
+                        g = g * Q ** rng.randint(0, 2) * T ** rng.randint(0, 2)
+                    if rng.random() < 0.3:
+                        x = x * Q ** rng.randint(0, 2) * T ** rng.randint(0, 2)
+                    a, b = g * x, g * y
+                    assert poly_gcd(a, b) == _sympy_gcd(a, b), (a, b)
+
+
+def test_constant_gcd_skips_the_cache():
+    _poly_gcd_prim.cache_clear()
+    biv = (P_ONE - Q * T) * (Q + 2) * T
+    assert poly_gcd(Poly.const(Fraction(-3, 4)), biv) == P_ONE
+    assert poly_gcd(biv, Poly.const(5)) == P_ONE
+    assert _poly_gcd_prim.cache_info().misses == 0
 
 
 # ---------------------------------------------------------------------------
