@@ -79,7 +79,7 @@ from .partitions import (
     refines,
     ribbon_height,
 )
-from .symfunc import hall_inner, multiply, skew, skew_monomial_pn_inner, sym
+from .symfunc import hall_inner, skew, skew_monomial_pn_inner, sym
 
 # ring name -> the field its values are computed in (Z values lie in Q)
 RINGS = {"Q": RING_Q, "Z": RING_Q, "Qt": RING_QT, "Qqt": RING_QQT}
@@ -420,9 +420,11 @@ def _omega(pairing):
 
 
 def _skew_complete_pn_value(lam: Partition, mu: Partition, n: int) -> Fraction:
-    return hall_inner(
-        sym("h", lam), multiply(sym("h", mu), sym("p", (n,)))
-    )
+    """<h_lam, h_mu p_n> = <p_n^perp h_lam, h_mu>, paired in degree |mu|:
+    p_n^perp is a derivation with p_n^perp h_k = h_(k-n) (zero for k < n)."""
+    lowered = [sorted(lam[:i] + (part - n,) + lam[i + 1:], reverse=True)
+               for i, part in enumerate(lam) if part >= n]
+    return sum((hall_inner(sym("h", nu), sym("h", mu)) for nu in lowered), Fraction(0))
 
 
 def _schur_pn_value(lam: Partition, mu: Partition, n: int) -> Fraction:

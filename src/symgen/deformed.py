@@ -356,8 +356,7 @@ def big_schur_pn_closed(lam, n: int) -> RatFunc:
     _require_size(lam, n)
     if not is_hook(lam):
         return RF_ZERO
-    sign = (-1) ** (n - lam[0])
-    return RatFunc.make(Poly.const(sign) * (P_ONE - Poly.t(n)))
+    return RatFunc._make_coprime(P_ONE - Poly.t(n), P_ONE, Fraction((-1) ** (n - lam[0])))
 
 
 def _cell_binomials(lam: Partition) -> tuple[list, list]:

@@ -24,6 +24,12 @@ monomial.  A pair that is then constant has gcd 1; a pair in t alone takes
 a dense integer primitive PRS (polynomial remainder sequence); every other
 pair takes the gcd of its q-contents times the primitive PRS in t over Z[q].
 
+Specialization
+--------------
+Every ``RatFunc`` constructor keeps its parts coprime, so a specialization
+takes no gcd and a vanishing denominator is a pole: at a root of unity
+Phi_k divides at most one part; at a rational point both are evaluated.
+
 Rendering grammar (golden files depend on it)
 ---------------------------------------------
 ``Poly``: terms in graded-lex t>q descending order, joined by `` + ``/`` - ``;
@@ -613,13 +619,10 @@ class RatFunc:
         scale = scale * cn / cd
         g = poly_gcd(pn, pd)
         if g != P_ONE:
+            # Gauss's lemma: primitive over a primitive factor stays primitive;
+            # the leading coefficients stay > 0, as graded-lex leading terms multiply
             pn = poly_exact_div(pn, g)
             pd = poly_exact_div(pd, g)
-            # quotients of primitives by their primitive gcd stay primitive;
-            # re-fix signs in case the leading term moved
-            sn, pn = pn.split_content()
-            sd, pd = pd.split_content()
-            scale = scale * sn / sd
         return RatFunc(scale, pn, pd, _raw=True)
 
     @staticmethod
@@ -788,7 +791,11 @@ class RatFunc:
         )
 
     def eval_rational(self, q=None, t=None) -> Fraction:
-        return self.subs(q=q, t=t).as_fraction()
+        """The value at rational q and/or t; ZeroDenominator where den vanishes."""
+        den = self.den.subs(q=q, t=t).as_fraction()
+        if den == 0:
+            raise ZeroDenominator("zero denominator")
+        return self.scale * self.num.subs(q=q, t=t).as_fraction() / den
 
     # -- rendering ---------------------------------------------------------
     def render(self) -> str:
@@ -998,7 +1005,8 @@ class CycloElem:
 
 def specialize_root_of_unity(f: RatFunc, k: int) -> CycloElem:
     """Exact value of a univariate-in-t rational function at a primitive k-th
-    root of unity; cancels common Phi_k powers, detects genuine poles."""
+    root of unity.  Phi_k divides at most one of the coprime parts: a zero
+    residue of the numerator is the value 0, one of the denominator a pole."""
     if not isinstance(f, RatFunc):
         coerced = RatFunc._coerce(f)
         if coerced is None:
@@ -1008,22 +1016,13 @@ def specialize_root_of_unity(f: RatFunc, k: int) -> CycloElem:
         return CycloElem.zero(k)
     if not f.is_univariate_t():
         raise ValueError("specialization requires a univariate-in-t function")
-    phi_k = cyclotomic_poly(k)
-    num, den = f.num, f.den
-    m_num = cyclotomic_multiplicity(num, k)
-    m_den = cyclotomic_multiplicity(den, k)
-    if m_num > m_den:
-        return CycloElem.zero(k)
-    if m_num < m_den:
-        raise PoleAtRootOfUnity(
-            f"pole of order {m_den - m_num} at a primitive {k}-th root of unity"
-        )
-    for _ in range(m_num):
-        num = poly_exact_div(num, phi_k)
-        den = poly_exact_div(den, phi_k)
-    num_res = CycloElem.from_poly(num, k)
-    den_res = CycloElem.from_poly(den, k)
-    return CycloElem.from_fraction(f.scale, k) * num_res / den_res
+    value = CycloElem.from_poly(f.scale * f.num, k)
+    if f.den == P_ONE or value.is_zero():
+        return value
+    den = CycloElem.from_poly(f.den, k)
+    if den.is_zero():
+        raise PoleAtRootOfUnity(f"pole at a primitive {k}-th root of unity")
+    return value / den
 
 
 # ---------------------------------------------------------------------------
@@ -1120,5 +1119,5 @@ class Specialization:
             in_t = value.swap_vars() if variable == "q" else value
             return specialize_root_of_unity(in_t, self.root_order)
         if self.kind == "value":
-            return value.subs(**{variable: self.value}).as_fraction()
-        return value.subs(q=self.q_value, t=self.t_value).as_fraction()
+            return value.eval_rational(**{variable: self.value})
+        return value.eval_rational(q=self.q_value, t=self.t_value)

@@ -25,6 +25,7 @@ from symgen.criteria import (
 )
 from symgen.exactalg import P_ONE, T, CycloElem, RatFunc, ZeroDenominator
 from symgen.partitions import EMPTY, Partition, partitions_of
+from symgen.symfunc import hall_inner, multiply, sym
 
 
 def P(*parts):
@@ -473,6 +474,92 @@ def test_hl_Q_value_counts_one_minus_t_n_as_a_binomial(monkeypatch):
     _cyclotomic_factor.cache_clear()
     assert [_hl_Q_pn_value(lam, EMPTY, n) for lam, n in cases] == products
     assert calls == []
+
+
+# (family, ring, specialization) of every kind of spec the closed-form check
+# answers: classical straight over Q and Z, skew over Z, one-parameter
+# generic / at a root / at a value, Macdonald generic / at a pair
+CHECK_SPECS = (
+    [FamilySpec(fam, ring) for fam in ("m", "f", "s") for ring in ("Q", "Z")]
+    + [FamilySpec(fam, "Z") for fam in ("skew-m", "skew-f", "skew-h", "skew-e", "skew-s")]
+    + [
+        spec
+        for fam in ("hl-P", "hl-Q", "big-S", "whittaker")
+        for spec in (
+            FamilySpec(fam, "Qt"),
+            FamilySpec(fam, "Q", Specialization.at_root(3)),
+            FamilySpec(fam, "Q", Specialization.at_value(Fraction(1, 2))),
+        )
+    ]
+    + [
+        spec
+        for fam in ("mac-P", "mac-J")
+        for spec in (FamilySpec(fam, "Qqt"), FamilySpec(fam, "Q", Specialization.at_pair(2, 3)))
+    ]
+)
+
+
+def _guard_sequence(spec):
+    """One graded sequence up to degree 8: some partition of n,
+    or for a skew family lam/mu with |mu| = n mod 4 and a part of lam >= n."""
+    seq = []
+    for n in range(1, 9):
+        shapes = partitions_of(n)
+        if not spec.is_skew:
+            seq.append((shapes[n % len(shapes)], None))
+            continue
+        mu = partitions_of(n % 4)[0] if n % 4 else EMPTY
+        lam = (mu[0] + n,) + mu[1:] if n % 2 else sorted(mu + (n,), reverse=True)
+        seq.append((lam, mu))
+    return seq
+
+
+def test_check_path_takes_no_gcd_and_no_product(monkeypatch):
+    # every closed form reaches its value already reduced, and skew h/e pair
+    # in degree |mu|: the check makes no gcd, no trial division, no
+    # canonicalization through RatFunc.make and no symmetric-function product
+    import sys
+
+    from symgen import exactalg
+
+    calls = {}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.startswith("symgen.")]
+    for name in ("poly_gcd", "try_exact_div", "multiply"):
+        for module in modules:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    make = counted("RatFunc.make", exactalg.RatFunc.make)
+    monkeypatch.setattr(exactalg.RatFunc, "make", staticmethod(make))
+    assert len(CHECK_SPECS) == 27
+    for spec in CHECK_SPECS:
+        check_sequence(spec, _guard_sequence(spec))
+    assert calls == {}
+
+
+def _skew_pairing_reference(basis, lam, mu, n):
+    """<b_lam, b_mu p_n> by multiplying out and pairing in degree |lam|."""
+    return hall_inner(sym(basis, lam), multiply(sym(basis, mu), sym("p", (n,))))
+
+
+def test_skew_complete_values_match_products():
+    for n in range(1, 6):
+        for m in range(0, 5):
+            for mu in partitions_of(m):
+                for lam in partitions_of(n + m):
+                    want_h = _skew_pairing_reference("h", lam, mu, n)
+                    want_e = _skew_pairing_reference("e", lam, mu, n)
+                    for ring in ("Q", "Z"):
+                        got_h = inner_value(FamilySpec("skew-h", ring), lam, mu, n)
+                        got_e = inner_value(FamilySpec("skew-e", ring), lam, mu, n)
+                        assert (got_h, got_e) == (want_h, want_e), (lam, mu, n)
+
 
 def test_specialization_apply():
     f = RatFunc.make(P_ONE - T * T, P_ONE - T)  # 1 + t

@@ -38,12 +38,16 @@ from symgen.exactalg import (
     RF_ZERO,
     RING_QQT,
     RING_QT,
+    CycloElem,
+    PoleAtRootOfUnity,
     RatFunc,
     T,
     cyclotomic_multiplicity,
     cyclotomic_poly,
+    poly_exact_div,
     specialize_root_of_unity,
 )
+from symgen.criteria import _hl_Q_pn_value
 from symgen.partitions import EMPTY, Partition, contains, partitions_of, stats
 from symgen.symfunc import (
     dominance_lt,
@@ -294,24 +298,57 @@ def test_schur_P_Q_at_minus_one():
                 assert q_at.is_zero()
 
 
+def _specialize_cancelling_phi(f, k):
+    """The value at a primitive k-th root of unity with the common Phi_k
+    power cancelled first: the reference that needs no coprime parts."""
+    num, den = f.num, f.den
+    m_num, m_den = cyclotomic_multiplicity(num, k), cyclotomic_multiplicity(den, k)
+    if m_num != m_den:
+        return None if m_num < m_den else CycloElem.zero(k)
+    for _ in range(m_num):
+        num, den = poly_exact_div(num, cyclotomic_poly(k)), poly_exact_div(den, cyclotomic_poly(k))
+    return CycloElem.from_poly(num, k) * f.scale / CycloElem.from_poly(den, k)
+
+
 def test_no_pole_at_roots_of_unity():
-    # numerator Phi_k-multiplicity >= denominator multiplicity for every
-    # univariate closed form: specialization must never raise
-    for k in (2, 3, 4):
-        for n in range(1, 7):
-            for lam in partitions_of(n):
-                for closed in (
-                    hl_P_pn_closed(lam, n),
-                    hl_Q_pn_closed(lam, n),
-                    big_schur_pn_closed(lam, n),
-                    whittaker_pn_closed(lam, n).swap_vars(),
-                ):
-                    if closed.is_zero():
-                        continue
-                    num_mult = cyclotomic_multiplicity(closed.num, k)
-                    den_mult = cyclotomic_multiplicity(closed.den, k)
-                    assert num_mult >= den_mult
-                    specialize_root_of_unity(closed, k)
+    # every value built by RatFunc._make_coprime has coprime parts, which
+    # specialize_root_of_unity trusts; the univariate closed forms have no
+    # pole at a root of unity (numerator Phi_k-multiplicity >= denominator's)
+    closed_forms = [
+        (closed, True)
+        for n in range(1, 8)
+        for lam in partitions_of(n)
+        for closed in (
+            hl_P_pn_closed(lam, n),
+            hl_Q_pn_closed(lam, n),
+            _hl_Q_pn_value(lam, EMPTY, n),
+            big_schur_pn_closed(lam, n),
+            whittaker_pn_closed(lam, n).swap_vars(),
+            mac_P_pn_closed(lam, n),
+            mac_J_pn_closed(lam, n),
+        )
+    ]
+    coefficients = [
+        (c.swap_vars() if kind == "q0" else c, False)
+        for kind, top in (("t", 6), ("q0", 6), ("qt", 4))
+        for n in range(1, top + 1)
+        for row in _gs_family(n, kind).values()
+        for c in row.values()
+    ]
+    for value, closed in closed_forms + coefficients:
+        if value.is_zero():
+            continue
+        assert exactalg.poly_gcd(value.num, value.den) == P_ONE
+        if not value.is_univariate_t():
+            continue
+        for k in range(1, 13):
+            want = _specialize_cancelling_phi(value, k)
+            assert want is not None or not closed
+            if want is None:
+                with pytest.raises(PoleAtRootOfUnity):
+                    specialize_root_of_unity(value, k)
+            else:
+                assert specialize_root_of_unity(value, k) == want
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,22 @@ def test_ratfunc_field_laws(a, b, c):
         assert (a / b) * b == a
 
 
+small_points = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=small_ratfuncs(), q=small_points, t=small_points)
+def test_eval_rational_matches_reduced_substitution(f, q, t):
+    # the parts are evaluated as they are: no gcd, same value, same poles
+    try:
+        want = f.subs(q=q, t=t).as_fraction()
+    except ZeroDenominator:
+        with pytest.raises(ZeroDenominator):
+            f.eval_rational(q=q, t=t)
+    else:
+        assert f.eval_rational(q=q, t=t) == want
+
+
 def test_rendering_grammar():
     assert (P_ONE - Q * T).render() == "-q*t + 1"
     assert ((P_ONE - Q) * (P_ONE + T)).render() == "-q*t + t - q + 1"
