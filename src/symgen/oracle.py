@@ -7,10 +7,18 @@ generates iff the determinant is a unit at every degree so far (nonzero over
 a field, +-1 over Z).  Every ring takes one route: products are convolved in
 the power-sum basis, so none of the closed forms under test participate, and
 then taken to the monomial basis by the integer p -> m matrix that
-``symfunc`` reads off the p-expansions of the complete homogeneous basis by
-Hall duality.  Each product u_lam is u_{lam_1} times the memoized
+``symfunc`` counts.  Each product u_lam is u_{lam_1} times the memoized
 u_{lam minus lam_1}; ``verdict`` keeps one memo of elements and products
 across all its degrees, so each u_k is built once.
+
+A classical family's elements lie in the integral ring, and there the
+coordinates b_nu = k! [p_nu] x of a degree-k element are integers (z_nu
+divides k!).  So the route runs on ints: u_k enters as k! times its
+p-expansion, a product of degrees a and b is the convolution of its factors
+times (a + b choose a), and an m-entry is the scaled row times the p -> m
+matrix divided exactly by n!.  A denominator at either step raises
+``ValueError``.  A deformed family takes the same route at scale 1, with
+values in its coefficient field.
 
 A specialization under which some u_k does not exist (a vanishing
 denominator) leaves ``det`` null and ``independent`` false from degree k on,
@@ -18,14 +26,15 @@ and ``inner`` null at degree k; the criterion fields still come from
 ``criteria``.
 
 Determinants: a classical family's matrix on m is integral over Q as over Z,
-so it is checked to be integral and its determinant is fraction-free Bareiss;
-exact Gaussian elimination serves the deformed families' coefficient fields.
+so its determinant is fraction-free Bareiss; exact Gaussian elimination
+serves the deformed families' coefficient fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
 from .criteria import (
     FamilySpec,
@@ -34,7 +43,7 @@ from .criteria import (
     value_is_unit,
 )
 from .deformed import deformed_inner, skew_hl_P, specialize_coeffs
-from .exactalg import RING_QT, ZeroDenominator
+from .exactalg import RING_QT, CoeffRing, ZeroDenominator
 from .partitions import (
     EMPTY,
     Partition,
@@ -44,8 +53,9 @@ from .partitions import (
     format_partition,
     is_ribbon,
     partitions_of,
+    union,
 )
-from .symfunc import SymFunc, multiply, p_expansion, sym, to_basis
+from .symfunc import SymFunc, _basis_matrix_inverse, p_expansion, sym
 
 # the highest degree the skew Hall-Littlewood probe computes
 PROBE_MAX_DEGREE = 5
@@ -135,10 +145,11 @@ def family_element(spec: FamilySpec, lam, mu=None) -> SymFunc:
     return specialize_coeffs(base, spec.specialization, fam.variable)
 
 
-def _as_int(value: Fraction) -> int:
-    if value.denominator != 1:
-        raise ValueError(f"expected an integer entry, got {value}")
-    return value.numerator
+def _exact_quotient(num: int, den: int) -> int:
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ValueError(f"expected an integer entry, got {Fraction(num, den)}")
+    return quotient
 
 
 def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> DegreeMatrix:
@@ -146,33 +157,69 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
 
     Rows follow the canonical order of the product index lam; columns the
     canonical order of the monomial index.  Products are convolved on the
-    p-basis and then taken to m; a classical family's entries are ints
-    (checked integral), a deformed family's stay in its coefficient field.
-    ``memo`` maps each product index to its p-expansion (u_k at (k,)); pass
-    the same dict for every degree of one sequence to build each element and
-    product once.
+    p-basis and then taken to m by the integer p -> m matrix.  A classical
+    family works in n!-scaled coordinates: u_k enters as the ints
+    k! [p_nu] u_k, a product is the union-convolution of its factors times
+    the binomial (|lam| choose lam_1), and an m-entry is the scaled row
+    times the p -> m matrix divided exactly by n!, so every entry is an int
+    and a fraction anywhere raises ``ValueError``.  A deformed family takes
+    the same route at scale 1 with values in its coefficient field.
+    ``memo`` maps each product index to its p-coordinates (u_k at (k,));
+    pass the same dict for every degree of one sequence to build each
+    element and product once.
     """
     if len(seq) < n:
         raise ValueError(f"sequence defines degrees 1..{len(seq)}, need {n}")
     ring = spec.coeff_ring
+    integral = not spec.definition.deformation
+    zero = 0 if integral else ring.zero
     if memo is None:
         memo = {}
 
-    def product(lam: tuple) -> SymFunc:
+    def product(lam: tuple) -> dict:
         if lam not in memo:
             if len(lam) == 1:
-                memo[lam] = to_basis(family_element(spec, *seq[lam[0] - 1]), "p")
+                pexp = p_expansion(family_element(spec, *seq[lam[0] - 1]))
+                if integral:
+                    scale = factorial(lam[0])
+                    pexp = {
+                        nu: _exact_quotient(c.numerator * scale, c.denominator)
+                        for nu, c in pexp.items()
+                    }
+                memo[lam] = pexp
             else:
-                memo[lam] = multiply(product(lam[:1]), product(lam[1:]))
+                head, tail = product(lam[:1]), product(lam[1:])
+                out: dict = {}
+                for la, ca in head.items():
+                    for lb, cb in tail.items():
+                        key = union(la, lb)
+                        s = out.get(key, zero) + ca * cb
+                        if CoeffRing.is_zero(s):
+                            out.pop(key, None)
+                        else:
+                            out[key] = s
+                if integral:
+                    scale = comb(sum(lam), lam[0])
+                    out = {nu: c * scale for nu, c in out.items()}
+                memo[lam] = out
         return memo[lam]
 
     order = partitions_of(n)
+    to_m = _basis_matrix_inverse("m", n)
+    # column nu of the p -> m matrix, as (row, entry) pairs for its nonzeros
+    cols = [[(j, row[i]) for j, row in enumerate(to_m) if row[i]] for i in range(len(order))]
+    scale = factorial(n)
     rows = []
     for lam in order:
-        as_m = to_basis(product(lam), "m").coeffs
-        row = [as_m.get(mu, ring.zero) for mu in order]
-        if not spec.definition.deformation:
-            row = [_as_int(v) for v in row]
+        coords = product(lam)
+        row = [zero] * len(order)
+        for nu, col in zip(order, cols):
+            c = coords.get(nu)
+            if c is not None:
+                for j, r in col:
+                    row[j] = row[j] + c * r
+        if integral:
+            row = [_exact_quotient(v, scale) for v in row]
         rows.append(tuple(row))
     return DegreeMatrix(degree=n, rows=order, cols=order, entries=tuple(rows))
 

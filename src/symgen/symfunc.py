@@ -10,10 +10,12 @@ through p:
 * ``s`` expands the Jacobi-Trudi determinant into ``h`` products,
 * ``f`` (forgotten) is the image of ``m`` under the involution omega,
 
-and the reverse direction needs no inversion.  The Hall inner product has
+and the reverse direction needs no inversion.  The coefficient of m_mu in
+p_nu is counted: the ways to drop the parts of nu into the rows of mu so
+that each row fills exactly.  For the other bases, the Hall inner product has
 ``<h_lam, m_mu> = delta`` and ``<p_lam, p_mu> = z_lam delta``, so the
 coefficient of b_mu in p_nu is ``z_nu * [p_nu] d_mu``, where d is the dual
-basis of b: m <-> h, e <-> f, s <-> s.  Those entries are integers; they are
+basis of b: h <-> m, e <-> f, s <-> s.  Those entries are integers; they are
 read off the cached p-expansions of the dual basis, once per degree.
 
 Skewing is the adjoint of multiplication, and under any form that is
@@ -225,7 +227,46 @@ def _basis_to_p(basis: str, lam: Partition) -> tuple:
 
 
 # the Hall-dual basis of each basis: <b_lam, dual(b)_mu> = delta_lam,mu
-_DUAL = {"m": "h", "h": "m", "e": "f", "f": "e", "s": "s"}
+# (the p -> m entries are counted instead)
+_DUAL = {"h": "m", "e": "f", "f": "e", "s": "s"}
+
+
+def _p_to_m_counts(order: tuple) -> tuple:
+    """The p -> m matrix on ``order`` (all partitions of one n): entry
+    [j][i] is the coefficient of m_{mu_j} in p_{nu_i}.
+
+    That coefficient counts the ways to drop the parts of nu into the
+    labelled rows of mu so that every row fills exactly (Macdonald I.6).
+    Parts go in one at a time, largest first; the count depends only on the
+    parts left and the sorted capacities left, which is what ``counts``
+    memoizes for this one matrix (a row of capacity c stands for all rows of
+    capacity c).
+    """
+    counts: dict = {}
+
+    def count(parts: tuple, caps: tuple) -> int:
+        if not parts:
+            return 1
+        if len(parts) < len(caps):  # every row takes at least one part
+            return 0
+        key = (parts, caps)
+        if key not in counts:
+            first, rest = parts[0], parts[1:]
+            total = 0
+            for i, cap in enumerate(caps):
+                if cap < first:
+                    break
+                if i and caps[i - 1] == cap:
+                    continue
+                left = cap - first
+                shrunk = caps[:i] + caps[i + 1:]
+                if left:
+                    shrunk = tuple(sorted(shrunk + (left,), reverse=True))
+                total += caps.count(cap) * count(rest, shrunk)
+            counts[key] = total
+        return counts[key]
+
+    return tuple(tuple(count(tuple(nu), tuple(mu)) for nu in order) for mu in order)
 
 
 @lru_cache(maxsize=None)
@@ -233,12 +274,15 @@ def _basis_matrix_inverse(basis: str, n: int) -> tuple:
     """The (p -> basis) change of basis at degree n, as Python ints.
 
     Entry [j][i] is the coefficient of basis_{mu_j} in p_{nu_i}, with both
-    indices in canonical (reverse-lex) order.  Pairing p_nu with the dual
-    element d_mu and using <p_nu, p_rho> = z_nu delta gives it without any
+    indices in canonical (reverse-lex) order.  For m the entries are counted
+    (``_p_to_m_counts``).  For the other bases, pairing p_nu with the dual
+    element d_mu and using <p_nu, p_rho> = z_nu delta gives them without any
     inversion: entry = z_{nu_i} * [p_{nu_i}] d_{mu_j}, an integer because
     p_nu lies in the integral ring.
     """
     order = partitions_of(n)
+    if basis == "m":
+        return _p_to_m_counts(order)
     idx = {lam: i for i, lam in enumerate(order)}
     z = [stats(nu).z for nu in order]
     rows = []

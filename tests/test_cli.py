@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symgen
 from symgen.cli import run
 from symgen.criteria import (
     FAMILIES,
@@ -149,6 +154,28 @@ def test_oracle_subcommand(capsys, ribbon_path):
     ]
     assert records == verdict(spec, seq, 3)
     assert lines[-1] == "overall=true"
+
+
+@pytest.mark.parametrize(
+    "second, code, overall", [("[1,1]", 0, "overall=true"), ("[2]", 1, "overall=false")]
+)
+def test_python_dash_m_runs_the_cli(tmp_path, second, code, overall):
+    path = tmp_path / "two.txt"
+    path.write_text(f"1: [1]\n2: {second}\n", encoding="utf-8")
+    src = str(Path(symgen.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-m", "symgen", "oracle", "--family", "m", "--ring", "Z",
+         "--seq-file", str(path), "--max-degree", "2"],
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+    assert proc.returncode == code and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    records = [json.loads(line) for line in lines[:-1]]
+    seq = [(Partition((1,)), None), (Partition(json.loads(second)), None)]
+    assert records == verdict(FamilySpec("m", "Z"), seq, 2)
+    assert lines[-1] == overall
 
 
 def test_probe_subcommand(capsys, ribbon_path):

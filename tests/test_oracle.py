@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symgen import oracle
+from symgen import cli, oracle
 from symgen.criteria import FAMILIES, FamilySpec, Specialization, criterion
 from symgen.oracle import (
     conjecture_probe,
@@ -19,7 +19,7 @@ from symgen.partitions import (
     Partition,
     partitions_of,
 )
-from symgen.symfunc import hall_inner, sym, to_basis
+from symgen.symfunc import SymFunc, hall_inner, multiply, sym, to_basis
 
 
 def P(*parts):
@@ -102,9 +102,29 @@ def test_non_refining_skew_monomial_gives_zero_det():
     assert mat.det() == 0
 
 
-STRAIGHT_SEQ = seq_of((1,), (1, 1), (2, 1), (2, 2), (3, 1, 1), (3, 2, 1))
+STRAIGHT_SEQ = seq_of((1,), (1, 1), (2, 1), (2, 2), (3, 1, 1), (3, 2, 1), (4, 2, 1))
 SKEW_SEQ = [(P(1), EMPTY), (P(2, 1), P(1)), (P(2, 2), P(1)), (P(3, 2), P(1)),
-            (P(3, 2, 1), P(1)), (P(4, 2, 1), P(1))]
+            (P(3, 2, 1), P(1)), (P(4, 2, 1), P(1)), (P(4, 3, 1), P(1))]
+
+
+def reference_entries(spec, seq, n):
+    """The products on m by multiply and to_basis, in the coefficient field."""
+    memo = {}
+
+    def product(lam):
+        if lam not in memo:
+            if len(lam) == 1:
+                memo[lam] = to_basis(family_element(spec, *seq[lam[0] - 1]), "p")
+            else:
+                memo[lam] = multiply(product(lam[:1]), product(lam[1:]))
+        return memo[lam]
+
+    order = partitions_of(n)
+    zero = spec.coeff_ring.zero
+    return tuple(
+        tuple(to_basis(product(lam), "m").coeffs.get(mu, zero) for mu in order)
+        for lam in order
+    )
 
 
 @pytest.mark.parametrize("ring", ["Q", "Z"])
@@ -115,11 +135,49 @@ def test_classical_degree_matrices_are_integral(name, ring):
     spec = FamilySpec(name, ring)
     seq = SKEW_SEQ if spec.is_skew else STRAIGHT_SEQ
     memo = {}
-    for n in range(1, 7):
+    for n in range(1, 8):
         mat = degree_matrix(spec, seq, n, memo)
         assert all(type(v) is int for row in mat.entries for v in row)
+        assert mat.entries == reference_entries(spec, seq, n), n
+        # n!-scaled p-coordinates: ints from the first element on
+        assert all(type(c) is int for coords in memo.values() for c in coords.values())
         frac = [[Fraction(v) for v in row] for row in mat.entries]
         assert mat.det() == det_bareiss(mat.entries) == det_gauss(frac)
+    assert not hasattr(oracle, "multiply") and not hasattr(oracle, "to_basis")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec("hl-P", "Qt"), FamilySpec("hl-Q", "Q", Specialization.at_root(3))],
+)
+def test_deformed_route_matches_reference(spec):
+    seq = seq_of((1,), (1, 1), (2, 1), (3, 1))
+    memo = {}
+    for n in range(1, 5):
+        mat = degree_matrix(spec, seq, n, memo)
+        assert mat.entries == reference_entries(spec, seq, n), n
+
+
+def test_integrality_guard(monkeypatch, tmp_path, capsys):
+    half = Fraction(1, 2)
+    # 1/2 p_1 fails the k!-scaling; 1/2 p_(1,1) scales to an int but its
+    # m-coordinates (1/2 m_2 + m_(1,1)) leave a remainder mod 2!
+    elements = {
+        P(1): SymFunc("p", {P(1): half}),
+        P(1, 1): SymFunc("p", {P(1, 1): half}),
+    }
+    monkeypatch.setattr(oracle, "family_element", lambda spec, lam, mu=None: elements[lam])
+    spec = FamilySpec("m", "Z")
+    with pytest.raises(ValueError, match="expected an integer entry, got 1/2"):
+        degree_matrix(spec, seq_of((1,)), 1)
+    with pytest.raises(ValueError, match="expected an integer entry, got 1/2"):
+        degree_matrix(spec, seq_of((1,), (1, 1)), 2, {(1,): {P(1): 1}})
+    path = tmp_path / "one.txt"
+    path.write_text("1: [1]\n", encoding="utf-8")
+    code = cli.run(["oracle", "--family", "m", "--ring", "Z", "--seq-file", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: expected an integer entry, got 1/2\n"
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("s", "Z"), FamilySpec("hl-P", "Qt")])

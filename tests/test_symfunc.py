@@ -347,6 +347,26 @@ def test_basis_matrix_inverse_matches_sympy(basis):
         assert sympy.Matrix(inverse) == to_p.inv()
 
 
+def test_counted_p_to_m_matrix_matches_hall_duality():
+    from symgen.symfunc import _basis_matrix_inverse, _basis_to_p
+
+    # worked entries: p_(2,1) = m_(3) + m_(2,1), p_(1,1,1) has 3 m_(2,1)
+    order = partitions_of(3)
+    assert _basis_matrix_inverse("m", 3)[order.index(P(2, 1))] == (0, 1, 3)
+    for n in range(13):
+        order = partitions_of(n)
+        idx = {lam: i for i, lam in enumerate(order)}
+        dual = []
+        for mu in order:
+            row = [0] * len(order)
+            for nu, c in _basis_to_p("h", mu):
+                row[idx[nu]] = stats(nu).z * c
+            dual.append(tuple(row))
+        counted = _basis_matrix_inverse("m", n)
+        assert all(type(entry) is int for row in counted for entry in row)
+        assert counted == tuple(dual), n
+
+
 def test_dominance():
     assert dominance_leq(P(1, 1, 1), P(3))
     assert dominance_lt(P(2, 2), P(3, 1))
