@@ -58,7 +58,6 @@ from .exactalg import (
 from .partitions import EMPTY, Partition, is_hook, partitions_of, stats
 from .symfunc import (
     SymFunc,
-    _jacobi_trudi_h_terms,
     multiply,
     p_expansion,
     skew_p,
@@ -338,9 +337,43 @@ def hl_P_pn_closed(lam, n: int) -> RatFunc:
     return _binomial_quotient(sign, monomial, [_one_minus(0, n)] + num, den)
 
 
+@lru_cache(maxsize=None)
+def _jacobi_trudi_h_terms(lam: Partition) -> tuple:
+    """Expansion of det(h_{lam_i - i + j}) as h-index partitions with signs.
+
+    Row i takes an unused column j with lam_i - i + j >= 0.  When the lowest
+    unused column already gives a negative index, no later row can fill it
+    (lam_i - i strictly decreases), so the branch is dropped there.
+    """
+    size = len(lam)
+    acc: dict[Partition, int] = {}
+
+    def expand(i: int, used: int, sign: int, parts: tuple):
+        if i == size:
+            key = Partition(sorted(parts, reverse=True))
+            acc[key] = acc.get(key, 0) + sign
+            return
+        free = [j for j in range(size) if not used & (1 << j)]
+        if lam[i] - i + free[0] < 0:
+            return
+        for j in free:
+            k = lam[i] - i + j
+            inversions = bin(used >> (j + 1)).count("1")
+            expand(
+                i + 1,
+                used | (1 << j),
+                -sign if inversions % 2 else sign,
+                parts + ((k,) if k else ()),
+            )
+
+    expand(0, 0, 1, ())
+    return tuple((key, c) for key, c in acc.items() if c)
+
+
 def big_schur(lam) -> SymFunc:
     """S_lam(x;t) = det(q_{lam_i - i + j}) over the one-row Q generators: the
-    Jacobi-Trudi expansion of s_lam with every h_r read as q_r."""
+    Jacobi-Trudi expansion of s_lam (``_jacobi_trudi_h_terms``) with every
+    h_r read as q_r."""
     total = SymFunc("p", {}, RING_QT)
     for parts, sign in _jacobi_trudi_h_terms(Partition(lam)):
         term = SymFunc("p", {EMPTY: RatFunc.from_fraction(sign)}, RING_QT)

@@ -7,7 +7,9 @@ through p:
 * ``m`` uses the domino-tabloid expansion of a monomial into power sums,
 * ``h`` uses the Newton recurrence ``n*h_n = sum_{r} p_r h_{n-r}``,
 * ``e`` is the single-column monomial ``e_n = m_{(1^n)}``,
-* ``s`` expands the Jacobi-Trudi determinant into ``h`` products,
+* ``s`` has the characters of the symmetric group as its coordinates,
+  ``s_lam = sum_nu chi^lam(nu) p_nu / z_nu``, each chi^lam(nu) an integer
+  from the Murnaghan-Nakayama rule (one rim hook per part of nu),
 * ``f`` (forgotten) is the image of ``m`` under the involution omega,
 
 and the reverse direction needs no inversion.  The coefficient of m_mu in
@@ -167,41 +169,45 @@ def _prod_row(rows: tuple) -> dict:
     return out
 
 
+def _beta_set(parts) -> tuple:
+    """The beta-set of a partition: its first-column hook lengths
+    lam_i + l - i, decreasing (l the number of nonzero parts)."""
+    parts = [p for p in parts if p]
+    return tuple(p + len(parts) - 1 - i for i, p in enumerate(parts))
+
+
 @lru_cache(maxsize=None)
-def _jacobi_trudi_h_terms(lam: Partition) -> tuple:
-    """Expansion of det(h_{lam_i - i + j}) as h-index partitions with signs."""
-    size = len(lam)
-    if size == 0:
-        return ((EMPTY, 1),)
-    acc: dict[Partition, int] = {}
+def _character(beta: tuple, nu: tuple) -> int:
+    """The irreducible character chi^lam(nu) of S_|lam|, lam given by its
+    beta-set, by the Murnaghan-Nakayama rule (Macdonald I.7, Ex. 5).
 
-    def expand(i: int, used: int, sign: int, parts: tuple):
-        if i == size:
-            key = Partition(sorted(parts, reverse=True))
-            acc[key] = acc.get(key, 0) + sign
-            return
-        for j in range(size):
-            bit = 1 << j
-            if used & bit:
-                continue
-            k = lam[i] - (i + 1) + (j + 1)
-            if k < 0:
-                continue
-            inversions = bin(used >> (j + 1)).count("1")
-            expand(
-                i + 1,
-                used | bit,
-                sign * (-1 if inversions % 2 else 1),
-                parts + ((k,) if k else ()),
-            )
-
-    expand(0, 0, 1, ())
-    return tuple((key, c) for key, c in acc.items() if c)
+    Removing a rim hook of length r = nu_1 from lam moves one bead of the
+    beta-set from b to a free b - r >= 0; the hook's height, and so the
+    sign, is the number of beads strictly between b - r and b.
+    """
+    if not nu:
+        return 1
+    r, rest = nu[0], nu[1:]
+    total = 0
+    for b in beta:
+        if b < r or b - r in beta:
+            continue
+        between = sum(1 for c in beta if b - r < c < b)
+        moved = sorted((c if c != b else b - r for c in beta), reverse=True)
+        parts = [c - (len(moved) - 1 - i) for i, c in enumerate(moved)]
+        chi = _character(_beta_set(parts), rest)
+        total += -chi if between % 2 else chi
+    return total
 
 
 @lru_cache(maxsize=None)
 def _basis_to_p(basis: str, lam: Partition) -> tuple:
-    """Power-sum expansion of one basis element, as ((nu, Fraction), ...)."""
+    """Power-sum expansion of one basis element, as ((nu, Fraction), ...),
+    nu ascending.
+
+    s_lam = sum_nu chi^lam(nu) p_nu / z_nu (``_character``); the other bases
+    follow the module docstring.
+    """
     if basis == "p":
         return ((lam, Fraction(1)),)
     if basis == "m":
@@ -214,15 +220,12 @@ def _basis_to_p(basis: str, lam: Partition) -> tuple:
         rows = tuple(_m_to_p(Partition([1] * part)) for part in lam)
         return tuple(sorted(_prod_row(rows).items()))
     if basis == "s":
-        out: dict = {}
-        for hkey, c in _jacobi_trudi_h_terms(lam):
-            for nu, cc in _basis_to_p("h", hkey):
-                s = out.get(nu, Fraction(0)) + c * cc
-                if s:
-                    out[nu] = s
-                else:
-                    del out[nu]
-        return tuple(sorted(out.items()))
+        beta = _beta_set(lam)
+        return tuple(
+            (nu, Fraction(chi, stats(nu).z))
+            for nu in reversed(partitions_of(lam.size))
+            if (chi := _character(beta, nu))
+        )
     raise ValueError(f"unknown basis {basis!r}")
 
 

@@ -9,6 +9,7 @@ from symgen.deformed import (
     _cyclotomic_factor,
     _gram_inverse_t,
     _gs_family,
+    _jacobi_trudi_h_terms,
     _strip_factor,
     _tableau_states,
     big_schur,
@@ -354,6 +355,37 @@ def test_no_pole_at_roots_of_unity():
 # ---------------------------------------------------------------------------
 # big Schur
 # ---------------------------------------------------------------------------
+
+def _jacobi_trudi_unpruned(lam):
+    """Every permutation prefix of det(h_{lam_i - i + j}), no branch dropped."""
+    size = len(lam)
+    acc = {}
+
+    def expand(i, used, sign, parts):
+        if i == size:
+            key = Partition(sorted(parts, reverse=True))
+            acc[key] = acc.get(key, 0) + sign
+            return
+        for j in range(size):
+            if used & (1 << j):
+                continue
+            k = lam[i] - i + j
+            if k < 0:
+                continue
+            inversions = bin(used >> (j + 1)).count("1")
+            expand(i + 1, used | (1 << j), sign * (-1) ** inversions, parts + ((k,) if k else ()))
+
+    expand(0, 0, 1, ())
+    return tuple((key, c) for key, c in acc.items() if c)
+
+
+def test_jacobi_trudi_terms_match_unpruned_enumeration():
+    # worked terms: s_(1,1) = h_(1,1) - h_(2)
+    assert dict(_jacobi_trudi_h_terms(P(1, 1))) == {P(1, 1): 1, P(2): -1}
+    for n in range(10):
+        for lam in partitions_of(n):
+            assert _jacobi_trudi_h_terms(lam) == _jacobi_trudi_unpruned(lam), lam
+
 
 def test_big_schur_closed_examples():
     assert big_schur_pn_closed((1, 1), 2) == RatFunc.make(-(P_ONE - Poly.t(2)))

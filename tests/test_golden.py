@@ -23,6 +23,7 @@ CASES = {
                                 "--seq-file", SEQ]),
     "probe.txt": (0, ["probe", "--seq-file", SEQ, "--max-degree", "5"]),
     "expand_p3_s.txt": (0, ["expand", "--expr", "p[3]", "--to", "s"]),
+    "expand_p12_s.txt": (0, ["expand", "--expr", "1*p[12]", "--to", "s"]),
     "inner_mac_j.txt": (0, ["inner", "--family", "mac-J", "--lambda", "2,2",
                             "--n", "4"]),
     "inner_hl_q.txt": (0, ["inner", "--family", "hl-Q", "--lambda", "2,1",

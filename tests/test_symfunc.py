@@ -312,6 +312,103 @@ def test_hook_rule_direct():
                 assert value == 0
 
 
+def _schur_by_jacobi_trudi(lam):
+    """p-coefficients of s_lam from det(h_{lam_i - i + j}): the signed
+    h-index terms times the h-expansions on p."""
+    from symgen.deformed import _jacobi_trudi_h_terms
+    from symgen.symfunc import _basis_to_p
+
+    out = {}
+    for hkey, sign in _jacobi_trudi_h_terms(lam):
+        for nu, c in _basis_to_p("h", hkey):
+            out[nu] = out.get(nu, 0) + sign * c
+    return tuple(sorted((nu, c) for nu, c in out.items() if c))
+
+
+def test_schur_characters_match_jacobi_trudi():
+    from symgen.symfunc import _basis_to_p
+
+    for n in range(10):
+        for lam in partitions_of(n):
+            got = _basis_to_p("s", lam)
+            assert all(type(c) is Fraction for _, c in got)
+            assert got == _schur_by_jacobi_trudi(lam), lam
+
+
+def test_character_orthogonality():
+    from symgen.symfunc import _beta_set, _character
+
+    for n in range(10):
+        order = partitions_of(n)
+        table = {lam: [_character(_beta_set(lam), nu) for nu in order] for lam in order}
+        z = [stats(nu).z for nu in order]
+        for lam in order:
+            for mu in order:
+                pairing = sum(
+                    Fraction(a * b, zn) for a, b, zn in zip(table[lam], table[mu], z)
+                )
+                assert pairing == (lam == mu), (lam, mu)
+
+
+def test_character_degree_is_hook_length_formula():
+    from math import factorial
+
+    from symgen.symfunc import _beta_set, _character
+
+    # worked values: chi^(2,1) = (2, 0, -1) on (1^3), (2,1), (3)
+    assert [_character(_beta_set(P(2, 1)), nu) for nu in partitions_of(3)][::-1] == [2, 0, -1]
+    for n in range(13):
+        for lam in partitions_of(n):
+            conj = lam.conjugate()
+            hooks = 1
+            for i, row in enumerate(lam):
+                for j in range(row):
+                    hooks *= row - j + conj[j] - i - 1
+            assert _character(_beta_set(lam), P(*[1] * n)) == factorial(n) // hooks, lam
+
+
+def test_one_row_and_one_column_schur():
+    from symgen.symfunc import _basis_to_p
+
+    for n in range(15):
+        assert _basis_to_p("s", P(n)) == _basis_to_p("h", P(n)), n
+        assert _basis_to_p("s", P(*[1] * n)) == _basis_to_p("e", P(n)), n
+
+
+def test_schur_expansions_take_no_jacobi_trudi_and_no_h_products(monkeypatch):
+    # s reaches p through its characters alone: neither the Jacobi-Trudi
+    # terms nor a product of h- or e-rows is built, for s, skew s or the
+    # p -> s matrix
+    import sys
+
+    from symgen import symfunc
+    from symgen.symfunc import _basis_matrix_inverse, p_expansion
+
+    calls = {}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.startswith("symgen.")]
+    for name in ("_jacobi_trudi_h_terms", "_prod_row"):
+        for module in modules:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    for cache in (symfunc._basis_to_p, symfunc._basis_matrix_inverse, symfunc._character):
+        cache.cache_clear()
+    for n in range(9):
+        _basis_matrix_inverse("s", n)
+        for lam in partitions_of(n):
+            p_expansion(sym("s", lam))
+            for m in range(min(n, 3) + 1):
+                for mu in partitions_of(m):
+                    skew("s", lam, mu)
+    assert calls == {}
+
+
 # ---------------------------------------------------------------------------
 # dominance, rendering, parsing
 # ---------------------------------------------------------------------------
