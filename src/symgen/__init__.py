@@ -22,9 +22,7 @@ from .exactalg import (
     RING_QQT,
     RING_QT,
     cyclo_ring,
-    cyclotomic_multiplicity,
     cyclotomic_poly,
-    ratfunc_reduce,
     specialize_root_of_unity,
 )
 from .partitions import (

@@ -15,7 +15,14 @@ the integral form J = c_lam P).
 
 Skew Hall-Littlewood P: both forms are diagonal on the power sums, so the
 adjoint of multiplication by P_mu is ``symfunc.skew_p`` under the t-norms,
-with no Gram matrix of the P family to invert.
+with no Gram matrix of the P family to invert.  Its pairing with p_n needs
+no skew element at all: ``skew_hl_P_pn_inner`` is one sum over the
+power-sum coordinates of P_lam and P_mu.
+
+Polynomial coordinates: ``polynomial_p_coordinates`` gives an element over
+Q(t) or Q(q,t) on the power sums as polynomials over one known
+denominator, which is how the oracle and the probe take products and
+pairings without rational-function arithmetic.
 
 Closed forms: the Hall-Littlewood and Macdonald pairings are a sign times a
 monomial times a quotient of products of binomials q^a t^b - q^c t^d, one
@@ -39,7 +46,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 from .exactalg import (
     P_ONE,
@@ -53,11 +60,13 @@ from .exactalg import (
     Specialization,
     cyclotomic_poly,
     poly_exact_div,
+    poly_gcd,
     try_exact_div,
 )
-from .partitions import EMPTY, Partition, is_hook, partitions_of, stats
+from .partitions import EMPTY, Partition, is_hook, partitions_of, stats, union
 from .symfunc import (
     SymFunc,
+    _basis_to_p,
     multiply,
     p_expansion,
     skew_p,
@@ -99,6 +108,34 @@ def _pexp_inner(xp: dict, yp: dict, kind: str) -> RatFunc:
         if nu in yp:
             total = total + _p_norm(nu, kind) * cx * yp[nu]
     return total
+
+
+def polynomial_p_coordinates(x: SymFunc) -> tuple[Poly, dict]:
+    """(D, {nu: D [p_nu] x}) for a homogeneous x of degree k over Q(t) or
+    Q(q,t): D is k! times the lcm of the denominators of x's coefficients.
+
+    Every coordinate is a Poly, summed term by term from the coefficients
+    scale * num * (lcm / den) and the rational p-expansions of x's basis,
+    with no rational-function arithmetic; only the lcm takes gcds.  As z_nu
+    divides k!, an x with coefficients in Z[t] or Z[q,t] on m has integer
+    coordinates.
+    """
+    common = P_ONE
+    for den in {c.den for c in x.coeffs.values()}:
+        if den != P_ONE:
+            common = common * poly_exact_div(den, poly_gcd(common, den))
+    scale = factorial(x.degree())
+    acc: dict = {}
+    for lam, c in x.coeffs.items():
+        num = c.num if c.den == common else c.num * poly_exact_div(common, c.den)
+        for nu, fr in _basis_to_p(x.basis, lam):
+            terms = acc.setdefault(nu, {})
+            weight = c.scale * fr * scale
+            for term, v in num.terms.items():
+                terms[term] = terms.get(term, 0) + v * weight
+    return common * scale, {
+        nu: p for nu, terms in acc.items() if (p := Poly(terms))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +494,35 @@ def skew_hl_P(lam, mu) -> SymFunc:
         norm=_p_norm, inverse=_gram_inverse_t(lam.size - mu.size),
     )
     return to_basis(SymFunc("p", coeffs, RING_QT), "m")
+
+
+def skew_hl_P_pn_inner(lam, mu, n: int) -> RatFunc:
+    """<P_{lam/mu}, p_n>_t = <P_lam, P_mu p_n>_t, without P_{lam/mu}.
+
+    The t-form is diagonal on the power sums and p_beta p_n = p_{beta u (n)},
+    so the pairing is one sum over beta |- |mu| of
+    [p_beta] P_mu * [p_{beta u (n)}] P_lam * <p_{beta u (n)}, p_{beta u (n)}>_t
+    on the polynomial p-coordinates of the two families.  Each norm is z over
+    (1 - t^n) prod (1 - t^{beta_i}), and prod (1 - t^{beta_i}) divides
+    prod phi_{beta_i}(t), which divides phi_{|mu|}(t) (the quotient is a
+    t-multinomial coefficient).  So the terms are summed over the common
+    denominator (1 - t^n) phi_{|mu|}(t) and reduced once.  |lam| < |mu|
+    gives zero without building either family.
+    """
+    lam, mu = Partition(lam), Partition(mu)
+    if lam.size < mu.size:
+        return RF_ZERO
+    d_lam, x = polynomial_p_coordinates(hl_P(lam))
+    d_mu, y = polynomial_p_coordinates(hl_P(mu))
+    common = (P_ONE - Poly.t(n)) * phi_factorial(mu.size)
+    total = P_ZERO
+    for beta, cy in y.items():
+        gamma = union(beta, (n,))
+        cx = x.get(gamma)
+        if cx is not None:
+            norm = _p_norm(gamma)  # scale / den: its numerator is 1
+            total = total + cx * cy * poly_exact_div(common, norm.den) * norm.scale
+    return RatFunc.make(total, common * d_lam * d_mu)
 
 
 # ---------------------------------------------------------------------------

@@ -255,18 +255,6 @@ class Poly:
         """Exchange the roles of q and t."""
         return Poly({(dt, dq): c for (dq, dt), c in self.terms.items()})
 
-    def subs_q_to_t(self) -> "Poly":
-        """Identify q with t (for q=t degenerations)."""
-        out: dict = {}
-        for (dq, dt), c in self.terms.items():
-            term = (0, dq + dt)
-            s = out.get(term, 0) + c
-            if s:
-                out[term] = s
-            else:
-                out.pop(term, None)
-        return Poly(out)
-
     # -- normal forms ------------------------------------------------------
     def split_content(self):
         """Write self = scale * prim with prim integer, content 1, leading > 0."""
@@ -573,22 +561,6 @@ def euler_phi(k: int) -> int:
     return cyclotomic_poly(k).deg_t()
 
 
-def cyclotomic_multiplicity(p: Poly, k: int) -> int:
-    """Exponent of Phi_k(t) in the factorization of a univariate-in-t poly."""
-    if p.is_zero():
-        raise ZeroPolynomial("cyclotomic multiplicity of the zero polynomial")
-    if not p.is_univariate_t():
-        raise ValueError("polynomial must be univariate in t")
-    phi_k = cyclotomic_poly(k)
-    count = 0
-    while True:
-        quo = try_exact_div(p, phi_k)
-        if quo is None:
-            return count
-        p = quo
-        count += 1
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
@@ -600,7 +572,7 @@ class RatFunc:
 
     def __init__(self, scale: Fraction, num: Poly, den: Poly, _raw: bool = False):
         if not _raw:
-            raise TypeError("use RatFunc.make / ratfunc_reduce")
+            raise TypeError("use RatFunc.make")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -767,27 +739,12 @@ class RatFunc:
         return hash((self.scale, self.num, self.den))
 
     # -- substitution ------------------------------------------------------
-    def subs(self, q=None, t=None) -> "RatFunc":
-        """Substitute rational values; raises ZeroDenominator on a pole."""
-        if self.is_zero():
-            return self
-        num = self.num.subs(q=q, t=t)
-        den = self.den.subs(q=q, t=t)
-        return RatFunc.make(num, den, self.scale)
-
     def swap_vars(self) -> "RatFunc":
         if self.is_zero():
             return self
         # an automorphism keeps coprime parts coprime: no gcd is needed
         return RatFunc._make_coprime(
             self.num.swap_vars(), self.den.swap_vars(), self.scale
-        )
-
-    def subs_q_to_t(self) -> "RatFunc":
-        if self.is_zero():
-            return self
-        return RatFunc.make(
-            self.num.subs_q_to_t(), self.den.subs_q_to_t(), self.scale
         )
 
     def eval_rational(self, q=None, t=None) -> Fraction:
@@ -812,11 +769,6 @@ class RatFunc:
 
 RF_ZERO = RatFunc(Fraction(0), P_ZERO, P_ONE, _raw=True)
 RF_ONE = RatFunc(Fraction(1), P_ONE, P_ONE, _raw=True)
-
-
-def ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:
-    """Canonical reduced form of num/den (ZeroDenominator if den = 0)."""
-    return RatFunc.make(num, den)
 
 
 # ---------------------------------------------------------------------------

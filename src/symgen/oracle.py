@@ -17,7 +17,17 @@ divides k!).  So the route runs on ints: u_k enters as k! times its
 p-expansion, a product of degrees a and b is the convolution of its factors
 times (a + b choose a), and an m-entry is the scaled row times the p -> m
 matrix divided exactly by n!.  A denominator at either step raises
-``ValueError``.  A deformed family takes the same route at scale 1, with
+``ValueError``.
+
+A deformed family over its generic field Q(t) or Q(q,t) takes the route on
+polynomials.  u_k enters as D_k [p_nu] u_k, with D_k = k! times the lcm of
+the denominators of u_k's coefficients (``polynomial_p_coordinates``; the
+lcm is 1 for every such family but Macdonald P, where it divides c_lam).  A
+product convolves the polynomials and carries the product of its factors'
+D, and each m-entry becomes a rational function once, as
+``RatFunc.make(entry, D)``: no rational-function sum or product and no gcd
+is taken on the way, apart from the lcm.  A specialized deformed family (at
+a value, a root of unity or a (q,t) pair) takes the route at scale 1, with
 values in its coefficient field.
 
 A specialization under which some u_k does not exist (a vanishing
@@ -26,8 +36,13 @@ and ``inner`` null at degree k; the criterion fields still come from
 ``criteria``.
 
 Determinants: a classical family's matrix on m is integral over Q as over Z,
-so its determinant is fraction-free Bareiss; exact Gaussian elimination
-serves the deformed families' coefficient fields.
+so its determinant is fraction-free Bareiss; exact Gaussian elimination, one
+pivot inverse per column, serves the deformed families' coefficient fields
+(Bareiss over polynomials lost to it above degree 5; see ROADMAP item 2).
+
+The conjecture probe prints <P_{lam/mu}, p_n>_t, which it takes as one sum
+over the power-sum coordinates of P_lam and P_mu
+(``deformed.skew_hl_P_pn_inner``) without building P_{lam/mu}.
 """
 
 from __future__ import annotations
@@ -42,8 +57,8 @@ from .criteria import (
     render_value,
     value_is_unit,
 )
-from .deformed import deformed_inner, skew_hl_P, specialize_coeffs
-from .exactalg import RING_QT, CoeffRing, ZeroDenominator
+from .deformed import polynomial_p_coordinates, skew_hl_P_pn_inner, specialize_coeffs
+from .exactalg import P_ZERO, CoeffRing, RatFunc, ZeroDenominator
 from .partitions import (
     EMPTY,
     Partition,
@@ -55,7 +70,7 @@ from .partitions import (
     partitions_of,
     union,
 )
-from .symfunc import SymFunc, _basis_matrix_inverse, p_expansion, sym
+from .symfunc import SymFunc, _basis_matrix_inverse, p_expansion
 
 # the highest degree the skew Hall-Littlewood probe computes
 PROBE_MAX_DEGREE = 5
@@ -122,10 +137,13 @@ def det_gauss(mat: list):
             sign = -sign
         p = mat[k][k]
         det = p if det is None else det * p
+        inverse = None  # 1/p, computed once per column
         for i in range(k + 1, size):
             if not mat[i][k]:
                 continue
-            factor = mat[i][k] / p
+            if inverse is None:
+                inverse = 1 / p
+            factor = mat[i][k] * inverse
             for j in range(k, size):
                 mat[i][j] = mat[i][j] - factor * mat[k][j]
     return det if sign == 1 else det * (-1)
@@ -145,6 +163,11 @@ def family_element(spec: FamilySpec, lam, mu=None) -> SymFunc:
     return specialize_coeffs(base, spec.specialization, fam.variable)
 
 
+def _polynomial_route(spec: FamilySpec) -> bool:
+    """A deformed family over its generic field, Q(t) or Q(q,t)."""
+    return bool(spec.definition.deformation) and spec.specialization is None
+
+
 def _exact_quotient(num: int, den: int) -> int:
     quotient, remainder = divmod(num, den)
     if remainder:
@@ -157,51 +180,60 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
 
     Rows follow the canonical order of the product index lam; columns the
     canonical order of the monomial index.  Products are convolved on the
-    p-basis and then taken to m by the integer p -> m matrix.  A classical
-    family works in n!-scaled coordinates: u_k enters as the ints
-    k! [p_nu] u_k, a product is the union-convolution of its factors times
-    the binomial (|lam| choose lam_1), and an m-entry is the scaled row
-    times the p -> m matrix divided exactly by n!, so every entry is an int
-    and a fraction anywhere raises ``ValueError``.  A deformed family takes
-    the same route at scale 1 with values in its coefficient field.
-    ``memo`` maps each product index to its p-coordinates (u_k at (k,));
-    pass the same dict for every degree of one sequence to build each
-    element and product once.
+    p-basis and then taken to m by the integer p -> m matrix, on one of the
+    three coordinate systems of the module docstring: the ints
+    k! [p_nu] u_k of a classical family (every entry an int, a fraction
+    anywhere raising ``ValueError``), the polynomials D_k [p_nu] u_k of a
+    deformed family over Q(t) or Q(q,t) (``polynomial_p_coordinates``; each
+    entry is ``RatFunc.make`` of the polynomial entry over the row's D), or
+    the specialized field's values.
+    ``memo`` maps each product index to its coordinates (u_k at (k,)); on
+    the polynomial route each value is the pair (D, coordinates).  Pass the
+    same dict for every degree of one sequence to build each element and
+    product once.
     """
     if len(seq) < n:
         raise ValueError(f"sequence defines degrees 1..{len(seq)}, need {n}")
-    ring = spec.coeff_ring
     integral = not spec.definition.deformation
-    zero = 0 if integral else ring.zero
+    polynomial = _polynomial_route(spec)
+    zero = 0 if integral else P_ZERO if polynomial else spec.coeff_ring.zero
     if memo is None:
         memo = {}
 
-    def product(lam: tuple) -> dict:
+    def element(k: int):
+        u = family_element(spec, *seq[k - 1])
+        if polynomial:
+            return polynomial_p_coordinates(u)
+        pexp = p_expansion(u)
+        if integral:
+            scale = factorial(k)
+            pexp = {
+                nu: _exact_quotient(c.numerator * scale, c.denominator)
+                for nu, c in pexp.items()
+            }
+        return pexp
+
+    def product(lam: tuple):
         if lam not in memo:
             if len(lam) == 1:
-                pexp = p_expansion(family_element(spec, *seq[lam[0] - 1]))
-                if integral:
-                    scale = factorial(lam[0])
-                    pexp = {
-                        nu: _exact_quotient(c.numerator * scale, c.denominator)
-                        for nu, c in pexp.items()
-                    }
-                memo[lam] = pexp
-            else:
-                head, tail = product(lam[:1]), product(lam[1:])
-                out: dict = {}
-                for la, ca in head.items():
-                    for lb, cb in tail.items():
-                        key = union(la, lb)
-                        s = out.get(key, zero) + ca * cb
-                        if CoeffRing.is_zero(s):
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
-                if integral:
-                    scale = comb(sum(lam), lam[0])
-                    out = {nu: c * scale for nu, c in out.items()}
-                memo[lam] = out
+                memo[lam] = element(lam[0])
+                return memo[lam]
+            head, tail = product(lam[:1]), product(lam[1:])
+            if polynomial:
+                (d_head, head), (d_tail, tail) = head, tail
+            out: dict = {}
+            for la, ca in head.items():
+                for lb, cb in tail.items():
+                    key = union(la, lb)
+                    s = out.get(key, zero) + ca * cb
+                    if CoeffRing.is_zero(s):
+                        out.pop(key, None)
+                    else:
+                        out[key] = s
+            if integral:
+                scale = comb(sum(lam), lam[0])
+                out = {nu: c * scale for nu, c in out.items()}
+            memo[lam] = (d_head * d_tail, out) if polynomial else out
         return memo[lam]
 
     order = partitions_of(n)
@@ -212,6 +244,8 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
     rows = []
     for lam in order:
         coords = product(lam)
+        if polynomial:
+            denominator, coords = coords
         row = [zero] * len(order)
         for nu, col in zip(order, cols):
             c = coords.get(nu)
@@ -220,14 +254,20 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
                     row[j] = row[j] + c * r
         if integral:
             row = [_exact_quotient(v, scale) for v in row]
+        elif polynomial:
+            row = [RatFunc.make(v, denominator) for v in row]
         rows.append(tuple(row))
     return DegreeMatrix(degree=n, rows=order, cols=order, entries=tuple(rows))
 
 
 def recomputed_inner(spec: FamilySpec, lam, mu, n: int):
     """<u_n, p_n> by full expansion of the constructed element (no closed
-    forms): n times the coefficient of p_(n)."""
+    forms): n times the coefficient of p_(n), read off the polynomial
+    coordinates over Q(t) and Q(q,t)."""
     u = family_element(spec, lam, mu)
+    if _polynomial_route(spec):
+        scale, coords = polynomial_p_coordinates(u)
+        return RatFunc.make(coords.get(Partition((n,)), P_ZERO) * n, scale)
     coeff = p_expansion(u).get(Partition((n,)))
     ring = spec.coeff_ring
     if coeff is None:
@@ -293,7 +333,7 @@ def conjecture_probe(seq, max_degree: int) -> list[dict]:
         mu = Partition(mu) if mu is not None else EMPTY
         if lam.size - mu.size != n:
             raise ValueError(f"entry {n} is not a skew partition of {n}")
-        value = deformed_inner(skew_hl_P(lam, mu), sym("p", (n,), RING_QT), "t")
+        value = skew_hl_P_pn_inner(lam, mu, n)
         has_containment = contains(mu, lam)
         separated = None
         if has_containment:

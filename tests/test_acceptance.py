@@ -61,6 +61,8 @@ from symgen.symfunc import (
 )
 from symgen.tabloids import w
 
+from exact_reference import ratfunc_subs
+
 
 @contextmanager
 def reported(number: int, name: str):
@@ -243,7 +245,7 @@ def test_acceptance_7_macdonald():
                 )
                 # q = 0 recovers Hall-Littlewood P coefficientwise
                 at_q0 = {
-                    mu: c.subs(q=Fraction(0))
+                    mu: ratfunc_subs(c, q=Fraction(0))
                     for mu, c in mac_P(lam).coeffs.items()
                 }
                 assert {
@@ -251,7 +253,7 @@ def test_acceptance_7_macdonald():
                 } == dict(hl_P(lam).coeffs)
                 # t = 0 recovers the q-Whittaker construction coefficientwise
                 at_t0 = {
-                    mu: c.subs(t=Fraction(0))
+                    mu: ratfunc_subs(c, t=Fraction(0))
                     for mu, c in mac_P(lam).coeffs.items()
                 }
                 assert {

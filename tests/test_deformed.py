@@ -43,7 +43,6 @@ from symgen.exactalg import (
     PoleAtRootOfUnity,
     RatFunc,
     T,
-    cyclotomic_multiplicity,
     cyclotomic_poly,
     poly_exact_div,
     specialize_root_of_unity,
@@ -60,6 +59,8 @@ from symgen.symfunc import (
     to_basis,
 )
 from symgen.tabloids import SizeMismatch
+
+from exact_reference import cyclotomic_multiplicity, ratfunc_subs, ratfunc_subs_q_to_t
 
 
 def P(*parts):
@@ -89,7 +90,7 @@ def test_qt_inner_reduces_to_t_at_q_zero():
             x = sym("p", lam, RING_QQT)
             qt_val = deformed_inner(x, x, "qt")
             t_val = deformed_inner(sym("p", lam, RING_QT), sym("p", lam, RING_QT), "t")
-            assert qt_val.subs(q=Fraction(0)) == t_val
+            assert ratfunc_subs(qt_val, q=Fraction(0)) == t_val
 
 
 def test_deformed_inner_rejects_bad_kind():
@@ -448,7 +449,7 @@ def test_mac_degenerations():
     for n in range(1, 5):
         for lam in partitions_of(n):
             # q = t gives the Schur functions
-            at_qt = {mu: c.subs_q_to_t() for mu, c in mac_P(lam).coeffs.items()}
+            at_qt = {mu: ratfunc_subs_q_to_t(c) for mu, c in mac_P(lam).coeffs.items()}
             want = {
                 mu: RatFunc.from_fraction(c)
                 for mu, c in to_basis(sym("s", lam), "m").coeffs.items()
@@ -456,16 +457,16 @@ def test_mac_degenerations():
             assert at_qt == want
             # q = 0 gives Hall-Littlewood P
             at_q0 = {
-                mu: c.subs(q=Fraction(0)) for mu, c in mac_P(lam).coeffs.items()
+                mu: ratfunc_subs(c, q=Fraction(0)) for mu, c in mac_P(lam).coeffs.items()
             }
             assert {k: v for k, v in at_q0.items() if not v.is_zero()} == dict(
                 hl_P(lam).coeffs
             )
             # t = 0 gives the q-Whittaker functions, built from psi at t = 0
             assert whittaker(lam).coeffs == {
-                mu: c.subs(t=Fraction(0))
+                mu: ratfunc_subs(c, t=Fraction(0))
                 for mu, c in mac_P(lam).coeffs.items()
-                if not c.subs(t=Fraction(0)).is_zero()
+                if not ratfunc_subs(c, t=Fraction(0)).is_zero()
             }
 
 
@@ -600,7 +601,7 @@ def test_skew_hl_examples():
     at0 = specialize_coeffs(skew_hl_P((2, 2), (1,)), t=Fraction(0))
     assert at0 == to_basis(skew("s", (2, 2), (1,)), "m")
     value = deformed_inner(skew_hl_P((2, 2), (1,)), sym("p", (3,), RING_QT), "t")
-    assert value.subs(t=Fraction(0)).as_fraction() == -1
+    assert ratfunc_subs(value, t=Fraction(0)).as_fraction() == -1
     assert skew_hl_P((1,), (2,)).is_zero()
 
 

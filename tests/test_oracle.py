@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from symgen import cli, oracle
+from symgen import cli, deformed, exactalg, oracle
 from symgen.criteria import FAMILIES, FamilySpec, Specialization, criterion
+from symgen.deformed import deformed_inner, skew_hl_P, skew_hl_P_pn_inner
+from symgen.exactalg import RING_QT, RatFunc, _poly_gcd_prim
 from symgen.oracle import (
     conjecture_probe,
     degree_matrix,
@@ -148,7 +151,14 @@ def test_classical_degree_matrices_are_integral(name, ring):
 
 @pytest.mark.parametrize(
     "spec",
-    [FamilySpec("hl-P", "Qt"), FamilySpec("hl-Q", "Q", Specialization.at_root(3))],
+    [
+        FamilySpec("hl-P", "Qt"),
+        FamilySpec("hl-Q", "Q", Specialization.at_root(3)),
+        FamilySpec("big-S", "Qt"),
+        FamilySpec("whittaker", "Qt"),
+        FamilySpec("mac-P", "Qqt"),
+        FamilySpec("mac-J", "Qqt"),
+    ],
 )
 def test_deformed_route_matches_reference(spec):
     seq = seq_of((1,), (1, 1), (2, 1), (3, 1))
@@ -156,6 +166,62 @@ def test_deformed_route_matches_reference(spec):
     for n in range(1, 5):
         mat = degree_matrix(spec, seq, n, memo)
         assert mat.entries == reference_entries(spec, seq, n), n
+
+
+GENERIC_DEFORMED = [
+    FamilySpec(name, "Qqt" if fam.deformation == "qt" else "Qt")
+    for name, fam in sorted(FAMILIES.items())
+    if fam.deformation
+]
+
+
+@pytest.mark.parametrize("spec", GENERIC_DEFORMED, ids=lambda spec: spec.family)
+def test_polynomial_route_takes_no_rational_function_arithmetic(spec, monkeypatch):
+    """Over Q(t) and Q(q,t) the products are convolved on polynomial
+    p-coordinates: no RatFunc product or sum, and a gcd only for the lcm of
+    an element's denominators or inside the one RatFunc.make per entry."""
+    seq = seq_of((1,), (1, 1), (2, 1), (3, 1))
+    elements = {lam: family_element(spec, lam, mu) for lam, mu in seq}
+    monkeypatch.setattr(oracle, "family_element", lambda spec, lam, mu=None: elements[lam])
+    calls = Counter()
+    where = ["products"]
+
+    def counting(name, fn, scope=None):
+        def wrapper(*args, **kwargs):
+            calls[name, where[-1]] += 1
+            if scope is not None:
+                where.append(scope)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                if scope is not None:
+                    where.pop()
+        return wrapper
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting("mul", RatFunc.__mul__))
+    monkeypatch.setattr(RatFunc, "__add__", counting("add", RatFunc.__add__))
+    monkeypatch.setattr(
+        RatFunc, "make", staticmethod(counting("make", RatFunc.make, "make"))
+    )
+    for module in (exactalg, deformed):
+        monkeypatch.setattr(module, "poly_gcd", counting("gcd", exactalg.poly_gcd))
+    monkeypatch.setattr(
+        oracle,
+        "polynomial_p_coordinates",
+        counting("coordinates", deformed.polynomial_p_coordinates, "lcm"),
+    )
+    lookups = _poly_gcd_prim.cache_info()
+    memo = {}
+    for n in range(1, 5):
+        degree_matrix(spec, seq, n, memo)
+    assert calls["coordinates", "products"] == 4
+    assert calls["make", "products"] == sum(len(partitions_of(n)) ** 2 for n in range(1, 5))
+    assert {scope for name, scope in calls if name == "gcd"} <= {"lcm", "make"}
+    assert not any(name in ("mul", "add") for name, _ in calls)
+    if spec.family != "mac-P":
+        # every coefficient is a polynomial: no gcd reaches the cached core
+        after = _poly_gcd_prim.cache_info()
+        assert (after.hits, after.misses) == (lookups.hits, lookups.misses)
 
 
 def test_integrality_guard(monkeypatch, tmp_path, capsys):
@@ -361,6 +427,43 @@ def test_probe_column_separated_value_recorded():
     records = conjecture_probe(seq, 2)
     assert records[1]["column_separated"] is True
     assert isinstance(records[1]["value"], str)
+
+
+def test_probe_sum_matches_the_skew_element():
+    # every lam/mu with |lam| <= 6, |mu| <= 2 and n = |lam| - |mu| >= 1,
+    # whether or not mu fits inside lam
+    shapes = [lam for size in range(1, 7) for lam in partitions_of(size)]
+    inner = [lam for size in range(3) for lam in partitions_of(size)]
+    checked = 0
+    for lam in shapes:
+        for mu in inner:
+            n = lam.size - mu.size
+            if n < 1:
+                continue
+            want = deformed_inner(skew_hl_P(lam, mu), sym("p", (n,), RING_QT), "t")
+            assert skew_hl_P_pn_inner(lam, mu, n) == want, (lam, mu)
+            checked += 1
+    assert checked == 109
+    # |lam| < |mu| pairs to zero
+    assert skew_hl_P_pn_inner((1,), (2,), 1).is_zero()
+    assert skew_hl_P_pn_inner((2,), (2, 1), 3).is_zero()
+
+
+def test_probe_builds_no_skew_element(monkeypatch):
+    seq = [(P(1), EMPTY), (P(2, 1), P(1)), (P(1, 1, 1, 1, 1), P(2)), (P(3, 2), P(1))]
+    want = [
+        deformed_inner(skew_hl_P(lam, mu), sym("p", (n,), RING_QT), "t").render()
+        for n, (lam, mu) in enumerate(seq, start=1)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe builds no skew element")
+
+    for module in (oracle, deformed):
+        for name in ("skew_hl_P", "skew_p", "to_basis", "deformed_inner", "_pexp_inner"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert [r["value"] for r in conjecture_probe(seq, 4)] == want
 
 
 def test_probe_requires_skew_grading():
