@@ -10,7 +10,8 @@ inner]).  Sequence files are UTF-8 text, one line per degree, "n: [lam]" or
 "n: [lam]/[mu]", '#' comments, degrees consecutive from 1.
 
 Exit codes: 0 success, 1 when a check/oracle run's overall verdict is false,
-2 on parse errors, shapes that do not fit the degree (``inner`` included),
+2 on parse errors (more than one of --at-root, --at-value and --at-q/--at-t
+included), shapes that do not fit the degree (``inner`` included),
 a ``--max-degree`` below 1 or beyond the file (or, for probe, beyond
 ``oracle.PROBE_MAX_DEGREE``), or a criterion that disagrees with its own
 exact value (one-line diagnostic on stderr).
@@ -69,7 +70,9 @@ _SKEW_ELEMENTS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser with only ``command``'s subparser declared, or with all of
+    them when ``command`` names none (None, ``--help``, a typo)."""
     parser = _Parser(prog="symgen", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--seed-manifest",
@@ -77,54 +80,72 @@ def _build_parser() -> _Parser:
         help="print a JSON manifest of the full invocation before the output",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_expand = sub.add_parser("expand", help="re-express a symmetric function")
-    p_expand.add_argument("--expr", required=True, help='e.g. "s[2,1]" or "3*m[2,1] - 1*m[3]"')
-    p_expand.add_argument("--to", required=True, choices=list("mhepsf"))
-    p_expand.add_argument("--ring", default="Q", choices=["Q", "Qt", "Qqt"])
-
-    p_inner = sub.add_parser("inner", help="closed-form <u_n, p_n> for a family")
-    p_inner.add_argument("--family", required=True)
-    p_inner.add_argument("--lambda", dest="lam", required=True)
-    p_inner.add_argument("--mu", default=None)
-    p_inner.add_argument("--n", type=int, required=True)
-    p_inner.add_argument("--at-root", type=int, default=None, metavar="K")
-    p_inner.add_argument("--at-value", default=None, metavar="RAT")
-    p_inner.add_argument("--at-q", default=None, metavar="RAT")
-    p_inner.add_argument("--at-t", default=None, metavar="RAT")
-
-    p_skew = sub.add_parser("skew", help="expand a skew family element")
-    p_skew.add_argument("--family", required=True, choices=list(_SKEW_ELEMENTS))
-    p_skew.add_argument("--lambda", dest="lam", required=True)
-    p_skew.add_argument("--mu", default="")
-    p_skew.add_argument("--to", default=None, choices=list("mhepsf"))
-
-    p_tab = sub.add_parser("tabloids", help="domino tabloid weight sums")
-    p_tab.add_argument("--shape", required=True)
-    p_tab.add_argument("--type", dest="typ", required=True)
-    p_tab.add_argument("--list", action="store_true")
-
-    p_check = sub.add_parser("check", help="criteria verdicts for a sequence file")
-    _sequence_flags(p_check)
-
-    p_oracle = sub.add_parser("oracle", help="determinant verdicts for a sequence file")
-    _sequence_flags(p_oracle)
-    p_oracle.add_argument("--max-degree", type=int, default=None)
-
-    p_probe = sub.add_parser("probe", help="skew Hall-Littlewood conjecture probe")
-    p_probe.add_argument("--seq-file", required=True)
-    p_probe.add_argument("--max-degree", type=int, default=PROBE_DEFAULT_DEGREE)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, declare, _ = _COMMANDS[name]
+        declare(sub.add_parser(name, help=help_text))
     return parser
 
 
-def _sequence_flags(sub_parser):
-    sub_parser.add_argument("--family", required=True)
-    sub_parser.add_argument("--ring", required=True, choices=["Q", "Z", "Qt", "Qqt"])
-    sub_parser.add_argument("--seq-file", required=True)
-    sub_parser.add_argument("--at-root", type=int, default=None, metavar="K")
-    sub_parser.add_argument("--at-value", default=None, metavar="RAT")
-    sub_parser.add_argument("--at-q", default=None, metavar="RAT")
-    sub_parser.add_argument("--at-t", default=None, metavar="RAT")
+def _named_command(argv: list[str]) -> str | None:
+    """The subcommand argv names, when only --seed-manifest (or one of its
+    abbreviations) comes before it; else None, and the full parser decides."""
+    for arg in argv:
+        if not arg.startswith("-"):
+            return arg
+        if len(arg) < 3 or not "--seed-manifest".startswith(arg):
+            return None
+    return None
+
+
+def _expand_flags(p):
+    p.add_argument("--expr", required=True, help='e.g. "s[2,1]" or "3*m[2,1] - 1*m[3]"')
+    p.add_argument("--to", required=True, choices=list("mhepsf"))
+    p.add_argument("--ring", default="Q", choices=["Q", "Qt", "Qqt"])
+
+
+def _inner_flags(p):
+    p.add_argument("--family", required=True)
+    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--mu", default=None)
+    p.add_argument("--n", type=int, required=True)
+    _specialization_flags(p)
+
+
+def _skew_flags(p):
+    p.add_argument("--family", required=True, choices=list(_SKEW_ELEMENTS))
+    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--mu", default="")
+    p.add_argument("--to", default=None, choices=list("mhepsf"))
+
+
+def _tabloids_flags(p):
+    p.add_argument("--shape", required=True)
+    p.add_argument("--type", dest="typ", required=True)
+    p.add_argument("--list", action="store_true")
+
+
+def _sequence_flags(p):
+    p.add_argument("--family", required=True)
+    p.add_argument("--ring", required=True, choices=["Q", "Z", "Qt", "Qqt"])
+    p.add_argument("--seq-file", required=True)
+    _specialization_flags(p)
+
+
+def _oracle_flags(p):
+    _sequence_flags(p)
+    p.add_argument("--max-degree", type=int, default=None)
+
+
+def _probe_flags(p):
+    p.add_argument("--seq-file", required=True)
+    p.add_argument("--max-degree", type=int, default=PROBE_DEFAULT_DEGREE)
+
+
+def _specialization_flags(p):
+    p.add_argument("--at-root", type=int, default=None, metavar="K")
+    p.add_argument("--at-value", default=None, metavar="RAT")
+    p.add_argument("--at-q", default=None, metavar="RAT")
+    p.add_argument("--at-t", default=None, metavar="RAT")
 
 
 def _rational(flag: str, text: str) -> Fraction:
@@ -135,12 +156,17 @@ def _rational(flag: str, text: str) -> Fraction:
 
 
 def _specialization(args) -> Specialization | None:
-    if getattr(args, "at_root", None) is not None:
+    """The specialization the flags give: a root, a value or a (q,t) pair,
+    at most one of them."""
+    at_q, at_t = args.at_q, args.at_t
+    pair = at_q is not None or at_t is not None
+    if (args.at_root is not None) + (args.at_value is not None) + pair > 1:
+        raise CliError("give at most one of --at-root, --at-value and --at-q/--at-t")
+    if args.at_root is not None:
         return Specialization.at_root(args.at_root)
-    if getattr(args, "at_value", None) is not None:
+    if args.at_value is not None:
         return Specialization.at_value(_rational("--at-value", args.at_value))
-    at_q, at_t = getattr(args, "at_q", None), getattr(args, "at_t", None)
-    if at_q is not None or at_t is not None:
+    if pair:
         if at_q is None or at_t is None:
             raise CliError("--at-q and --at-t must be given together")
         return Specialization.at_pair(
@@ -256,24 +282,28 @@ def _cmd_probe(args) -> int:
     return 0
 
 
+# name -> (help, flag declarer, handler), in the order --help lists them
 _COMMANDS = {
-    "expand": _cmd_expand,
-    "inner": _cmd_inner,
-    "skew": _cmd_skew,
-    "tabloids": _cmd_tabloids,
-    "check": _cmd_check,
-    "oracle": _cmd_oracle,
-    "probe": _cmd_probe,
+    "expand": ("re-express a symmetric function", _expand_flags, _cmd_expand),
+    "inner": ("closed-form <u_n, p_n> for a family", _inner_flags, _cmd_inner),
+    "skew": ("expand a skew family element", _skew_flags, _cmd_skew),
+    "tabloids": ("domino tabloid weight sums", _tabloids_flags, _cmd_tabloids),
+    "check": ("criteria verdicts for a sequence file", _sequence_flags, _cmd_check),
+    "oracle": ("determinant verdicts for a sequence file", _oracle_flags, _cmd_oracle),
+    "probe": ("skew Hall-Littlewood conjecture probe", _probe_flags, _cmd_probe),
 }
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    """One invocation; only the subcommand argv names is declared, so a job
+    pays for its own parser and no other (argv None reads sys.argv)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(_named_command(argv))
     try:
         args = parser.parse_args(argv)
         if args.seed_manifest:
             _emit(json.dumps(_manifest(args)))
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -45,20 +45,26 @@ from math import gcd
 from typing import Callable
 
 from .deformed import (
+    KeyQuotient,
     _binomial_quotient,
     _hl_Q_factors,
     _one_minus,
     big_schur,
     big_schur_pn_closed,
+    big_schur_pn_keys,
     hl_P,
     hl_P_pn_closed,
+    hl_P_pn_keys,
     hl_Q,
     mac_J,
     mac_J_pn_closed,
+    mac_J_pn_keys,
     mac_P,
     mac_P_pn_closed,
+    mac_P_pn_keys,
     whittaker,
     whittaker_pn_closed,
+    whittaker_pn_keys,
 )
 from .exactalg import (
     RING_Q,
@@ -111,7 +117,9 @@ class Family:
     over Q(q,t), or over Q at a rational (q,t) pair).  ``element(lam, mu)``
     builds u_n and ``pairing(lam, mu, n)`` is the closed form of <u_n, p_n>,
     both unspecialized; ``clause(spec, lam, mu, n)`` is the per-degree
-    criterion, None leaving it to the value.  Straight families get mu = EMPTY.
+    criterion, None leaving it to the value.  A deformed family also has
+    ``keys(lam, mu, n)``, its pairing kept as a ``KeyQuotient`` for a
+    specialization to evaluate key by key.  Straight families get mu = EMPTY.
     """
 
     name: str
@@ -121,6 +129,7 @@ class Family:
     pairing: Callable
     clause: Callable
     variable: str = "t"
+    keys: Callable | None = None
 
     @property
     def rings(self) -> tuple:
@@ -440,18 +449,23 @@ def _skew_schur_pn_value(lam: Partition, mu: Partition, n: int) -> Fraction:
     return Fraction((-1) ** ribbon_height(sp))
 
 
-def _hl_Q_pn_value(lam: Partition, mu: Partition, n: int) -> RatFunc:
+def _hl_Q_pn_keys(lam: Partition, mu: Partition, n: int) -> KeyQuotient:
     """Under the Hall form: (1 - t^n) <Q_lam, p_n>_t, one binomial more."""
     sign, monomial, binomials = _hl_Q_factors(lam)
     return _binomial_quotient(sign, monomial, [_one_minus(0, n)] + binomials, [])
+
+
+def _hl_Q_pn_value(lam: Partition, mu: Partition, n: int) -> RatFunc:
+    return _hl_Q_pn_keys(lam, mu, n).expand()
 
 
 # ---------------------------------------------------------------------------
 # the family table
 # ---------------------------------------------------------------------------
 
-# The deformed closed forms are called through their module-level names, so
-# that swapping a module attribute (as a tracer or a test does) reaches them.
+# The deformed closed forms and key counts are called through their
+# module-level names, so that swapping a module attribute (as a tracer or a
+# test does) reaches them.
 FAMILIES = {fam.name: fam for fam in (
     Family("m", False, "", lambda lam, mu: sym("m", lam),
            skew_monomial_pn_inner, _crit_monomial),
@@ -470,18 +484,22 @@ FAMILIES = {fam.name: fam for fam in (
     Family("skew-s", True, "", lambda lam, mu: skew("s", lam, mu),
            _skew_schur_pn_value, _crit_ribbon),
     Family("hl-P", False, "t", lambda lam, mu: hl_P(lam),
-           lambda lam, mu, n: hl_P_pn_closed(lam, n), _crit_hl_P),
+           lambda lam, mu, n: hl_P_pn_closed(lam, n), _crit_hl_P,
+           keys=lambda lam, mu, n: hl_P_pn_keys(lam, n)),
     Family("hl-Q", False, "t", lambda lam, mu: hl_Q(lam),
-           _hl_Q_pn_value, _crit_hl_Q),
+           _hl_Q_pn_value, _crit_hl_Q, keys=_hl_Q_pn_keys),
     Family("big-S", False, "t", lambda lam, mu: big_schur(lam),
-           lambda lam, mu, n: big_schur_pn_closed(lam, n), _crit_big_schur),
+           lambda lam, mu, n: big_schur_pn_closed(lam, n), _crit_big_schur,
+           keys=lambda lam, mu, n: big_schur_pn_keys(lam, n)),
     Family("whittaker", False, "t", lambda lam, mu: whittaker(lam),
            lambda lam, mu, n: whittaker_pn_closed(lam, n), _crit_whittaker,
-           variable="q"),
+           variable="q", keys=lambda lam, mu, n: whittaker_pn_keys(lam, n)),
     Family("mac-P", False, "qt", lambda lam, mu: mac_P(lam),
-           lambda lam, mu, n: mac_P_pn_closed(lam, n), _crit_mac),
+           lambda lam, mu, n: mac_P_pn_closed(lam, n), _crit_mac,
+           keys=lambda lam, mu, n: mac_P_pn_keys(lam, n)),
     Family("mac-J", False, "qt", lambda lam, mu: mac_J(lam),
-           lambda lam, mu, n: mac_J_pn_closed(lam, n), _crit_mac),
+           lambda lam, mu, n: mac_J_pn_closed(lam, n), _crit_mac,
+           keys=lambda lam, mu, n: mac_J_pn_keys(lam, n)),
 )}
 
 
@@ -525,14 +543,14 @@ def inner_value(spec: FamilySpec, lam, mu, n: int):
 
     Deformed families pair with the Hall form (the form in the generation
     lemma); for hl-Q that is (1 - t^n) times the t-form closed evaluator.
+    A specialization evaluates the family's key count, never its expansion.
     """
     lam, mu = _graded(spec, lam, mu, n)
-    fam = spec.definition
-    value = fam.pairing(lam, mu, n)
-    if spec.specialization is None:
-        return value
+    fam, spz = spec.definition, spec.specialization
+    if spz is None:
+        return fam.pairing(lam, mu, n)
     try:
-        return spec.specialization.apply(value, fam.variable)
+        return spz.apply(fam.keys(lam, mu, n), fam.variable)
     except ZeroDenominator:
         return None
 

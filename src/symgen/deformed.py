@@ -37,7 +37,10 @@ between numerator and denominator by counting therefore leaves a coprime
 numerator and denominator, which is already the reduced form ``RatFunc.make``
 would reach through a bivariate gcd.  The key polynomials are irreducible (a
 unimodular change of monomials takes P/N to one variable), so trial division
-by the keys of a known denominator reduces a quotient too.
+by the keys of a known denominator reduces a quotient too.  A closed form
+stays a key count (``KeyQuotient``) until it is used: over Q(t) or Q(q,t)
+it is multiplied out once, and at a specialization each key is evaluated
+once and the values multiplied.
 """
 
 from __future__ import annotations
@@ -56,8 +59,11 @@ from .exactalg import (
     RF_ZERO,
     RING_QQT,
     RING_QT,
+    CycloElem,
+    PoleAtRootOfUnity,
     RatFunc,
     Specialization,
+    ZeroDenominator,
     cyclotomic_poly,
     poly_exact_div,
     poly_gcd,
@@ -195,12 +201,101 @@ def _key_product(count: Counter, out: Poly = P_ONE) -> Poly:
     return out
 
 
-def _binomial_quotient(sign: int, monomial: tuple, num_binomials, den_binomials) -> RatFunc:
+def _monomial_value(exponents: tuple, q, t) -> Fraction:
+    """q^a t^b at rational q and t, for exponents (a, b); a variable with
+    exponent 0 may be None."""
+    value = Fraction(1)
+    for base, e in zip((q, t), exponents):
+        if e:
+            value *= base ** e
+    return value
+
+
+def _key_value(key: tuple, q, t) -> tuple[int, int]:
+    """H_d(P, N) at rational q and t as integers (num, den), without building
+    its polynomial: H_d is homogeneous of degree phi(d), so with P = a/b and
+    N = c/e it is H_d(ae, cb) / (be)^phi(d)."""
+    d, pos, neg = key
+    p, n = _monomial_value(pos, q, t), _monomial_value(neg, q, t)
+    x, y = p.numerator * n.denominator, n.numerator * p.denominator
+    phi = cyclotomic_poly(d)
+    top = phi.deg_t()
+    num = sum(c.numerator * x ** k * y ** (top - k) for (_, k), c in phi.terms.items())
+    return num, (p.denominator * n.denominator) ** top
+
+
+def _residue(poly: Poly, k: int, variable: str) -> CycloElem:
+    """poly, univariate in ``variable``, at a primitive k-th root of unity."""
+    return CycloElem.from_poly(poly.swap_vars() if variable == "q" else poly, k)
+
+
+class KeyQuotient:
+    """sign * q^a t^b * prod H_key^count[key], with monomial = (a, b): a
+    closed form kept as its key count, the keys counted negative forming
+    the denominator.  Equal keys have cancelled, so numerator and
+    denominator are coprime (see the module docstring).
+
+    ``expand`` multiplies the keys out into the reduced RatFunc.  A
+    specialization (``Specialization.apply``) instead evaluates each key
+    once and multiplies the values: evaluation is a ring homomorphism, so
+    the value is that of the expanded form, and no product of polynomials
+    is built just to be evaluated.  A zero sign is the closed form 0.
+    """
+
+    __slots__ = ("sign", "monomial", "count")
+
+    def __init__(self, sign: int, monomial: tuple, count: Counter):
+        self.sign, self.monomial, self.count = sign, monomial, count
+
+    def expand(self) -> RatFunc:
+        num = _key_product(self.count, Poly({self.monomial: 1}))
+        return RatFunc._make_coprime(num, _key_product(-self.count), Fraction(self.sign))
+
+    def eval_rational(self, q=None, t=None) -> Fraction:
+        """The value at rational q and/or t (None for a variable the form
+        lacks); ZeroDenominator where a key of the denominator vanishes."""
+        monomial = _monomial_value(self.monomial, q, t)
+        num, den = self.sign * monomial.numerator, monomial.denominator
+        for key, mult in self.count.items():
+            if mult:
+                top, bottom = _key_value(key, q, t)
+                if mult < 0:
+                    top, bottom, mult = bottom, top, -mult
+                num, den = num * top ** mult, den * bottom ** mult
+        if not den:
+            raise ZeroDenominator("zero denominator")
+        return Fraction(num, den)
+
+    def at_root(self, k: int, variable: str = "t") -> CycloElem:
+        """The value at a primitive k-th root of unity of ``variable``, one
+        residue per key: 0 where a numerator key vanishes (no product is
+        taken then), PoleAtRootOfUnity where a denominator key does; the
+        parts are coprime, so the two never happen together."""
+        residues = [
+            (mult, _residue(_cyclotomic_factor(*key), k, variable))
+            for key, mult in self.count.items() if mult
+        ]
+        if not self.sign or any(mult > 0 and not r for mult, r in residues):
+            return CycloElem.zero(k)
+        num, den = self.sign * _residue(Poly({self.monomial: 1}), k, variable), None
+        for mult, r in residues:
+            for _ in range(abs(mult)):
+                if mult > 0:
+                    num = num * r
+                else:
+                    den = r if den is None else den * r
+        if den is None:
+            return num
+        if not den:
+            raise PoleAtRootOfUnity(f"pole at a primitive {k}-th root of unity")
+        return num / den
+
+
+def _binomial_quotient(sign: int, monomial: tuple, num_binomials, den_binomials) -> KeyQuotient:
     """sign * q^a t^b * prod(num_binomials) / prod(den_binomials), with
-    monomial = (a, b), reduced without a gcd (see the module docstring)."""
+    monomial = (a, b), as a reduced key count (see the module docstring)."""
     flip, count = _binomial_count(num_binomials, den_binomials)
-    num = _key_product(count, Poly({monomial: 1}))
-    return RatFunc._make_coprime(num, _key_product(-count), Fraction(sign * flip))
+    return KeyQuotient(sign * flip, monomial, count)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +419,7 @@ def mac_P(lam) -> SymFunc:
 
 def arm_leg_product(lam) -> Poly:
     """c_lam(q,t) = prod over cells (1 - q^arm t^(leg+1))."""
-    return _binomial_quotient(1, (0, 0), _cell_binomials(Partition(lam))[1], []).as_poly()
+    return _binomial_quotient(1, (0, 0), _cell_binomials(Partition(lam))[1], []).expand().as_poly()
 
 
 def mac_J(lam) -> SymFunc:
@@ -362,16 +457,20 @@ def hl_Q_pn_closed(lam, n: int) -> RatFunc:
     """<Q_lam, p_n>_t = t^{n(lam)} phi_{l-1}(t^{-1}), cleared of t^{-1} powers."""
     lam = Partition(lam)
     _require_size(lam, n)
-    return _binomial_quotient(*_hl_Q_factors(lam), [])
+    return _binomial_quotient(*_hl_Q_factors(lam), []).expand()
 
 
-def hl_P_pn_closed(lam, n: int) -> RatFunc:
+def hl_P_pn_keys(lam, n: int) -> KeyQuotient:
     """<P_lam, p_n> = (1-t^n) t^{n(lam)} phi_{l-1}(t^{-1}) / prod phi_{m_i}(t)."""
     lam = Partition(lam)
     _require_size(lam, n)
     sign, monomial, num = _hl_Q_factors(lam)
     den = [_one_minus(0, j) for m in lam.multiplicities().values() for j in range(1, m + 1)]
     return _binomial_quotient(sign, monomial, [_one_minus(0, n)] + num, den)
+
+
+def hl_P_pn_closed(lam, n: int) -> RatFunc:
+    return hl_P_pn_keys(lam, n).expand()
 
 
 @lru_cache(maxsize=None)
@@ -420,13 +519,17 @@ def big_schur(lam) -> SymFunc:
     return total
 
 
-def big_schur_pn_closed(lam, n: int) -> RatFunc:
+def big_schur_pn_keys(lam, n: int) -> KeyQuotient:
     """(-1)^(n - lam_1) (1 - t^n) for hooks, 0 otherwise."""
     lam = Partition(lam)
     _require_size(lam, n)
     if not is_hook(lam):
-        return RF_ZERO
-    return RatFunc._make_coprime(P_ONE - Poly.t(n), P_ONE, Fraction((-1) ** (n - lam[0])))
+        return KeyQuotient(0, (0, 0), Counter())
+    return _binomial_quotient((-1) ** (n - lam[0]), (0, 0), [_one_minus(0, n)], [])
+
+
+def big_schur_pn_closed(lam, n: int) -> RatFunc:
+    return big_schur_pn_keys(lam, n).expand()
 
 
 def _cell_binomials(lam: Partition) -> tuple[list, list]:
@@ -442,7 +545,7 @@ def _cell_binomials(lam: Partition) -> tuple[list, list]:
     return excess, arm_leg
 
 
-def mac_P_pn_closed(lam, n: int) -> RatFunc:
+def mac_P_pn_keys(lam, n: int) -> KeyQuotient:
     """<P_lam(q,t), p_n> = (1-t^n) X_n^lam / c_lam."""
     lam = Partition(lam)
     _require_size(lam, n)
@@ -450,7 +553,11 @@ def mac_P_pn_closed(lam, n: int) -> RatFunc:
     return _binomial_quotient(1, (0, 0), [_one_minus(0, n)] + excess, arm_leg)
 
 
-def mac_J_pn_closed(lam, n: int) -> RatFunc:
+def mac_P_pn_closed(lam, n: int) -> RatFunc:
+    return mac_P_pn_keys(lam, n).expand()
+
+
+def mac_J_pn_keys(lam, n: int) -> KeyQuotient:
     """<J_lam(q,t), p_n> = (1-t^n) X_n^lam."""
     lam = Partition(lam)
     _require_size(lam, n)
@@ -458,7 +565,11 @@ def mac_J_pn_closed(lam, n: int) -> RatFunc:
     return _binomial_quotient(1, (0, 0), [_one_minus(0, n)] + excess, [])
 
 
-def whittaker_pn_closed(lam, n: int) -> RatFunc:
+def mac_J_pn_closed(lam, n: int) -> RatFunc:
+    return mac_J_pn_keys(lam, n).expand()
+
+
+def whittaker_pn_keys(lam, n: int) -> KeyQuotient:
     """<W_lam(q), p_n> = (-1)^(n-lam_1) q^(n(lam') - C(lam_1,2)) prod_{i<lam_1}(1-q^i)."""
     lam = Partition(lam)
     _require_size(lam, n)
@@ -466,6 +577,10 @@ def whittaker_pn_closed(lam, n: int) -> RatFunc:
     shift = stats(lam).n_lambda_conj - head * (head - 1) // 2
     binomials = [_one_minus(i, 0) for i in range(1, head)]
     return _binomial_quotient((-1) ** (n - head), (shift, 0), binomials, [])
+
+
+def whittaker_pn_closed(lam, n: int) -> RatFunc:
+    return whittaker_pn_keys(lam, n).expand()
 
 
 # ---------------------------------------------------------------------------

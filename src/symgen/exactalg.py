@@ -205,14 +205,15 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of Poly")
-        result = P_ONE
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return P_ONE if result is None else result
 
     def __eq__(self, other):
         other = self._coerced(other)
@@ -1063,11 +1064,15 @@ class Specialization:
         """The field of the specialized values: Q, or Q(zeta_k) at a root."""
         return cyclo_ring(self.root_order) if self.kind == "root" else RING_Q
 
-    def apply(self, value: RatFunc, variable: str = "t"):
+    def apply(self, value, variable: str = "t"):
         """``value`` with ``variable`` (t or q; a pair sets both) specialized:
-        a Fraction, or a CycloElem at a root of unity.  Raises
+        a Fraction, or a CycloElem at a root of unity.  ``value`` is a
+        RatFunc or a closed form kept as its key count
+        (``deformed.KeyQuotient``), which is evaluated key by key.  Raises
         ZeroDenominator where the specialized value is undefined."""
         if self.kind == "root":
+            if not isinstance(value, RatFunc):
+                return value.at_root(self.root_order, variable)
             in_t = value.swap_vars() if variable == "q" else value
             return specialize_root_of_unity(in_t, self.root_order)
         if self.kind == "value":

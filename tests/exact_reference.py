@@ -4,16 +4,28 @@ The engine keeps rational functions coprime in every constructor, so it never
 substitutes into one and reduces again, and it evaluates at a root of unity
 without counting powers of Phi_k.  These are the direct versions: substitute,
 then reduce through ``RatFunc.make``; count the Phi_k factors by trial
-division.
+division.  The engine specializes a closed form key by key; the direct
+version expands it to a RatFunc first.
 """
 
 from symgen.exactalg import (
     Poly,
     RatFunc,
+    ZeroDenominator,
     ZeroPolynomial,
     cyclotomic_poly,
     try_exact_div,
 )
+
+
+def specialized_by_expansion(spec, lam, mu, n):
+    """The family's closed form <u_n, p_n> as a RatFunc, then
+    ``Specialization.apply``: None where the value is undefined."""
+    fam = spec.definition
+    try:
+        return spec.specialization.apply(fam.pairing(lam, mu, n), fam.variable)
+    except ZeroDenominator:
+        return None
 
 
 def ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:

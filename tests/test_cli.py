@@ -417,3 +417,122 @@ def test_oracle_undefined_specialization(capsys, tmp_path):
     for record, line in zip(records, check_out.splitlines()):
         assert dict(list(record.items())[:6]) == json.loads(line)
     assert undefined["reason"] == "specialization-undefined"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--at-root", "3", "--at-value", "1/2"),
+        ("--at-root", "3", "--at-q", "1", "--at-t", "2"),
+        ("--at-value", "1/2", "--at-q", "1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("check", "--family", "hl-P", "--ring", "Q", "--seq-file", "RIBBONS"),
+        ("oracle", "--family", "hl-P", "--ring", "Q", "--seq-file", "RIBBONS"),
+        ("inner", "--family", "hl-P", "--lambda", "2,1", "--n", "3"),
+    ],
+)
+def test_conflicting_specializations_exit_two(capsys, ribbon_path, command, flags):
+    argv = [ribbon_path if arg == "RIBBONS" else arg for arg in command]
+    code, out, err = invoke(capsys, *argv, *flags)
+    assert code == 2 and out == ""
+    assert err == "error: give at most one of --at-root, --at-value and --at-q/--at-t\n"
+
+
+def _count_subparsers(monkeypatch):
+    import argparse
+
+    declared = []
+    original = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        declared.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return declared
+
+
+def test_named_command_declares_one_subparser(capsys, monkeypatch, ribbon_path):
+    declared = _count_subparsers(monkeypatch)
+    code, _, _ = invoke(
+        capsys, "--seed", "check", "--family", "skew-s", "--ring", "Z",
+        "--seq-file", ribbon_path,
+    )
+    assert code == 0 and declared == ["check"]
+    declared.clear()
+    with pytest.raises(SystemExit):
+        run(["--help"])
+    assert declared == ["expand", "inner", "skew", "tabloids", "check", "oracle", "probe"]
+
+
+def _full_parser_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of argv parsed by the parser that declares
+    every subcommand, as ``run`` reports a parse."""
+    from symgen.cli import CliError, _build_parser
+
+    try:
+        _build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["check", "--help"],
+        ["--seed-manifest", "oracle", "-h"],
+        ["chek", "--family", "s"],
+        ["check", "--family", "s"],
+        [],
+    ],
+)
+def test_parse_outcome_matches_full_parser(capsys, argv):
+    want = _full_parser_outcome(capsys, argv)
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == want
+    assert want[0] in (0, 2) and (want[1] or want[2])
+
+
+def test_seed_abbreviation_and_manifest_keys_match_full_parser(capsys):
+    from symgen.cli import _build_parser
+
+    argv = ["--seed", "inner", "--family", "s", "--lambda", "2,1", "--n", "3"]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    manifest = json.loads(out.splitlines()[0])
+    parsed = vars(_build_parser().parse_args(argv))
+    assert parsed.pop("seed_manifest") is True
+    assert manifest["invocation"] == parsed
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [(["--help"], ["expand", "inner", "skew", "tabloids", "check", "oracle", "probe"]),
+     (["check", "--help"], ["--family", "--ring", "--seq-file", "--at-root"])],
+)
+def test_python_dash_m_help(argv, shown):
+    # the only path on which run reads its argv from sys.argv
+    src = str(Path(symgen.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-m", "symgen", *argv],
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert all(word in proc.stdout for word in shown)

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,8 @@ from symgen.criteria import (
 from symgen.exactalg import P_ONE, T, CycloElem, RatFunc, ZeroDenominator
 from symgen.partitions import EMPTY, Partition, partitions_of
 from symgen.symfunc import hall_inner, multiply, sym
+
+from exact_reference import specialized_by_expansion
 
 
 def P(*parts):
@@ -442,17 +445,50 @@ def test_colliding_pair_evaluates_the_closed_form_once(monkeypatch):
     import symgen.criteria as criteria
 
     calls = []
-    original = criteria.mac_P_pn_closed
+    original = criteria.mac_P_pn_keys
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(criteria, "mac_P_pn_closed", counted)
+    monkeypatch.setattr(criteria, "mac_P_pn_keys", counted)
     spec = FamilySpec("mac-P", "Q", Specialization.at_pair(4, 2))
     ok, reason, value = checked_criterion(spec, (2, 1), None, 3)
     assert (ok, reason.code()) == (value != 0, "specialized-value")
     assert len(calls) == 1
+
+
+# the specializations the key-wise evaluation is checked at; the colliding
+# pairs (q^i = t^j) reach zeros and vanishing denominators
+KEYWISE_SPECIALIZATIONS = {
+    "t": [Specialization.at_value(Fraction(v)) for v in ("0", "1", "-1", "1/2", "2")]
+    + [Specialization.at_root(k) for k in (1, 2, 3, 4, 6)],
+    "qt": [
+        Specialization.at_pair(Fraction(q), Fraction(t))
+        for q, t in (("2", "3"), ("4", "2"), ("2", "4"), ("1", "3"), ("2", "1"),
+                     ("0", "0"), ("-1", "1"), ("1/2", "1/4"))
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["hl-P", "hl-Q", "big-S", "whittaker", "mac-P", "mac-J"]
+)
+def test_keywise_specialization_matches_expansion(name):
+    # a specialization evaluates the key count; the reference expands the
+    # closed form to a RatFunc first and specializes that
+    fam = FAMILIES[name]
+    outcomes = Counter()
+    for spz in KEYWISE_SPECIALIZATIONS[fam.deformation]:
+        spec = FamilySpec(name, "Q", spz)
+        for n in range(1, 9):
+            for lam in partitions_of(n):
+                want = specialized_by_expansion(spec, lam, EMPTY, n)
+                got = inner_value(spec, lam, None, n)
+                assert render_value(got) == render_value(want), (spz, lam)
+                outcomes["undefined" if want is None else bool(want)] += 1
+    assert outcomes[False] and outcomes[True]
+    assert outcomes["undefined"] or name != "mac-P"
 
 
 def test_hl_Q_value_counts_one_minus_t_n_as_a_binomial(monkeypatch):
@@ -538,8 +574,18 @@ def test_check_path_takes_no_gcd_and_no_product(monkeypatch):
     make = counted("RatFunc.make", exactalg.RatFunc.make)
     monkeypatch.setattr(exactalg.RatFunc, "make", staticmethod(make))
     assert len(CHECK_SPECS) == 27
+    specialized = 0
     for spec in CHECK_SPECS:
-        check_sequence(spec, _guard_sequence(spec))
+        with monkeypatch.context() as patch:
+            # a specialized value is read off the key count: no polynomial
+            # product at all
+            if spec.specialization is not None:
+                specialized += 1
+                patch.setattr(
+                    exactalg.Poly, "__mul__", counted("Poly.__mul__", exactalg.Poly.__mul__)
+                )
+            check_sequence(spec, _guard_sequence(spec))
+    assert specialized == 10
     assert calls == {}
 
 
