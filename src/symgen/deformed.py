@@ -59,11 +59,8 @@ from .exactalg import (
     RF_ZERO,
     RING_QQT,
     RING_QT,
-    CycloElem,
-    PoleAtRootOfUnity,
     RatFunc,
     Specialization,
-    ZeroDenominator,
     cyclotomic_poly,
     poly_exact_div,
     poly_gcd,
@@ -201,45 +198,18 @@ def _key_product(count: Counter, out: Poly = P_ONE) -> Poly:
     return out
 
 
-def _monomial_value(exponents: tuple, q, t) -> Fraction:
-    """q^a t^b at rational q and t, for exponents (a, b); a variable with
-    exponent 0 may be None."""
-    value = Fraction(1)
-    for base, e in zip((q, t), exponents):
-        if e:
-            value *= base ** e
-    return value
-
-
-def _key_value(key: tuple, q, t) -> tuple[int, int]:
-    """H_d(P, N) at rational q and t as integers (num, den), without building
-    its polynomial: H_d is homogeneous of degree phi(d), so with P = a/b and
-    N = c/e it is H_d(ae, cb) / (be)^phi(d)."""
-    d, pos, neg = key
-    p, n = _monomial_value(pos, q, t), _monomial_value(neg, q, t)
-    x, y = p.numerator * n.denominator, n.numerator * p.denominator
-    phi = cyclotomic_poly(d)
-    top = phi.deg_t()
-    num = sum(c.numerator * x ** k * y ** (top - k) for (_, k), c in phi.terms.items())
-    return num, (p.denominator * n.denominator) ** top
-
-
-def _residue(poly: Poly, k: int, variable: str) -> CycloElem:
-    """poly, univariate in ``variable``, at a primitive k-th root of unity."""
-    return CycloElem.from_poly(poly.swap_vars() if variable == "q" else poly, k)
-
-
 class KeyQuotient:
     """sign * q^a t^b * prod H_key^count[key], with monomial = (a, b): a
     closed form kept as its key count, the keys counted negative forming
     the denominator.  Equal keys have cancelled, so numerator and
     denominator are coprime (see the module docstring).
 
-    ``expand`` multiplies the keys out into the reduced RatFunc.  A
-    specialization (``Specialization.apply``) instead evaluates each key
-    once and multiplies the values: evaluation is a ring homomorphism, so
-    the value is that of the expanded form, and no product of polynomials
-    is built just to be evaluated.  A zero sign is the closed form 0.
+    ``expand`` multiplies the keys out into the reduced RatFunc.
+    ``factors`` lists the monomial and the key polynomials with their
+    counts, which is what ``Specialization.apply`` evaluates, each once at
+    the point: evaluation is a ring homomorphism, so the value is that of
+    the expanded form, and no product of polynomials is built just to be
+    evaluated.  A zero sign is the closed form 0.
     """
 
     __slots__ = ("sign", "monomial", "count")
@@ -251,44 +221,13 @@ class KeyQuotient:
         num = _key_product(self.count, Poly({self.monomial: 1}))
         return RatFunc._make_coprime(num, _key_product(-self.count), Fraction(self.sign))
 
-    def eval_rational(self, q=None, t=None) -> Fraction:
-        """The value at rational q and/or t (None for a variable the form
-        lacks); ZeroDenominator where a key of the denominator vanishes."""
-        monomial = _monomial_value(self.monomial, q, t)
-        num, den = self.sign * monomial.numerator, monomial.denominator
-        for key, mult in self.count.items():
-            if mult:
-                top, bottom = _key_value(key, q, t)
-                if mult < 0:
-                    top, bottom, mult = bottom, top, -mult
-                num, den = num * top ** mult, den * bottom ** mult
-        if not den:
-            raise ZeroDenominator("zero denominator")
-        return Fraction(num, den)
-
-    def at_root(self, k: int, variable: str = "t") -> CycloElem:
-        """The value at a primitive k-th root of unity of ``variable``, one
-        residue per key: 0 where a numerator key vanishes (no product is
-        taken then), PoleAtRootOfUnity where a denominator key does; the
-        parts are coprime, so the two never happen together."""
-        residues = [
-            (mult, _residue(_cyclotomic_factor(*key), k, variable))
-            for key, mult in self.count.items() if mult
-        ]
-        if not self.sign or any(mult > 0 and not r for mult, r in residues):
-            return CycloElem.zero(k)
-        num, den = self.sign * _residue(Poly({self.monomial: 1}), k, variable), None
-        for mult, r in residues:
-            for _ in range(abs(mult)):
-                if mult > 0:
-                    num = num * r
-                else:
-                    den = r if den is None else den * r
-        if den is None:
-            return num
-        if not den:
-            raise PoleAtRootOfUnity(f"pole at a primitive {k}-th root of unity")
-        return num / den
+    def factors(self) -> tuple:
+        """(sign, ((H_key, count[key]), ..., (q^a t^b, 1))) over the keys
+        with a nonzero count; the monomial, which vanishes only where q or t
+        is 0, comes last."""
+        return self.sign, tuple(
+            (_cyclotomic_factor(*key), mult) for key, mult in self.count.items() if mult
+        ) + ((Poly({self.monomial: 1}), 1),)
 
 
 def _binomial_quotient(sign: int, monomial: tuple, num_binomials, den_binomials) -> KeyQuotient:
@@ -644,12 +583,9 @@ def skew_hl_P_pn_inner(lam, mu, n: int) -> RatFunc:
 # coefficient specialization of whole elements
 # ---------------------------------------------------------------------------
 
-def specialize_coeffs(
-    x: SymFunc, spz: Specialization | None = None, variable: str = "t", *, t=None
-) -> SymFunc:
-    """x with ``spz`` (by default t = ``t``) applied to the parameter
-    ``variable`` of every coefficient, over Q or Q(zeta_k)."""
-    spz = Specialization.at_value(t) if spz is None else spz
+def specialize_coeffs(x: SymFunc, spz: Specialization, variable: str = "t") -> SymFunc:
+    """x with ``spz`` applied to the parameter ``variable`` of every
+    coefficient, over Q or Q(zeta_k)."""
     return SymFunc(
         x.basis, {lam: spz.apply(c, variable) for lam, c in x.coeffs.items()}, spz.ring
     )

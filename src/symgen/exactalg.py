@@ -26,9 +26,16 @@ pair takes the gcd of its q-contents times the primitive PRS in t over Z[q].
 
 Specialization
 --------------
-Every ``RatFunc`` constructor keeps its parts coprime, so a specialization
-takes no gcd and a vanishing denominator is a pole: at a root of unity
-Phi_k divides at most one part; at a rational point both are evaluated.
+``Specialization.apply`` is the one routine.  A value gives its
+``factors()``: a ``RatFunc`` its numerator and, unless it is 1, its
+denominator; a closed form kept as its key count (``deformed.KeyQuotient``)
+its monomial and key polynomials.  ``Specialization.evaluate`` takes each
+factor once to the point, as an integer sum over one denominator
+(``Poly.value_at``) or as a residue mod Phi_k.  Every ``RatFunc`` constructor
+keeps its parts coprime, and so does a key count, so a specialization takes
+no gcd and a vanishing denominator factor is a pole; it is checked before a
+vanishing numerator factor makes the value 0 (at a root of unity Phi_k
+divides at most one part, so the two never meet there).
 
 Rendering grammar (golden files depend on it)
 ---------------------------------------------
@@ -59,6 +66,18 @@ class ZeroPolynomial(ValueError):
 
 class PoleAtRootOfUnity(ZeroDenominator):
     """The rational function has a genuine pole at the requested root of unity."""
+
+
+def _binary_power(base, n: int):
+    """base ** n for n >= 1 by squaring: no product past the last bit."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def _term_order(term):
@@ -205,15 +224,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of Poly")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return P_ONE if result is None else result
+        return _binary_power(self, n) if n else P_ONE
 
     def __eq__(self, other):
         other = self._coerced(other)
@@ -231,26 +242,25 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    # -- substitution ------------------------------------------------------
-    def subs(self, q=None, t=None) -> "Poly":
-        """Substitute rational values for q and/or t (None leaves a variable)."""
-        out: dict = {}
-        for (dq, dt), c in self.terms.items():
-            if q is not None:
-                c *= Fraction(q) ** dq
-                dq = 0
-            if t is not None:
-                c *= Fraction(t) ** dt
-                dt = 0
-            if not c:
-                continue
-            term = (dq, dt)
-            s = out.get(term, 0) + c
-            if s:
-                out[term] = s
-            else:
-                out.pop(term, None)
-        return Poly(out)
+    # -- evaluation --------------------------------------------------------
+    def value_at(self, q=None, t=None) -> Fraction:
+        """The value at rational q and t, summed in integers over the one
+        denominator b^deg_q e^deg_t (q = a/b, t = c/e).  A variable given as
+        None must not occur: ValueError otherwise."""
+        top_q = top_t = 0
+        for dq, dt in self.terms:
+            if dq > top_q:
+                top_q = dq
+            if dt > top_t:
+                top_t = dt
+        if (q is None and top_q) or (t is None and top_t):
+            raise ValueError("not a constant polynomial")
+        a, b = (1, 1) if q is None else (q.numerator, q.denominator)
+        c, e = (1, 1) if t is None else (t.numerator, t.denominator)
+        total = 0
+        for (dq, dt), coeff in self.terms.items():
+            total += coeff * a ** dq * b ** (top_q - dq) * c ** dt * e ** (top_t - dt)
+        return Fraction(total, b ** top_q * e ** top_t)
 
     def swap_vars(self) -> "Poly":
         """Exchange the roles of q and t."""
@@ -748,12 +758,11 @@ class RatFunc:
             self.num.swap_vars(), self.den.swap_vars(), self.scale
         )
 
-    def eval_rational(self, q=None, t=None) -> Fraction:
-        """The value at rational q and/or t; ZeroDenominator where den vanishes."""
-        den = self.den.subs(q=q, t=t).as_fraction()
-        if den == 0:
-            raise ZeroDenominator("zero denominator")
-        return self.scale * self.num.subs(q=q, t=t).as_fraction() / den
+    def factors(self) -> tuple:
+        """(scale, ((num, 1), (den, -1))), the den factor left out when it is 1."""
+        if self.den == P_ONE:
+            return self.scale, ((self.num, 1),)
+        return self.scale, ((self.num, 1), (self.den, -1))
 
     # -- rendering ---------------------------------------------------------
     def render(self) -> str:
@@ -881,39 +890,34 @@ class CycloElem:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** -n
+        return _binary_power(self, n) if n else CycloElem.one(self.k)
+
     def inverse(self) -> "CycloElem":
         """Inverse modulo Phi_k via the extended Euclidean algorithm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
 
-        def strip(v):
-            v = list(v)
-            while v and v[-1] == 0:
-                v.pop()
-            return v
-
         def poly_sub_scaled(a, b, factor, shift):
-            out = list(a) + [Fraction(0)] * max(0, len(b) + shift - len(a))
+            # a fresh list, stripped: a - factor * t^shift * b
+            out = a + [0] * (len(b) + shift - len(a))
             for i, c in enumerate(b):
                 out[i + shift] -= factor * c
-            return strip(out)
+            return _strip_trailing(out)
 
-        r0, r1 = strip(_phi_dense(self.k)), strip(self.coeffs)
+        r0, r1 = _phi_dense(self.k), _strip_trailing(list(self.coeffs))
         s0, s1 = [], [Fraction(1)]
         while r1:
             # full polynomial division r0 = q*r1 + r
-            r, s = list(r0), list(s0)
-            while len(r) >= len(r1) and strip(r):
-                shift = len(strip(r)) - len(r1)
-                factor = _coeff_div(strip(r)[-1], r1[-1])
-                r = poly_sub_scaled(strip(r), r1, factor, shift)
-                s = poly_sub_scaled(
-                    s + [Fraction(0)] * max(0, len(s1) + shift - len(s)),
-                    s1,
-                    factor,
-                    shift,
-                )
-            r0, r1, s0, s1 = r1, strip(r), s1, s
+            r, s = r0, s0
+            while len(r) >= len(r1):
+                shift = len(r) - len(r1)
+                factor = _coeff_div(r[-1], r1[-1])
+                r = poly_sub_scaled(r, r1, factor, shift)
+                s = poly_sub_scaled(s, s1, factor, shift)
+            r0, r1, s0, s1 = r1, r, s1, s
         # r0 is a nonzero constant gcd (Phi_k is irreducible over Q)
         g = r0[0]
         inv = [_coeff_div(c, g) for c in s0]
@@ -958,24 +962,8 @@ class CycloElem:
 
 def specialize_root_of_unity(f: RatFunc, k: int) -> CycloElem:
     """Exact value of a univariate-in-t rational function at a primitive k-th
-    root of unity.  Phi_k divides at most one of the coprime parts: a zero
-    residue of the numerator is the value 0, one of the denominator a pole."""
-    if not isinstance(f, RatFunc):
-        coerced = RatFunc._coerce(f)
-        if coerced is None:
-            raise TypeError(f"cannot specialize {type(f).__name__}")
-        f = coerced
-    if f.is_zero():
-        return CycloElem.zero(k)
-    if not f.is_univariate_t():
-        raise ValueError("specialization requires a univariate-in-t function")
-    value = CycloElem.from_poly(f.scale * f.num, k)
-    if f.den == P_ONE or value.is_zero():
-        return value
-    den = CycloElem.from_poly(f.den, k)
-    if den.is_zero():
-        raise PoleAtRootOfUnity(f"pole at a primitive {k}-th root of unity")
-    return value / den
+    root of unity: ``Specialization.at_root(k).apply(f)``."""
+    return Specialization.at_root(k).apply(f)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,17 +1052,48 @@ class Specialization:
         """The field of the specialized values: Q, or Q(zeta_k) at a root."""
         return cyclo_ring(self.root_order) if self.kind == "root" else RING_Q
 
-    def apply(self, value, variable: str = "t"):
-        """``value`` with ``variable`` (t or q; a pair sets both) specialized:
-        a Fraction, or a CycloElem at a root of unity.  ``value`` is a
-        RatFunc or a closed form kept as its key count
-        (``deformed.KeyQuotient``), which is evaluated key by key.  Raises
-        ZeroDenominator where the specialized value is undefined."""
+    def evaluate(self, poly: Poly, variable: str = "t"):
+        """``poly`` at this point, ``variable`` (t or q) being the parameter a
+        one-parameter specialization sets: a Fraction, or at a root of unity
+        the residue of ``poly`` as a polynomial in ``variable``."""
         if self.kind == "root":
-            if not isinstance(value, RatFunc):
-                return value.at_root(self.root_order, variable)
-            in_t = value.swap_vars() if variable == "q" else value
-            return specialize_root_of_unity(in_t, self.root_order)
+            in_t = poly.swap_vars() if variable == "q" else poly
+            return CycloElem.from_poly(in_t, self.root_order)
         if self.kind == "value":
-            return value.eval_rational(**{variable: self.value})
-        return value.eval_rational(q=self.q_value, t=self.t_value)
+            return poly.value_at(**{variable: self.value})
+        return poly.value_at(self.q_value, self.t_value)
+
+    def apply(self, value, variable: str = "t"):
+        """``value`` specialized: a Fraction, or a CycloElem at a root of
+        unity.  ``value`` is a RatFunc or a closed form kept as its key count
+        (``deformed.KeyQuotient``); either gives its ``factors()``, and each
+        factor is evaluated once and raised to its multiplicity once.  A
+        zero scale is the value 0.  The denominator factors are evaluated
+        first: one that vanishes raises ZeroDenominator (PoleAtRootOfUnity
+        at a root), and only after them does a vanishing numerator factor
+        give 0, before any product is taken."""
+        scale, factors = value.factors()
+        if not scale:
+            return self.ring.zero
+        points = []
+        for poly, mult in sorted(factors, key=lambda factor: factor[1]):
+            point = self.evaluate(poly, variable)
+            if not point:
+                if mult > 0:
+                    return self.ring.zero
+                if self.kind == "root":
+                    raise PoleAtRootOfUnity(
+                        f"pole at a primitive {self.root_order}-th root of unity"
+                    )
+                raise ZeroDenominator("zero denominator")
+            points.append((point, mult))
+        top = bottom = None
+        for point, mult in points:
+            if abs(mult) != 1:
+                point = point ** abs(mult)
+            if mult > 0:
+                top = point if top is None else top * point
+            else:
+                bottom = point if bottom is None else bottom * point
+        top = scale * top
+        return top if bottom is None else top / bottom

@@ -58,7 +58,7 @@ from .criteria import (
     value_is_unit,
 )
 from .deformed import polynomial_p_coordinates, skew_hl_P_pn_inner, specialize_coeffs
-from .exactalg import P_ZERO, CoeffRing, RatFunc, ZeroDenominator
+from .exactalg import P_ZERO, RatFunc, ZeroDenominator
 from .partitions import (
     EMPTY,
     Partition,
@@ -68,9 +68,8 @@ from .partitions import (
     format_partition,
     is_ribbon,
     partitions_of,
-    union,
 )
-from .symfunc import SymFunc, _basis_matrix_inverse, p_expansion
+from .symfunc import SymFunc, _basis_matrix_inverse, _p_convolve, p_expansion
 
 # the highest degree the skew Hall-Littlewood probe computes
 PROBE_MAX_DEGREE = 5
@@ -221,15 +220,7 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
             head, tail = product(lam[:1]), product(lam[1:])
             if polynomial:
                 (d_head, head), (d_tail, tail) = head, tail
-            out: dict = {}
-            for la, ca in head.items():
-                for lb, cb in tail.items():
-                    key = union(la, lb)
-                    s = out.get(key, zero) + ca * cb
-                    if CoeffRing.is_zero(s):
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+            out = _p_convolve(head, tail, zero)
             if integral:
                 scale = comb(sum(lam), lam[0])
                 out = {nu: c * scale for nu, c in out.items()}

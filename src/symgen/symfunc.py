@@ -123,16 +123,18 @@ def sym(basis: str, lam, ring: CoeffRing = RING_Q, coeff=None) -> SymFunc:
 # transitions into the power-sum basis (exact, over Q, cached)
 # ---------------------------------------------------------------------------
 
-def _p_convolve(a: dict, b: dict) -> dict:
+def _p_convolve(a: dict, b: dict, zero=0) -> dict:
+    """The product of two power-sum coordinate maps {nu: c}, as
+    p_la p_lb = p_{la u lb}; ``zero`` is the coefficients' zero."""
     out: dict = {}
     for la, ca in a.items():
         for lb, cb in b.items():
             key = union(la, lb)
-            s = out.get(key, 0) + ca * cb
+            s = out.get(key, zero) + ca * cb
             if s:
                 out[key] = s
             else:
-                del out[key]
+                out.pop(key, None)
     return out
 
 
@@ -384,17 +386,7 @@ def multiply(x: SymFunc, y: SymFunc) -> SymFunc:
     ring = x.ring
     if ring.name != y.ring.name:
         raise ValueError("mixed coefficient rings in multiply")
-    xp, yp = p_expansion(x), p_expansion(y)
-    out: dict = {}
-    for la, ca in xp.items():
-        for lb, cb in yp.items():
-            key = union(la, lb)
-            s = out.get(key, ring.zero) + ca * cb
-            if CoeffRing.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return SymFunc("p", out, ring)
+    return SymFunc("p", _p_convolve(p_expansion(x), p_expansion(y), ring.zero), ring)
 
 
 def hall_inner(x: SymFunc, y: SymFunc):

@@ -191,12 +191,10 @@ def test_acceptance_6_hall_littlewood():
             for lam in partitions_of(n):
                 assert hall_inner(hl_P(lam), p_n) == hl_P_pn_closed(lam, n)
                 assert deformed_inner(hl_Q(lam), p_n, "t") == hl_Q_pn_closed(lam, n)
-                assert specialize_coeffs(hl_P(lam), t=Fraction(0)) == to_basis(
-                    sym("s", lam), "m"
-                )
-                assert specialize_coeffs(hl_P(lam), t=Fraction(1)) == to_basis(
-                    sym("m", lam), "m"
-                )
+                at_zero = specialize_coeffs(hl_P(lam), Specialization.at_value(0))
+                assert at_zero == to_basis(sym("s", lam), "m")
+                at_one = specialize_coeffs(hl_P(lam), Specialization.at_value(1))
+                assert at_one == to_basis(sym("m", lam), "m")
         for k in (2, 3, 4):
             root_spec = FamilySpec("hl-P", "Q", Specialization.at_root(k))
             q_spec = FamilySpec("hl-Q", "Q", Specialization.at_root(k))
@@ -212,17 +210,17 @@ def test_acceptance_6_hall_littlewood():
                     predicted_q, _ = criterion(q_spec, lam, None, n)
                     assert (not q_val.is_zero()) == predicted_q, (k, lam, n)
         # Schur P / Q functions: the k = 2 instance at t = -1
-        minus_one = Fraction(-1)
+        minus_one = Specialization.at_value(-1)
         for n in range(1, 6):
             for lam in partitions_of(n):
-                p_at = specialize_coeffs(hl_P(lam), t=minus_one)
+                p_at = specialize_coeffs(hl_P(lam), minus_one)
                 value = hall_inner(p_at, sym("p", (n,)))
                 predicted, _ = criterion(
                     FamilySpec("hl-P", "Q", Specialization.at_value(-1)),
                     lam, None, n,
                 )
                 assert (value != 0) == predicted
-                q_at = specialize_coeffs(hl_Q(lam), t=minus_one)
+                q_at = specialize_coeffs(hl_Q(lam), minus_one)
                 q_value = hall_inner(q_at, sym("p", (n,)))
                 distinct = len(set(lam)) == len(lam)
                 assert (n % 2 == 1 and len(lam) <= 2) == (q_value != 0)

@@ -24,7 +24,7 @@ from symgen.criteria import (
     value_is_unit,
     verdict_records,
 )
-from symgen.exactalg import P_ONE, T, CycloElem, RatFunc, ZeroDenominator
+from symgen.exactalg import P_ONE, Q, T, CycloElem, PoleAtRootOfUnity, RatFunc, ZeroDenominator
 from symgen.partitions import EMPTY, Partition, partitions_of
 from symgen.symfunc import hall_inner, multiply, sym
 
@@ -459,14 +459,15 @@ def test_colliding_pair_evaluates_the_closed_form_once(monkeypatch):
 
 
 # the specializations the key-wise evaluation is checked at; the colliding
-# pairs (q^i = t^j) reach zeros and vanishing denominators
+# pairs (q^i = t^j) reach zeros and vanishing denominators, and at (1, 1)
+# most Macdonald values are undefined
 KEYWISE_SPECIALIZATIONS = {
     "t": [Specialization.at_value(Fraction(v)) for v in ("0", "1", "-1", "1/2", "2")]
     + [Specialization.at_root(k) for k in (1, 2, 3, 4, 6)],
     "qt": [
         Specialization.at_pair(Fraction(q), Fraction(t))
         for q, t in (("2", "3"), ("4", "2"), ("2", "4"), ("1", "3"), ("2", "1"),
-                     ("0", "0"), ("-1", "1"), ("1/2", "1/4"))
+                     ("0", "0"), ("-1", "1"), ("1/2", "1/4"), ("1", "1"))
     ],
 }
 
@@ -618,6 +619,13 @@ def test_specialization_apply():
     for spz in (Specialization.at_value(1), Specialization.at_root(1)):
         with pytest.raises(ZeroDenominator):
             spz.apply(pole)
+    with pytest.raises(PoleAtRootOfUnity):
+        Specialization.at_root(1).apply(pole)
+    # both parts vanish at (1, 1): the denominator is checked first
+    both = RatFunc.make(Q - T, Q + T - 2)
+    with pytest.raises(ZeroDenominator):
+        Specialization.at_pair(1, 1).apply(both)
+    assert Specialization.at_pair(1, 2).apply(both) == -1
 
 
 def test_value_is_unit_accepts_integer_determinants():

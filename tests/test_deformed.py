@@ -42,6 +42,7 @@ from symgen.exactalg import (
     CycloElem,
     PoleAtRootOfUnity,
     RatFunc,
+    Specialization,
     T,
     cyclotomic_poly,
     poly_exact_div,
@@ -225,14 +226,11 @@ def test_hl_constructed_matches_closed_forms():
 
 
 def test_hl_specializations():
+    at_zero, at_one = Specialization.at_value(0), Specialization.at_value(1)
     for n in range(1, 6):
         for lam in partitions_of(n):
-            assert specialize_coeffs(hl_P(lam), t=Fraction(0)) == to_basis(
-                sym("s", lam), "m"
-            )
-            assert specialize_coeffs(hl_P(lam), t=Fraction(1)) == to_basis(
-                sym("m", lam), "m"
-            )
+            assert specialize_coeffs(hl_P(lam), at_zero) == to_basis(sym("s", lam), "m")
+            assert specialize_coeffs(hl_P(lam), at_one) == to_basis(sym("m", lam), "m")
 
 
 def test_qn_is_one_row_Q():
@@ -289,12 +287,13 @@ def test_constructed_specialization_at_cube_root_matches_closed():
 
 def test_schur_P_Q_at_minus_one():
     # Q(-1) = 2^l P(-1) when parts are distinct, else 0
+    at_minus_one = Specialization.at_value(-1)
     for n in range(1, 6):
         for lam in partitions_of(n):
-            q_at = specialize_coeffs(hl_Q(lam), t=Fraction(-1))
+            q_at = specialize_coeffs(hl_Q(lam), at_minus_one)
             distinct = len(set(lam)) == len(lam)
             if distinct:
-                p_at = specialize_coeffs(hl_P(lam), t=Fraction(-1))
+                p_at = specialize_coeffs(hl_P(lam), at_minus_one)
                 assert q_at == p_at.scaled(Fraction(2 ** len(lam)))
             else:
                 assert q_at.is_zero()
@@ -413,7 +412,7 @@ def test_big_schur_pairing_open_question():
 def test_big_schur_specializes_to_schur_at_zero():
     for n in range(1, 5):
         for lam in partitions_of(n):
-            at0 = specialize_coeffs(to_basis(big_schur(lam), "m"), t=Fraction(0))
+            at0 = specialize_coeffs(to_basis(big_schur(lam), "m"), Specialization.at_value(0))
             assert at0 == to_basis(sym("s", lam), "m")
 
 
@@ -600,7 +599,8 @@ def test_skew_hl_examples():
     for n in range(4):
         for lam in partitions_of(n):
             assert skew_hl_P(lam, EMPTY) == hl_P(lam)
-    at0 = specialize_coeffs(skew_hl_P((2, 2), (1,)), t=Fraction(0))
+    at_zero = Specialization.at_value(0)
+    at0 = specialize_coeffs(skew_hl_P((2, 2), (1,)), at_zero)
     assert at0 == to_basis(skew("s", (2, 2), (1,)), "m")
     value = deformed_inner(skew_hl_P((2, 2), (1,)), sym("p", (3,), RING_QT), "t")
     assert ratfunc_subs(value, t=Fraction(0)).as_fraction() == -1
@@ -639,11 +639,12 @@ def test_skew_hl_defining_identity():
 
 
 def test_skew_hl_at_zero_is_skew_schur():
+    at_zero = Specialization.at_value(0)
     for size in range(1, 5):
         for lam in partitions_of(size):
             for m in range(size + 1):
                 for mu in partitions_of(m):
-                    at0 = specialize_coeffs(skew_hl_P(lam, mu), t=Fraction(0))
+                    at0 = specialize_coeffs(skew_hl_P(lam, mu), at_zero)
                     assert at0 == to_basis(skew("s", lam, mu), "m"), (lam, mu)
 
 

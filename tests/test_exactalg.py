@@ -16,6 +16,7 @@ from symgen.exactalg import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
+    Specialization,
     T,
     CycloElem,
     ZeroDenominator,
@@ -29,7 +30,7 @@ from symgen.exactalg import (
     try_exact_div,
 )
 
-from exact_reference import cyclotomic_multiplicity, ratfunc_reduce, ratfunc_subs
+from exact_reference import cyclotomic_multiplicity, poly_subs, ratfunc_reduce, ratfunc_subs
 
 
 def t_pow(k):
@@ -66,8 +67,8 @@ def test_reduce_cleared_inverse_powers():
     reduced = ratfunc_reduce(num, den)
     assert reduced == RatFunc.make(-(P_ONE + T + t_pow(2)))
     # cross-checked two ways: at t=2 and at t=-1
-    assert reduced.eval_rational(t=2) == Fraction(-7)
-    assert reduced.eval_rational(t=-1) == Fraction(-1)
+    assert Specialization.at_value(2).apply(reduced) == Fraction(-7)
+    assert Specialization.at_value(-1).apply(reduced) == Fraction(-1)
 
 
 def test_reduce_zero_denominator():
@@ -288,13 +289,25 @@ def test_low_order_cyclo_matches_rational_arithmetic(k, value):
     g = RatFunc.make(T + 2, Poly.const(3))
     for func in (f, g, f * g, f + g):
         got = specialize_root_of_unity(func, k)
-        assert got.as_fraction() == func.eval_rational(t=value)
+        assert got.as_fraction() == Specialization.at_value(value).apply(func)
 
 
 def test_cyclo_inverse_roundtrip():
     x = CycloElem.from_poly(t_pow(2) + T + 1, 5)
     assert x * x.inverse() == CycloElem.one(5)
     assert (x / x) == CycloElem.one(5)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 12])
+def test_cyclo_powers_match_repeated_products(k):
+    x = CycloElem.from_poly(t_pow(3) - 2 * T + 1, k)
+    if not x:
+        x = x + 1
+    product = CycloElem.one(k)
+    for n in range(6):
+        assert x ** n == product
+        assert x ** -n == product.inverse()
+        product = product * x
 
 
 def test_cyclo_zero_test_is_vector_zero():
@@ -348,15 +361,33 @@ small_points = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
 @settings(max_examples=150, deadline=None)
 @given(f=small_ratfuncs(), q=small_points, t=small_points)
-def test_eval_rational_matches_reduced_substitution(f, q, t):
+def test_pair_specialization_matches_reduced_substitution(f, q, t):
     # the parts are evaluated as they are: no gcd, same value, same poles
+    at_pair = Specialization.at_pair(q, t)
     try:
         want = ratfunc_subs(f, q=q, t=t).as_fraction()
     except ZeroDenominator:
         with pytest.raises(ZeroDenominator):
-            f.eval_rational(q=q, t=t)
+            at_pair.apply(f)
     else:
-        assert f.eval_rational(q=q, t=t) == want
+        assert at_pair.apply(f) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=small_ratfuncs(),
+    q=st.none() | small_points,
+    t=st.none() | small_points,
+)
+def test_value_at_matches_substitution(f, q, t):
+    # one integer sum over one denominator; a variable left as None that the
+    # polynomial has is no value
+    for p in (f.num, f.den, f.scale * f.num):
+        if (q is None and p.deg_q()) or (t is None and p.deg_t()):
+            with pytest.raises(ValueError):
+                p.value_at(q, t)
+        else:
+            assert p.value_at(q, t) == poly_subs(p, q=q, t=t).as_fraction()
 
 
 def test_rendering_grammar():

@@ -331,7 +331,7 @@ def test_specialized_family_element_at_root():
     # at t = -1 the coefficients are rational: compare against direct subs
     from symgen.deformed import hl_P, specialize_coeffs
 
-    direct = specialize_coeffs(hl_P((2, 1)), t=Fraction(-1))
+    direct = specialize_coeffs(hl_P((2, 1)), Specialization.at_value(-1))
     for mu, c in direct.coeffs.items():
         assert element.coeffs[mu].as_fraction() == c
 
