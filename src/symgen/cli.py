@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from fractions import Fraction
+from functools import cache, partial
 
 from . import __version__
 from .criteria import (
@@ -55,6 +57,14 @@ class CliError(Exception):
     pass
 
 
+@cache
+def _formatter():
+    """argparse's help formatter at the terminal width, read once per
+    process: argparse builds a formatter for every declared argument, and
+    each would otherwise query the terminal, though only help text uses it."""
+    return partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
 class _Default(int):
     """A --max-degree the user did not give: unlike a given one, it stops at
     the end of a shorter file instead of being rejected."""
@@ -73,7 +83,9 @@ _SKEW_ELEMENTS = {
 def _build_parser(command: str | None = None) -> _Parser:
     """The parser with only ``command``'s subparser declared, or with all of
     them when ``command`` names none (None, ``--help``, a typo)."""
-    parser = _Parser(prog="symgen", description=__doc__.splitlines()[0])
+    parser = _Parser(
+        prog="symgen", description=__doc__.splitlines()[0], formatter_class=_formatter()
+    )
     parser.add_argument(
         "--seed-manifest",
         action="store_true",
@@ -82,7 +94,7 @@ def _build_parser(command: str | None = None) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [command] if command in _COMMANDS else _COMMANDS:
         help_text, declare, _ = _COMMANDS[name]
-        declare(sub.add_parser(name, help=help_text))
+        declare(sub.add_parser(name, help=help_text, formatter_class=_formatter()))
     return parser
 
 

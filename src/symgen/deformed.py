@@ -11,7 +11,11 @@ Polynomials, VI (7.13')), psi_T being one factor psi per horizontal strip of
 T; Hall-Littlewood P is its q = 0 case (III (5.11')), the q-Whittaker
 functions its t = 0 case.  No inner product enters, and no gcd: every psi is
 a quotient of binomials, and the sums run in polynomials (for Macdonald, in
-the integral form J = c_lam P).
+the integral form J = c_lam P, whose m-coefficients they are, VI (8.11)).
+
+Big Schur: S_lam = det(q_{lam_i - i + j}) is s_lam[(1-t)X], since q_r =
+h_r[(1-t)X] (III (2.10)); on the power sums it is the Schur character
+expansion with every p_nu scaled by prod (1 - t^{nu_i}).
 
 Skew Hall-Littlewood P: both forms are diagonal on the power sums, so the
 adjoint of multiplication by P_mu is ``symfunc.skew_p`` under the t-norms,
@@ -49,7 +53,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from .exactalg import (
     P_ONE,
@@ -67,14 +71,7 @@ from .exactalg import (
     try_exact_div,
 )
 from .partitions import EMPTY, Partition, is_hook, partitions_of, stats, union
-from .symfunc import (
-    SymFunc,
-    _basis_to_p,
-    multiply,
-    p_expansion,
-    skew_p,
-    to_basis,
-)
+from .symfunc import SymFunc, _basis_to_p, p_expansion, skew_p, to_basis
 from .tabloids import SizeMismatch
 
 
@@ -356,15 +353,14 @@ def mac_P(lam) -> SymFunc:
     return SymFunc("m", _gs_family(lam.size, "qt")[lam], RING_QQT)
 
 
-def arm_leg_product(lam) -> Poly:
-    """c_lam(q,t) = prod over cells (1 - q^arm t^(leg+1))."""
-    return _binomial_quotient(1, (0, 0), _cell_binomials(Partition(lam))[1], []).expand().as_poly()
-
-
 def mac_J(lam) -> SymFunc:
-    """Integral form J = c_lam(q,t) * P."""
+    """Integral form J = c_lam(q,t) P: its m-coefficients are the tableau
+    states themselves (VI (8.11)), polynomials in q and t."""
     lam = Partition(lam)
-    return mac_P(lam).scaled(RatFunc.make(arm_leg_product(lam)))
+    return SymFunc("m", {
+        nu: RatFunc.make(_tableau_states(tuple(nu), "qt").get(lam, P_ZERO))
+        for nu in partitions_of(lam.size)
+    }, RING_QQT)
 
 
 def whittaker(lam) -> SymFunc:
@@ -412,50 +408,14 @@ def hl_P_pn_closed(lam, n: int) -> RatFunc:
     return hl_P_pn_keys(lam, n).expand()
 
 
-@lru_cache(maxsize=None)
-def _jacobi_trudi_h_terms(lam: Partition) -> tuple:
-    """Expansion of det(h_{lam_i - i + j}) as h-index partitions with signs.
-
-    Row i takes an unused column j with lam_i - i + j >= 0.  When the lowest
-    unused column already gives a negative index, no later row can fill it
-    (lam_i - i strictly decreases), so the branch is dropped there.
-    """
-    size = len(lam)
-    acc: dict[Partition, int] = {}
-
-    def expand(i: int, used: int, sign: int, parts: tuple):
-        if i == size:
-            key = Partition(sorted(parts, reverse=True))
-            acc[key] = acc.get(key, 0) + sign
-            return
-        free = [j for j in range(size) if not used & (1 << j)]
-        if lam[i] - i + free[0] < 0:
-            return
-        for j in free:
-            k = lam[i] - i + j
-            inversions = bin(used >> (j + 1)).count("1")
-            expand(
-                i + 1,
-                used | (1 << j),
-                -sign if inversions % 2 else sign,
-                parts + ((k,) if k else ()),
-            )
-
-    expand(0, 0, 1, ())
-    return tuple((key, c) for key, c in acc.items() if c)
-
-
 def big_schur(lam) -> SymFunc:
-    """S_lam(x;t) = det(q_{lam_i - i + j}) over the one-row Q generators: the
-    Jacobi-Trudi expansion of s_lam (``_jacobi_trudi_h_terms``) with every
-    h_r read as q_r."""
-    total = SymFunc("p", {}, RING_QT)
-    for parts, sign in _jacobi_trudi_h_terms(Partition(lam)):
-        term = SymFunc("p", {EMPTY: RatFunc.from_fraction(sign)}, RING_QT)
-        for part in parts:
-            term = multiply(term, qn(part))
-        total = total + term
-    return total
+    """S_lam(x;t) = s_lam[(1-t)X] (module docstring): [p_nu] S_lam is
+    chi^lam(nu)/z_nu, read off ``_basis_to_p("s", lam)``, times
+    prod (1 - t^{nu_i})."""
+    return SymFunc("p", {
+        nu: RatFunc.make(prod((P_ONE - Poly.t(r) for r in nu), start=P_ONE), P_ONE, c)
+        for nu, c in _basis_to_p("s", Partition(lam))
+    }, RING_QT)
 
 
 def big_schur_pn_keys(lam, n: int) -> KeyQuotient:

@@ -11,24 +11,25 @@ then taken to the monomial basis by the integer p -> m matrix that
 u_{lam minus lam_1}; ``verdict`` keeps one memo of elements and products
 across all its degrees, so each u_k is built once.
 
-A classical family's elements lie in the integral ring, and there the
-coordinates b_nu = k! [p_nu] x of a degree-k element are integers (z_nu
-divides k!).  So the route runs on ints: u_k enters as k! times its
-p-expansion, a product of degrees a and b is the convolution of its factors
-times (a + b choose a), and an m-entry is the scaled row times the p -> m
-matrix divided exactly by n!.  A denominator at either step raises
-``ValueError``.
+Every element travels as one pair (D, {nu: D [p_nu] u}), with D chosen so
+that the coordinates need no fraction (``_p_coordinates``):
 
-A deformed family over its generic field Q(t) or Q(q,t) takes the route on
-polynomials.  u_k enters as D_k [p_nu] u_k, with D_k = k! times the lcm of
-the denominators of u_k's coefficients (``polynomial_p_coordinates``; the
-lcm is 1 for every such family but Macdonald P, where it divides c_lam).  A
-product convolves the polynomials and carries the product of its factors'
-D, and each m-entry becomes a rational function once, as
-``RatFunc.make(entry, D)``: no rational-function sum or product and no gcd
-is taken on the way, apart from the lcm.  A specialized deformed family (at
-a value, a root of unity or a (q,t) pair) takes the route at scale 1, with
-values in its coefficient field.
+* a classical family's degree-k element has D = k!.  It lies in the
+  integral ring, and z_nu divides k!, so its coordinates are integers; a
+  fraction raises ``ValueError``;
+* a deformed family over its generic field Q(t) or Q(q,t) has the D of
+  ``polynomial_p_coordinates``: k! times the lcm of the denominators of its
+  coefficients (1 for every such family but Macdonald P, where it divides
+  c_lam), and polynomial coordinates;
+* a specialized deformed family (at a value, a root of unity or a (q,t)
+  pair) has D = 1, and coordinates in its coefficient field.
+
+A product is the convolution of its factors' coordinates over the product
+of their D, and an m-entry is the product's row times the p -> m matrix,
+divided by D once (``_divided``): an exact integer quotient (a remainder
+raises ``ValueError``), one ``RatFunc.make`` over a polynomial D, or the
+value itself at D = 1.  No rational-function sum or product is taken on the
+way, and no gcd but the lcm's and the one ``RatFunc.make`` per entry.
 
 A specialization under which some u_k does not exist (a vanishing
 denominator) leaves ``det`` null and ``independent`` false from degree k on,
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .criteria import (
     FamilySpec,
@@ -58,7 +59,7 @@ from .criteria import (
     value_is_unit,
 )
 from .deformed import polynomial_p_coordinates, skew_hl_P_pn_inner, specialize_coeffs
-from .exactalg import P_ZERO, RatFunc, ZeroDenominator
+from .exactalg import Poly, RatFunc, ZeroDenominator
 from .partitions import (
     EMPTY,
     Partition,
@@ -162,11 +163,6 @@ def family_element(spec: FamilySpec, lam, mu=None) -> SymFunc:
     return specialize_coeffs(base, spec.specialization, fam.variable)
 
 
-def _polynomial_route(spec: FamilySpec) -> bool:
-    """A deformed family over its generic field, Q(t) or Q(q,t)."""
-    return bool(spec.definition.deformation) and spec.specialization is None
-
-
 def _exact_quotient(num: int, den: int) -> int:
     quotient, remainder = divmod(num, den)
     if remainder:
@@ -174,96 +170,80 @@ def _exact_quotient(num: int, den: int) -> int:
     return quotient
 
 
+def _p_coordinates(spec: FamilySpec, u: SymFunc) -> tuple:
+    """u as the pair (D, {nu: D [p_nu] u}) of the module docstring."""
+    if spec.specialization is not None:
+        return 1, p_expansion(u)
+    if spec.definition.deformation:
+        return polynomial_p_coordinates(u)
+    scale = factorial(u.degree())
+    return scale, {
+        nu: _exact_quotient(c.numerator * scale, c.denominator)
+        for nu, c in p_expansion(u).items()
+    }
+
+
+def _divided(value, scale):
+    """value / scale for a coordinate value over its pair's D."""
+    if isinstance(scale, Poly):
+        return RatFunc.make(value, scale)
+    return value if scale == 1 else _exact_quotient(value, scale)
+
+
+def _zero(spec: FamilySpec):
+    """The coordinates' zero: 0 for ints and polynomials, else the
+    specialized field's zero."""
+    return 0 if spec.specialization is None else spec.coeff_ring.zero
+
+
 def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> DegreeMatrix:
     """The matrix of the products u_lam (lam |- n) on the monomial basis.
 
     Rows follow the canonical order of the product index lam; columns the
     canonical order of the monomial index.  Products are convolved on the
-    p-basis and then taken to m by the integer p -> m matrix, on one of the
-    three coordinate systems of the module docstring: the ints
-    k! [p_nu] u_k of a classical family (every entry an int, a fraction
-    anywhere raising ``ValueError``), the polynomials D_k [p_nu] u_k of a
-    deformed family over Q(t) or Q(q,t) (``polynomial_p_coordinates``; each
-    entry is ``RatFunc.make`` of the polynomial entry over the row's D), or
-    the specialized field's values.
-    ``memo`` maps each product index to its coordinates (u_k at (k,)); on
-    the polynomial route each value is the pair (D, coordinates).  Pass the
+    p-basis as (D, coordinates) pairs and then taken to m by the integer
+    p -> m matrix, each entry divided by the row's D (module docstring).
+    ``memo`` maps each product index to its pair (u_k at (k,)).  Pass the
     same dict for every degree of one sequence to build each element and
     product once.
     """
     if len(seq) < n:
         raise ValueError(f"sequence defines degrees 1..{len(seq)}, need {n}")
-    integral = not spec.definition.deformation
-    polynomial = _polynomial_route(spec)
-    zero = 0 if integral else P_ZERO if polynomial else spec.coeff_ring.zero
+    zero = _zero(spec)
     if memo is None:
         memo = {}
-
-    def element(k: int):
-        u = family_element(spec, *seq[k - 1])
-        if polynomial:
-            return polynomial_p_coordinates(u)
-        pexp = p_expansion(u)
-        if integral:
-            scale = factorial(k)
-            pexp = {
-                nu: _exact_quotient(c.numerator * scale, c.denominator)
-                for nu, c in pexp.items()
-            }
-        return pexp
 
     def product(lam: tuple):
         if lam not in memo:
             if len(lam) == 1:
-                memo[lam] = element(lam[0])
-                return memo[lam]
-            head, tail = product(lam[:1]), product(lam[1:])
-            if polynomial:
-                (d_head, head), (d_tail, tail) = head, tail
-            out = _p_convolve(head, tail, zero)
-            if integral:
-                scale = comb(sum(lam), lam[0])
-                out = {nu: c * scale for nu, c in out.items()}
-            memo[lam] = (d_head * d_tail, out) if polynomial else out
+                memo[lam] = _p_coordinates(spec, family_element(spec, *seq[lam[0] - 1]))
+            else:
+                (d_head, head), (d_tail, tail) = product(lam[:1]), product(lam[1:])
+                memo[lam] = d_head * d_tail, _p_convolve(head, tail, zero)
         return memo[lam]
 
     order = partitions_of(n)
     to_m = _basis_matrix_inverse("m", n)
     # column nu of the p -> m matrix, as (row, entry) pairs for its nonzeros
     cols = [[(j, row[i]) for j, row in enumerate(to_m) if row[i]] for i in range(len(order))]
-    scale = factorial(n)
     rows = []
     for lam in order:
-        coords = product(lam)
-        if polynomial:
-            denominator, coords = coords
+        scale, coords = product(lam)
         row = [zero] * len(order)
         for nu, col in zip(order, cols):
             c = coords.get(nu)
             if c is not None:
                 for j, r in col:
                     row[j] = row[j] + c * r
-        if integral:
-            row = [_exact_quotient(v, scale) for v in row]
-        elif polynomial:
-            row = [RatFunc.make(v, denominator) for v in row]
-        rows.append(tuple(row))
+        rows.append(tuple(_divided(v, scale) for v in row))
     return DegreeMatrix(degree=n, rows=order, cols=order, entries=tuple(rows))
 
 
 def recomputed_inner(spec: FamilySpec, lam, mu, n: int):
     """<u_n, p_n> by full expansion of the constructed element (no closed
-    forms): n times the coefficient of p_(n), read off the polynomial
-    coordinates over Q(t) and Q(q,t)."""
-    u = family_element(spec, lam, mu)
-    if _polynomial_route(spec):
-        scale, coords = polynomial_p_coordinates(u)
-        return RatFunc.make(coords.get(Partition((n,)), P_ZERO) * n, scale)
-    coeff = p_expansion(u).get(Partition((n,)))
-    ring = spec.coeff_ring
-    if coeff is None:
-        return ring.zero
-    return coeff * ring.from_int(n)
+    forms): n times the coefficient of p_(n), read off its coordinates."""
+    scale, coords = _p_coordinates(spec, family_element(spec, lam, mu))
+    return _divided(coords.get(Partition((n,)), _zero(spec)) * n, scale)
 
 
 def verdict(spec: FamilySpec, seq, max_degree: int) -> list[dict]:

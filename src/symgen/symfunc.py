@@ -5,12 +5,12 @@ the Hall inner product is diagonal there.  Conversions route every basis
 through p:
 
 * ``m`` uses the domino-tabloid expansion of a monomial into power sums,
-* ``h`` uses the Newton recurrence ``n*h_n = sum_{r} p_r h_{n-r}``,
-* ``e`` is the single-column monomial ``e_n = m_{(1^n)}``,
+* ``h`` is a product of rows ``h_n = sum_{nu |- n} p_nu / z_nu``,
 * ``s`` has the characters of the symmetric group as its coordinates,
   ``s_lam = sum_nu chi^lam(nu) p_nu / z_nu``, each chi^lam(nu) an integer
   from the Murnaghan-Nakayama rule (one rim hook per part of nu),
-* ``f`` (forgotten) is the image of ``m`` under the involution omega,
+* ``e`` and ``f`` (forgotten) are the images of ``h`` and ``m`` under the
+  involution omega, ``omega p_nu = eps_nu p_nu``,
 
 and the reverse direction needs no inversion.  The coefficient of m_mu in
 p_nu is counted: the ways to drop the parts of nu into the rows of mu so
@@ -153,14 +153,8 @@ def _m_to_p(lam: Partition) -> tuple:
 
 @lru_cache(maxsize=None)
 def _h_to_p(n: int) -> tuple:
-    if n == 0:
-        return ((EMPTY, Fraction(1)),)
-    out: dict = {}
-    for r in range(1, n + 1):
-        for lam, c in _h_to_p(n - r):
-            key = union(lam, (r,))
-            out[key] = out.get(key, Fraction(0)) + Fraction(c, n)
-    return tuple(sorted(out.items()))
+    """h_n = sum over nu |- n of p_nu / z_nu (Macdonald I (2.14))."""
+    return tuple((nu, Fraction(1, stats(nu).z)) for nu in partitions_of(n))
 
 
 @lru_cache(maxsize=None)
@@ -214,13 +208,10 @@ def _basis_to_p(basis: str, lam: Partition) -> tuple:
         return ((lam, Fraction(1)),)
     if basis == "m":
         return _m_to_p(lam)
-    if basis == "f":
-        return tuple((nu, stats(nu).eps * c) for nu, c in _m_to_p(lam))
     if basis == "h":
         return tuple(sorted(_prod_row(tuple(_h_to_p(part) for part in lam)).items()))
-    if basis == "e":
-        rows = tuple(_m_to_p(Partition([1] * part)) for part in lam)
-        return tuple(sorted(_prod_row(rows).items()))
+    if basis in _OMEGA:
+        return tuple((nu, stats(nu).eps * c) for nu, c in _basis_to_p(_OMEGA[basis], lam))
     if basis == "s":
         beta = _beta_set(lam)
         return tuple(
@@ -230,6 +221,9 @@ def _basis_to_p(basis: str, lam: Partition) -> tuple:
         )
     raise ValueError(f"unknown basis {basis!r}")
 
+
+# e = omega h and f = omega m, with omega p_nu = eps_nu p_nu
+_OMEGA = {"e": "h", "f": "m"}
 
 # the Hall-dual basis of each basis: <b_lam, dual(b)_mu> = delta_lam,mu
 # (the p -> m entries are counted instead)
@@ -546,7 +540,8 @@ def parse_symfunc(text: str, ring: CoeffRing = RING_Q) -> SymFunc:
         return SymFunc("p", {}, ring)
     while pos < len(text):
         match = _TERM_RE.match(text, pos)
-        if match is None:
+        # every term after the first starts with its sign
+        if match is None or (basis is not None and match.group("sign") is None):
             if text[pos:].strip():
                 raise ValueError(f"cannot parse symmetric function near {text[pos:]!r}")
             break

@@ -8,6 +8,10 @@ division.  The engine specializes a closed form factor by factor
 (``Specialization.apply``); the direct version expands it to a RatFunc,
 substitutes the point into its numerator and denominator and reduces, or at
 a root of unity takes the residues of both parts.
+
+The symmetric-function references build h, e and the Schur functions the
+long way: h_n and e_n by the Newton recurrences, and s_lam by every term of
+its Jacobi-Trudi determinant.
 """
 
 from fractions import Fraction
@@ -21,6 +25,7 @@ from symgen.exactalg import (
     cyclotomic_poly,
     try_exact_div,
 )
+from symgen.partitions import EMPTY, Partition, union
 
 
 def specialized_by_expansion(spec, lam, mu, n):
@@ -117,3 +122,40 @@ def cyclotomic_multiplicity(p: Poly, k: int) -> int:
         p = quo
         count += 1
 
+
+def jacobi_trudi_unpruned(lam):
+    """det(h_{lam_i - i + j}) as signed h-index partitions: every permutation
+    prefix, no branch dropped."""
+    size = len(lam)
+    acc = {}
+
+    def expand(i, used, sign, parts):
+        if i == size:
+            key = Partition(sorted(parts, reverse=True))
+            acc[key] = acc.get(key, 0) + sign
+            return
+        for j in range(size):
+            if used & (1 << j):
+                continue
+            k = lam[i] - i + j
+            if k < 0:
+                continue
+            inversions = bin(used >> (j + 1)).count("1")
+            expand(i + 1, used | (1 << j), sign * (-1) ** inversions, parts + ((k,) if k else ()))
+
+    expand(0, 0, 1, ())
+    return tuple((key, c) for key, c in acc.items() if c)
+
+
+def newton_row(n, sign=1):
+    """h_n (sign 1) or e_n (sign -1) on the power sums, as {nu: Fraction},
+    by the Newton recurrence n u_n = sum_r sign^(r-1) p_r u_{n-r}."""
+    rows = [{EMPTY: Fraction(1)}]
+    for m in range(1, n + 1):
+        out = {}
+        for r in range(1, m + 1):
+            for lam, c in rows[m - r].items():
+                key = union(lam, (r,))
+                out[key] = out.get(key, 0) + sign ** (r - 1) * c / m
+        rows.append(out)
+    return rows[n]

@@ -266,6 +266,32 @@ def test_inner_rejects_degree_zero(capsys, name):
     assert err == "error: degree 0: degrees start at 1\n"
 
 
+def test_expand_rejects_terms_without_operator(capsys):
+    code, out, err = invoke(capsys, "expand", "--expr", "m[2] m[1,1]", "--to", "m")
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse symmetric function near ' m[1,1]'\n"
+
+
+def test_parsers_read_the_terminal_width_once(monkeypatch):
+    import shutil
+
+    from symgen import cli
+    from symgen.cli import _build_parser
+
+    queries = []
+    original = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        queries.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    cli._formatter.cache_clear()
+    _build_parser()
+    _build_parser("check")
+    assert len(queries) == 1
+
+
 def test_expand_zero_denominator_exit_code(capsys):
     code, out, err = invoke(capsys, "expand", "--expr", "1/0*m[2]", "--to", "p")
     assert code == 2 and out == ""

@@ -9,7 +9,6 @@ from symgen.deformed import (
     _cyclotomic_factor,
     _gram_inverse_t,
     _gs_family,
-    _jacobi_trudi_h_terms,
     _strip_factor,
     _tableau_states,
     big_schur,
@@ -51,6 +50,7 @@ from symgen.exactalg import (
 from symgen.criteria import _hl_Q_pn_value
 from symgen.partitions import EMPTY, Partition, contains, partitions_of, stats
 from symgen.symfunc import (
+    SymFunc,
     dominance_lt,
     hall_inner,
     multiply,
@@ -61,7 +61,12 @@ from symgen.symfunc import (
 )
 from symgen.tabloids import SizeMismatch
 
-from exact_reference import cyclotomic_multiplicity, ratfunc_subs, ratfunc_subs_q_to_t
+from exact_reference import (
+    cyclotomic_multiplicity,
+    jacobi_trudi_unpruned,
+    ratfunc_subs,
+    ratfunc_subs_q_to_t,
+)
 
 
 def P(*parts):
@@ -356,35 +361,17 @@ def test_no_pole_at_roots_of_unity():
 # big Schur
 # ---------------------------------------------------------------------------
 
-def _jacobi_trudi_unpruned(lam):
-    """Every permutation prefix of det(h_{lam_i - i + j}), no branch dropped."""
-    size = len(lam)
-    acc = {}
-
-    def expand(i, used, sign, parts):
-        if i == size:
-            key = Partition(sorted(parts, reverse=True))
-            acc[key] = acc.get(key, 0) + sign
-            return
-        for j in range(size):
-            if used & (1 << j):
-                continue
-            k = lam[i] - i + j
-            if k < 0:
-                continue
-            inversions = bin(used >> (j + 1)).count("1")
-            expand(i + 1, used | (1 << j), sign * (-1) ** inversions, parts + ((k,) if k else ()))
-
-    expand(0, 0, 1, ())
-    return tuple((key, c) for key, c in acc.items() if c)
-
-
-def test_jacobi_trudi_terms_match_unpruned_enumeration():
-    # worked terms: s_(1,1) = h_(1,1) - h_(2)
-    assert dict(_jacobi_trudi_h_terms(P(1, 1))) == {P(1, 1): 1, P(2): -1}
-    for n in range(10):
+def test_big_schur_is_jacobi_trudi_over_one_row_Q():
+    # S_lam = det(q_{lam_i - i + j}), every term a product of the one-row Q
+    for n in range(7):
         for lam in partitions_of(n):
-            assert _jacobi_trudi_h_terms(lam) == _jacobi_trudi_unpruned(lam), lam
+            expect = SymFunc("p", {}, RING_QT)
+            for parts, sign in jacobi_trudi_unpruned(lam):
+                term = SymFunc("p", {EMPTY: rf(sign)}, RING_QT)
+                for part in parts:
+                    term = multiply(term, qn(part))
+                expect = expect + term
+            assert big_schur(lam) == expect, lam
 
 
 def test_big_schur_closed_examples():
@@ -435,6 +422,43 @@ def test_mac_constructed_matches_closed_forms():
         for lam in partitions_of(n):
             assert hall_inner(mac_P(lam), p_n) == mac_P_pn_closed(lam, n)
             assert hall_inner(mac_J(lam), p_n) == mac_J_pn_closed(lam, n)
+
+
+def test_mac_J_is_arm_leg_product_times_P():
+    for n in range(6):
+        for lam in partitions_of(n):
+            conj = lam.conjugate()
+            arm_leg = _product(
+                P_ONE - Q ** (row - j) * T ** (conj[j - 1] - i + 1)
+                for i, row in enumerate(lam, 1)
+                for j in range(1, row + 1)
+            )
+            assert mac_J(lam) == mac_P(lam).scaled(RatFunc.make(arm_leg)), lam
+
+
+def test_big_schur_and_mac_J_take_no_gcd_and_no_rational_product(monkeypatch):
+    # both are read off polynomial formulas: no RatFunc product, and no
+    # bivariate gcd reaches the cached core
+    calls = []
+    original = RatFunc.__mul__
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counted)
+    monkeypatch.setattr(RatFunc, "__rmul__", counted)
+    for cache in (_tableau_states, _strip_factor, _cyclotomic_factor, cyclotomic_poly):
+        cache.cache_clear()
+    lookups = exactalg._poly_gcd_prim.cache_info()
+    for n in range(7):
+        for lam in partitions_of(n):
+            big_schur(lam)
+            if n < 6:
+                mac_J(lam)
+    after = exactalg._poly_gcd_prim.cache_info()
+    assert (after.hits, after.misses) == (lookups.hits, lookups.misses)
+    assert calls == []
 
 
 def test_whittaker_constructed_matches_closed_form():

@@ -142,8 +142,11 @@ def test_classical_degree_matrices_are_integral(name, ring):
         mat = degree_matrix(spec, seq, n, memo)
         assert all(type(v) is int for row in mat.entries for v in row)
         assert mat.entries == reference_entries(spec, seq, n), n
-        # n!-scaled p-coordinates: ints from the first element on
-        assert all(type(c) is int for coords in memo.values() for c in coords.values())
+        # (D, D-scaled p-coordinates) pairs: ints from the first element on
+        assert all(
+            type(d) is int and all(type(c) is int for c in coords.values())
+            for d, coords in memo.values()
+        )
         frac = [[Fraction(v) for v in row] for row in mat.entries]
         assert mat.det() == det_bareiss(mat.entries) == det_gauss(frac)
     assert not hasattr(oracle, "multiply") and not hasattr(oracle, "to_basis")
@@ -237,7 +240,7 @@ def test_integrality_guard(monkeypatch, tmp_path, capsys):
     with pytest.raises(ValueError, match="expected an integer entry, got 1/2"):
         degree_matrix(spec, seq_of((1,)), 1)
     with pytest.raises(ValueError, match="expected an integer entry, got 1/2"):
-        degree_matrix(spec, seq_of((1,), (1, 1)), 2, {(1,): {P(1): 1}})
+        degree_matrix(spec, seq_of((1,), (1, 1)), 2, {(1,): (1, {P(1): 1})})
     path = tmp_path / "one.txt"
     path.write_text("1: [1]\n", encoding="utf-8")
     code = cli.run(["oracle", "--family", "m", "--ring", "Z", "--seq-file", str(path)])

@@ -33,6 +33,8 @@ from symgen.symfunc import (
 )
 from symgen.tabloids import SizeMismatch
 
+from exact_reference import jacobi_trudi_unpruned, newton_row
+
 
 def P(*parts):
     return Partition(parts)
@@ -315,11 +317,10 @@ def test_hook_rule_direct():
 def _schur_by_jacobi_trudi(lam):
     """p-coefficients of s_lam from det(h_{lam_i - i + j}): the signed
     h-index terms times the h-expansions on p."""
-    from symgen.deformed import _jacobi_trudi_h_terms
     from symgen.symfunc import _basis_to_p
 
     out = {}
-    for hkey, sign in _jacobi_trudi_h_terms(lam):
+    for hkey, sign in jacobi_trudi_unpruned(lam):
         for nu, c in _basis_to_p("h", hkey):
             out[nu] = out.get(nu, 0) + sign * c
     return tuple(sorted((nu, c) for nu, c in out.items() if c))
@@ -367,6 +368,18 @@ def test_character_degree_is_hook_length_formula():
             assert _character(_beta_set(lam), P(*[1] * n)) == factorial(n) // hooks, lam
 
 
+def test_h_and_e_rows_match_newton_recurrence():
+    from symgen.symfunc import _basis_to_p, _p_convolve
+
+    for n in range(11):
+        for lam in partitions_of(n):
+            for basis, sign in (("h", 1), ("e", -1)):
+                want = {EMPTY: Fraction(1)}
+                for part in lam:
+                    want = _p_convolve(want, newton_row(part, sign))
+                assert _basis_to_p(basis, lam) == tuple(sorted(want.items())), (basis, lam)
+
+
 def test_one_row_and_one_column_schur():
     from symgen.symfunc import _basis_to_p
 
@@ -376,9 +389,8 @@ def test_one_row_and_one_column_schur():
 
 
 def test_schur_expansions_take_no_jacobi_trudi_and_no_h_products(monkeypatch):
-    # s reaches p through its characters alone: neither the Jacobi-Trudi
-    # terms nor a product of h- or e-rows is built, for s, skew s or the
-    # p -> s matrix
+    # s reaches p through its characters alone: no product of h-rows is
+    # built, for s, skew s or the p -> s matrix
     import sys
 
     from symgen import symfunc
@@ -393,10 +405,9 @@ def test_schur_expansions_take_no_jacobi_trudi_and_no_h_products(monkeypatch):
         return wrapper
 
     modules = [m for key, m in sys.modules.items() if key.startswith("symgen.")]
-    for name in ("_jacobi_trudi_h_terms", "_prod_row"):
-        for module in modules:
-            if name in vars(module):
-                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    for module in modules:
+        if "_prod_row" in vars(module):
+            monkeypatch.setattr(module, "_prod_row", counted("_prod_row", vars(module)["_prod_row"]))
     for cache in (symfunc._basis_to_p, symfunc._basis_matrix_inverse, symfunc._character):
         cache.cache_clear()
     for n in range(9):
@@ -490,6 +501,10 @@ def test_render_and_parse():
         parse_symfunc("3*m[2,1] + h[1]")
     with pytest.raises(ValueError):
         parse_symfunc("nonsense")
+    # every term after the first starts with its sign
+    for text in ("m[2] m[1,1]", "m[2]m[1,1]", "3*m[2] 2*m[1,1]"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_symfunc(text)
     for n in range(5):
         for lam in partitions_of(n):
             y = to_basis(sym("s", lam), "m")
