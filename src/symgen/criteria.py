@@ -45,10 +45,6 @@ from math import gcd
 from typing import Callable
 
 from .deformed import (
-    KeyQuotient,
-    _binomial_quotient,
-    _hl_Q_factors,
-    _one_minus,
     big_schur,
     big_schur_pn_closed,
     big_schur_pn_keys,
@@ -56,6 +52,7 @@ from .deformed import (
     hl_P_pn_closed,
     hl_P_pn_keys,
     hl_Q,
+    hl_Q_pn_keys,
     mac_J,
     mac_J_pn_closed,
     mac_J_pn_keys,
@@ -449,16 +446,6 @@ def _skew_schur_pn_value(lam: Partition, mu: Partition, n: int) -> Fraction:
     return Fraction((-1) ** ribbon_height(sp))
 
 
-def _hl_Q_pn_keys(lam: Partition, mu: Partition, n: int) -> KeyQuotient:
-    """Under the Hall form: (1 - t^n) <Q_lam, p_n>_t, one binomial more."""
-    sign, monomial, binomials = _hl_Q_factors(lam)
-    return _binomial_quotient(sign, monomial, [_one_minus(0, n)] + binomials, [])
-
-
-def _hl_Q_pn_value(lam: Partition, mu: Partition, n: int) -> RatFunc:
-    return _hl_Q_pn_keys(lam, mu, n).expand()
-
-
 # ---------------------------------------------------------------------------
 # the family table
 # ---------------------------------------------------------------------------
@@ -487,7 +474,8 @@ FAMILIES = {fam.name: fam for fam in (
            lambda lam, mu, n: hl_P_pn_closed(lam, n), _crit_hl_P,
            keys=lambda lam, mu, n: hl_P_pn_keys(lam, n)),
     Family("hl-Q", False, "t", lambda lam, mu: hl_Q(lam),
-           _hl_Q_pn_value, _crit_hl_Q, keys=_hl_Q_pn_keys),
+           lambda lam, mu, n: hl_Q_pn_keys(lam, n).expand(), _crit_hl_Q,
+           keys=lambda lam, mu, n: hl_Q_pn_keys(lam, n)),
     Family("big-S", False, "t", lambda lam, mu: big_schur(lam),
            lambda lam, mu, n: big_schur_pn_closed(lam, n), _crit_big_schur,
            keys=lambda lam, mu, n: big_schur_pn_keys(lam, n)),

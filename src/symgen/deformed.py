@@ -17,11 +17,10 @@ Big Schur: S_lam = det(q_{lam_i - i + j}) is s_lam[(1-t)X], since q_r =
 h_r[(1-t)X] (III (2.10)); on the power sums it is the Schur character
 expansion with every p_nu scaled by prod (1 - t^{nu_i}).
 
-Skew Hall-Littlewood P: both forms are diagonal on the power sums, so the
-adjoint of multiplication by P_mu is ``symfunc.skew_p`` under the t-norms,
-with no Gram matrix of the P family to invert.  Its pairing with p_n needs
-no skew element at all: ``skew_hl_P_pn_inner`` is one sum over the
-power-sum coordinates of P_lam and P_mu.
+Skew Hall-Littlewood P: the t-form is diagonal on the power sums, so the
+adjoint of multiplication by P_mu is one sum over the polynomial power-sum
+coordinates of P_lam and P_mu (``_skew_hl_coordinates``).  ``skew_hl_P``
+takes every coordinate of P_{lam/mu}, and its pairing with p_n only one.
 
 Polynomial coordinates: ``polynomial_p_coordinates`` gives an element over
 Q(t) or Q(q,t) on the power sums as polynomials over one known
@@ -71,7 +70,7 @@ from .exactalg import (
     try_exact_div,
 )
 from .partitions import EMPTY, Partition, is_hook, partitions_of, stats, union
-from .symfunc import SymFunc, _basis_to_p, p_expansion, skew_p, to_basis
+from .symfunc import SymFunc, _basis_to_p, p_expansion, to_basis
 from .tabloids import SizeMismatch
 
 
@@ -395,6 +394,14 @@ def hl_Q_pn_closed(lam, n: int) -> RatFunc:
     return _binomial_quotient(*_hl_Q_factors(lam), []).expand()
 
 
+def hl_Q_pn_keys(lam, n: int) -> KeyQuotient:
+    """<Q_lam, p_n> = (1 - t^n) <Q_lam, p_n>_t, one binomial more."""
+    lam = Partition(lam)
+    _require_size(lam, n)
+    sign, monomial, binomials = _hl_Q_factors(lam)
+    return _binomial_quotient(sign, monomial, [_one_minus(0, n)] + binomials, [])
+
+
 def hl_P_pn_keys(lam, n: int) -> KeyQuotient:
     """<P_lam, p_n> = (1-t^n) t^{n(lam)} phi_{l-1}(t^{-1}) / prod phi_{m_i}(t)."""
     lam = Partition(lam)
@@ -488,55 +495,63 @@ def whittaker_pn_closed(lam, n: int) -> RatFunc:
 
 @lru_cache(maxsize=None)
 def _gram_inverse_t(n: int) -> dict:
-    """1/<p_nu, p_nu>_t for every nu of n: the t-form's Gram matrix on the
-    power sums is diagonal, so this is its inverse."""
+    """1/<p_nu, p_nu>_t for every nu of n (the t-form is diagonal on p).  It
+    stays for the tests and the tracer until the benchmark renames its spans."""
     return {nu: RF_ONE / _p_norm(nu) for nu in partitions_of(n)}
+
+
+def _skew_hl_coordinates(lam: Partition, mu: Partition, gammas) -> tuple:
+    """(D, {gamma: D [p_gamma] P_{lam/mu}}) for the partitions ``gammas`` of
+    |lam| - |mu|, D = D_lam D_mu phi_{|mu|}(t) over the polynomial
+    coordinates of P_lam and P_mu.  As <p_a, p_a>_t = z_a / prod
+    (1 - t^{a_i}) (III.4), [p_gamma] P_{lam/mu} is the sum over beta |- |mu|
+    of [p_beta] P_mu [p_{beta u gamma}] P_lam z_{beta u gamma} / (z_gamma
+    prod (1 - t^{beta_i})), and each prod (1 - t^{beta_i}) divides
+    phi_{|mu|}(t)."""
+    d_lam, x = polynomial_p_coordinates(hl_P(lam))
+    d_mu, y = polynomial_p_coordinates(hl_P(mu))
+    phi = phi_factorial(mu.size)
+    weighted = [
+        (beta, cy * poly_exact_div(phi, prod((P_ONE - Poly.t(r) for r in beta), start=P_ONE)))
+        for beta, cy in y.items()
+    ]
+    coords = {}
+    for gamma in gammas:
+        z_gamma, total = stats(gamma).z, P_ZERO
+        for beta, cy in weighted:
+            alpha = union(beta, gamma)
+            cx = x.get(alpha)
+            if cx is not None:
+                total = total + cx * cy * (stats(alpha).z // z_gamma)
+        coords[gamma] = total
+    return d_lam * d_mu * phi, coords
 
 
 def skew_hl_P(lam, mu) -> SymFunc:
     """P_{lam/mu}, defined by <P_{lam/mu}, f>_t = <P_lam, P_mu f>_t: the
     adjoint of multiplication by P_mu under the t-form applied to P_lam,
-    computed on the power sums (``skew_p``) and given on the m-basis;
-    |lam| < |mu| gives zero without building either family.  At t=0 this is
-    the skew Schur function.
+    taken on the power sums (``_skew_hl_coordinates``) and given on the
+    m-basis; |lam| < |mu| gives zero without building either family.  At
+    t=0 this is the skew Schur function.
     """
     lam, mu = Partition(lam), Partition(mu)
     if lam.size < mu.size:
         return SymFunc("m", {}, RING_QT)
-    coeffs = skew_p(
-        p_expansion(hl_P(lam)), p_expansion(hl_P(mu)), RING_QT,
-        norm=_p_norm, inverse=_gram_inverse_t(lam.size - mu.size),
-    )
+    scale, coords = _skew_hl_coordinates(lam, mu, partitions_of(lam.size - mu.size))
+    coeffs = {gamma: RatFunc.make(c, scale) for gamma, c in coords.items()}
     return to_basis(SymFunc("p", coeffs, RING_QT), "m")
 
 
 def skew_hl_P_pn_inner(lam, mu, n: int) -> RatFunc:
-    """<P_{lam/mu}, p_n>_t = <P_lam, P_mu p_n>_t, without P_{lam/mu}.
-
-    The t-form is diagonal on the power sums and p_beta p_n = p_{beta u (n)},
-    so the pairing is one sum over beta |- |mu| of
-    [p_beta] P_mu * [p_{beta u (n)}] P_lam * <p_{beta u (n)}, p_{beta u (n)}>_t
-    on the polynomial p-coordinates of the two families.  Each norm is z over
-    (1 - t^n) prod (1 - t^{beta_i}), and prod (1 - t^{beta_i}) divides
-    prod phi_{beta_i}(t), which divides phi_{|mu|}(t) (the quotient is a
-    t-multinomial coefficient).  So the terms are summed over the common
-    denominator (1 - t^n) phi_{|mu|}(t) and reduced once.  |lam| < |mu|
-    gives zero without building either family.
-    """
+    """<P_{lam/mu}, p_n>_t = [p_n] P_{lam/mu} n / (1 - t^n), from that one
+    coordinate (``_skew_hl_coordinates``) and reduced once; |lam| < |mu|
+    gives zero without building either family."""
     lam, mu = Partition(lam), Partition(mu)
     if lam.size < mu.size:
         return RF_ZERO
-    d_lam, x = polynomial_p_coordinates(hl_P(lam))
-    d_mu, y = polynomial_p_coordinates(hl_P(mu))
-    common = (P_ONE - Poly.t(n)) * phi_factorial(mu.size)
-    total = P_ZERO
-    for beta, cy in y.items():
-        gamma = union(beta, (n,))
-        cx = x.get(gamma)
-        if cx is not None:
-            norm = _p_norm(gamma)  # scale / den: its numerator is 1
-            total = total + cx * cy * poly_exact_div(common, norm.den) * norm.scale
-    return RatFunc.make(total, common * d_lam * d_mu)
+    pn = Partition((n,))
+    scale, coords = _skew_hl_coordinates(lam, mu, (pn,))
+    return RatFunc.make(coords[pn] * n, scale * (P_ONE - Poly.t(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ the power-sum basis, so none of the closed forms under test participate, and
 then taken to the monomial basis by the integer p -> m matrix that
 ``symfunc`` counts.  Each product u_lam is u_{lam_1} times the memoized
 u_{lam minus lam_1}; ``verdict`` keeps one memo of elements and products
-across all its degrees, so each u_k is built once.
+across all its degrees, so each u_k is built once, ``inner`` included.
 
 Every element travels as one pair (D, {nu: D [p_nu] u}), with D chosen so
 that the coordinates need no fraction (``_p_coordinates``):
@@ -196,6 +196,19 @@ def _zero(spec: FamilySpec):
     return 0 if spec.specialization is None else spec.coeff_ring.zero
 
 
+def _product(spec: FamilySpec, seq, lam: tuple, memo: dict) -> tuple:
+    """The pair of u_lam, u_{lam_1} times u_{lam minus lam_1}, memoized by
+    product index (u_k at (k,))."""
+    if lam not in memo:
+        if len(lam) == 1:
+            memo[lam] = _p_coordinates(spec, family_element(spec, *seq[lam[0] - 1]))
+        else:
+            d_head, head = _product(spec, seq, lam[:1], memo)
+            d_tail, tail = _product(spec, seq, lam[1:], memo)
+            memo[lam] = d_head * d_tail, _p_convolve(head, tail, _zero(spec))
+    return memo[lam]
+
+
 def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> DegreeMatrix:
     """The matrix of the products u_lam (lam |- n) on the monomial basis.
 
@@ -203,7 +216,7 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
     canonical order of the monomial index.  Products are convolved on the
     p-basis as (D, coordinates) pairs and then taken to m by the integer
     p -> m matrix, each entry divided by the row's D (module docstring).
-    ``memo`` maps each product index to its pair (u_k at (k,)).  Pass the
+    ``memo`` maps each product index to its pair (``_product``).  Pass the
     same dict for every degree of one sequence to build each element and
     product once.
     """
@@ -212,23 +225,13 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
     zero = _zero(spec)
     if memo is None:
         memo = {}
-
-    def product(lam: tuple):
-        if lam not in memo:
-            if len(lam) == 1:
-                memo[lam] = _p_coordinates(spec, family_element(spec, *seq[lam[0] - 1]))
-            else:
-                (d_head, head), (d_tail, tail) = product(lam[:1]), product(lam[1:])
-                memo[lam] = d_head * d_tail, _p_convolve(head, tail, zero)
-        return memo[lam]
-
     order = partitions_of(n)
     to_m = _basis_matrix_inverse("m", n)
     # column nu of the p -> m matrix, as (row, entry) pairs for its nonzeros
     cols = [[(j, row[i]) for j, row in enumerate(to_m) if row[i]] for i in range(len(order))]
     rows = []
     for lam in order:
-        scale, coords = product(lam)
+        scale, coords = _product(spec, seq, lam, memo)
         row = [zero] * len(order)
         for nu, col in zip(order, cols):
             c = coords.get(nu)
@@ -239,10 +242,10 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
     return DegreeMatrix(degree=n, rows=order, cols=order, entries=tuple(rows))
 
 
-def recomputed_inner(spec: FamilySpec, lam, mu, n: int):
+def recomputed_inner(spec: FamilySpec, seq, n: int, memo: dict):
     """<u_n, p_n> by full expansion of the constructed element (no closed
-    forms): n times the coefficient of p_(n), read off its coordinates."""
-    scale, coords = _p_coordinates(spec, family_element(spec, lam, mu))
+    forms): n times the coefficient of p_(n) in u_n's pair in ``memo``."""
+    scale, coords = _product(spec, seq, (n,), memo)
     return _divided(coords.get(Partition((n,)), _zero(spec)) * n, scale)
 
 
@@ -263,7 +266,7 @@ def verdict(spec: FamilySpec, seq, max_degree: int) -> list[dict]:
         independent = bool(det)
         generating = generating and value_is_unit(spec, det)
         try:
-            inner = recomputed_inner(spec, lam, mu, n)
+            inner = recomputed_inner(spec, seq, n, memo)
         except ZeroDenominator:
             inner = None
         records.append(

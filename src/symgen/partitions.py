@@ -21,12 +21,14 @@ class Partition(tuple):
     """A weakly decreasing tuple of positive integers (trailing zeros dropped)."""
 
     def __new__(cls, parts=()):
-        parts = tuple(int(p) for p in parts if int(p) != 0)
+        parts = tuple(map(int, parts))
         for i, p in enumerate(parts):
             if p < 0:
                 raise ValueError(f"negative part in partition: {parts}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"parts not weakly decreasing: {parts}")
+        if parts and not parts[-1]:
+            parts = parts[:parts.index(0)]
         return super().__new__(cls, parts)
 
     @property

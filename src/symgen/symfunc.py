@@ -20,11 +20,11 @@ coefficient of b_mu in p_nu is ``z_nu * [p_nu] d_mu``, where d is the dual
 basis of b: h <-> m, e <-> f, s <-> s.  Those entries are integers; they are
 read off the cached p-expansions of the dual basis, once per degree.
 
-Skewing is the adjoint of multiplication, and under any form that is
-diagonal on the power sums (the Hall form here, the t-form in ``deformed``)
-that adjoint is one formula on p-coefficients, ``skew_p``: p_beta removes
-the parts of beta from p_alpha, rescaled by the ratio of the norms.
-``skew`` (every classical skew family) and ``pn_perp`` are built on it.
+Skewing is the adjoint of multiplication.  The Hall form is diagonal on
+the power sums, so that adjoint is one formula on p-coefficients,
+``skew_p``: p_beta removes the parts of beta from p_alpha, rescaled by the
+ratio of the norms z.  ``skew`` (every classical skew family) and
+``pn_perp`` are built on it (``deformed`` has its t-form analogue).
 
 Text format: ``-1*m[3] + 3*m[2,1]`` (coefficient always explicit, terms in
 ascending canonical order: by degree, then reversed enumeration order).
@@ -138,7 +138,6 @@ def _p_convolve(a: dict, b: dict, zero=0) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
 def _m_to_p(lam: Partition) -> tuple:
     """m_lam = sum over nu of eps_nu eps_lam w(nu, lam)/z_nu * p_nu."""
     el = eps_of(lam)
@@ -157,7 +156,6 @@ def _h_to_p(n: int) -> tuple:
     return tuple((nu, Fraction(1, stats(nu).z)) for nu in partitions_of(n))
 
 
-@lru_cache(maxsize=None)
 def _prod_row(rows: tuple) -> dict:
     out = {EMPTY: Fraction(1)}
     for row in rows:
@@ -406,27 +404,21 @@ def omega(x: SymFunc) -> SymFunc:
     return SymFunc("p", out, ring)
 
 
-def skew_p(xp: dict, yp: dict, ring: CoeffRing, norm=None, inverse=None) -> dict:
-    """p-coefficients of y^perp x, the adjoint of multiplication by y.
-
-    The form must be diagonal on the power sums, with norm(nu) = <p_nu, p_nu>
-    (default z_nu, the Hall form); p_beta p_gamma = p_{beta u gamma} then gives
-    <p_gamma, p_gamma> [p_gamma] y^perp x = sum_beta y_beta x_{beta u gamma}
-    <p_{beta u gamma}, p_{beta u gamma}>.  ``inverse`` maps each gamma that
-    can occur to 1 / norm(gamma), when the caller has those values cached.
+def skew_p(xp: dict, yp: dict, ring: CoeffRing) -> dict:
+    """p-coefficients of y^perp x, the adjoint of multiplication by y under
+    the Hall form: p_beta p_gamma = p_{beta u gamma} and <p_nu, p_nu> = z_nu
+    give z_gamma [p_gamma] y^perp x = sum_beta y_beta x_{beta u gamma}
+    z_{beta u gamma}.
     """
-    if norm is None:
-        def norm(nu):
-            return ring.from_int(stats(nu).z)
     out: dict = {}
     for alpha, cx in xp.items():
-        weighted = cx * norm(alpha)
+        weighted = cx * ring.from_int(stats(alpha).z)
         for beta, cy in yp.items():
             gamma = difference(alpha, beta)
             if gamma is not None:
                 out[gamma] = out.get(gamma, ring.zero) + cy * weighted
     return {
-        gamma: c * (ring.one / norm(gamma) if inverse is None else inverse[gamma])
+        gamma: c * (ring.one / ring.from_int(stats(gamma).z))
         for gamma, c in out.items()
         if not CoeffRing.is_zero(c)
     }

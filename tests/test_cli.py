@@ -266,6 +266,22 @@ def test_inner_rejects_degree_zero(capsys, name):
     assert err == "error: degree 0: degrees start at 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("inner", "--family", "s", "--lambda", "2,0,1", "--n", "3"),
+        ("tabloids", "--shape", "2,0,1", "--type", "1,1,1"),
+        ("check", "--family", "s", "--ring", "Q", "--seq-file", "{seq}"),
+    ],
+)
+def test_partitions_with_interior_zeros_exit_two(capsys, tmp_path, argv):
+    path = tmp_path / "zero.txt"
+    path.write_text("1: [1]\n2: [2]\n3: [2,0,1]\n", encoding="utf-8")
+    code, out, err = invoke(capsys, *(arg.format(seq=path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err == "error: parts not weakly decreasing: (2, 0, 1)\n"
+
+
 def test_expand_rejects_terms_without_operator(capsys):
     code, out, err = invoke(capsys, "expand", "--expr", "m[2] m[1,1]", "--to", "m")
     assert code == 2 and out == ""

@@ -494,8 +494,7 @@ def test_keywise_specialization_matches_expansion(name):
 
 def test_hl_Q_value_counts_one_minus_t_n_as_a_binomial(monkeypatch):
     from symgen import exactalg
-    from symgen.criteria import _hl_Q_pn_value
-    from symgen.deformed import _cyclotomic_factor, hl_Q_pn_closed
+    from symgen.deformed import _cyclotomic_factor, hl_Q_pn_closed, hl_Q_pn_keys
 
     cases = [(lam, n) for n in range(1, 9) for lam in partitions_of(n)]
     products = [hl_Q_pn_closed(lam, n) * RatFunc.make(P_ONE - T**n) for lam, n in cases]
@@ -509,7 +508,7 @@ def test_hl_Q_value_counts_one_minus_t_n_as_a_binomial(monkeypatch):
     monkeypatch.setattr(exactalg, "poly_gcd", counted)
     exactalg.cyclotomic_poly.cache_clear()
     _cyclotomic_factor.cache_clear()
-    assert [_hl_Q_pn_value(lam, EMPTY, n) for lam, n in cases] == products
+    assert [hl_Q_pn_keys(lam, n).expand() for lam, n in cases] == products
     assert calls == []
 
 

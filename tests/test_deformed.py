@@ -18,6 +18,7 @@ from symgen.deformed import (
     hl_P_pn_closed,
     hl_Q,
     hl_Q_pn_closed,
+    hl_Q_pn_keys,
     mac_J,
     mac_J_pn_closed,
     mac_P,
@@ -47,7 +48,6 @@ from symgen.exactalg import (
     poly_exact_div,
     specialize_root_of_unity,
 )
-from symgen.criteria import _hl_Q_pn_value
 from symgen.partitions import EMPTY, Partition, contains, partitions_of, stats
 from symgen.symfunc import (
     SymFunc,
@@ -327,7 +327,7 @@ def test_no_pole_at_roots_of_unity():
         for closed in (
             hl_P_pn_closed(lam, n),
             hl_Q_pn_closed(lam, n),
-            _hl_Q_pn_value(lam, EMPTY, n),
+            hl_Q_pn_keys(lam, n).expand(),
             big_schur_pn_closed(lam, n),
             whittaker_pn_closed(lam, n).swap_vars(),
             mac_P_pn_closed(lam, n),
@@ -635,6 +635,31 @@ def test_skew_hl_smaller_lam_builds_no_family():
     before = _gs_family.cache_info().misses, _gram_inverse_t.cache_info().misses
     assert skew_hl_P((1,), (3, 3, 1)).is_zero()
     assert (_gs_family.cache_info().misses, _gram_inverse_t.cache_info().misses) == before
+
+
+def test_skew_hl_P_takes_no_rational_sum_or_product(monkeypatch):
+    # the adjoint runs on polynomial p-coordinates: the first RatFunc
+    # arithmetic is the change of basis to m, which stops the count
+    from symgen import deformed
+
+    class ReachedToBasis(Exception):
+        pass
+
+    def stop(*args):
+        raise ReachedToBasis
+
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(self, other, _name=name, _original=vars(RatFunc)[name]):
+            calls.append(_name)
+            return _original(self, other)
+        monkeypatch.setattr(RatFunc, name, counted)
+    monkeypatch.setattr(deformed, "to_basis", stop)
+    for lam, mu in [((2, 1), (1,)), ((2, 2), (1,)), ((3, 1), (2,)), ((2, 1, 1), (1, 1)),
+                    ((3, 2), (2, 1)), ((2,), EMPTY)]:
+        with pytest.raises(ReachedToBasis):
+            skew_hl_P(lam, mu)
+    assert calls == []
 
 
 def test_gram_inverse_t_inverts_the_power_sum_gram_matrix():

@@ -268,8 +268,8 @@ def test_verdict_builds_each_element_once_per_degree(monkeypatch):
     monkeypatch.setattr(oracle, "family_element", counting)
     seq = seq_of((1,), (2,), (2, 1), (2, 2), (3, 1, 1))
     verdict(FamilySpec("s", "Q"), seq, 5)
-    # one build for the matrices, one for recomputed_inner, at each degree
-    assert len(built) == 2 * 5
+    # recomputed_inner reads u_n off the memo the matrices filled
+    assert len(built) == 5
 
 
 def test_recomputed_inner_matches_closed_value():
@@ -280,9 +280,10 @@ def test_recomputed_inner_matches_closed_value():
         (FamilySpec("s", "Q"), seq_of((1,), (1, 1), (2, 1))),
     ]
     for spec, seq in cases:
+        memo = {}
         for n in range(1, len(seq) + 1):
             lam, mu = seq[n - 1]
-            got = recomputed_inner(spec, lam, mu, n)
+            got = recomputed_inner(spec, seq, n, memo)
             want = inner_value(spec, lam, mu, n)
             assert got == want
 

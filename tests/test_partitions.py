@@ -38,6 +38,14 @@ def test_partition_validation():
     assert Partition((3, 0, 0)) == Partition((3,))  # trailing zeros dropped
 
 
+def test_partition_rejects_interior_zeros():
+    for parts in ((2, 0, 1), (0, 1), (3, 1, 0, 1, 0)):
+        with pytest.raises(ValueError, match="parts not weakly decreasing"):
+            Partition(parts)
+    assert Partition((2, 1, 0)) == Partition(["2", "1"]) == (2, 1)
+    assert Partition((0, 0)) == EMPTY
+
+
 def test_enumeration_order_and_counts():
     assert [tuple(p) for p in partitions_of(0)] == [()]
     assert [tuple(p) for p in partitions_of(4)] == [
