@@ -276,10 +276,14 @@ class Poly:
         for c in self.terms.values():
             num_gcd = int_gcd(num_gcd, c.numerator)
             den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-        scale = Fraction(num_gcd, den_lcm)
         _, lead = self.leading()
         if lead < 0:
-            scale = -scale
+            num_gcd = -num_gcd
+        if den_lcm == 1:
+            # integer coefficients: exact floor division, no Fraction
+            prim = Poly({term: c // num_gcd for term, c in self.terms.items()})
+            return Fraction(num_gcd), prim
+        scale = Fraction(num_gcd, den_lcm)
         prim = Poly({term: c / scale for term, c in self.terms.items()})
         return scale, prim
 

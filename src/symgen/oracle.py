@@ -25,21 +25,29 @@ that the coordinates need no fraction (``_p_coordinates``):
   pair) has D = 1, and coordinates in its coefficient field.
 
 A product is the convolution of its factors' coordinates over the product
-of their D, and an m-entry is the product's row times the p -> m matrix,
-divided by D once (``_divided``): an exact integer quotient (a remainder
-raises ``ValueError``), one ``RatFunc.make`` over a polynomial D, or the
-value itself at D = 1.  No rational-function sum or product is taken on the
-way, and no gcd but the lcm's and the one ``RatFunc.make`` per entry.
+of their D, and a row of m-entries is the product's row times the p -> m
+matrix.  A classical row is divided by its D at once, an exact integer
+quotient (a remainder raises ``ValueError``), and at D = 1 the row is the
+values themselves.  A polynomial D is never divided entry by entry: the row
+stays its numerators, and the determinant divides once.  No
+rational-function arithmetic and no gcd but the lcm's is taken on the way.
 
 A specialization under which some u_k does not exist (a vanishing
 denominator) leaves ``det`` null and ``independent`` false from degree k on,
 and ``inner`` null at degree k; the criterion fields still come from
-``criteria``.
+``criteria``.  The memo records the missing u_k, so it is built once.
 
-Determinants: a classical family's matrix on m is integral over Q as over Z,
-so its determinant is fraction-free Bareiss; exact Gaussian elimination, one
-pivot inverse per column, serves the deformed families' coefficient fields
-(Bareiss over polynomials lost to it above degree 5; see ROADMAP item 2).
+Determinants: every ring takes one fraction-free elimination,
+``det_bareiss`` on integers (Bareiss 1968).  A classical family's matrix on
+m is integral over Q as over Z and goes to it directly.  At a rational
+point each row is cleared to coprime integers first.  Over Q(t), Q(q,t) and
+Q(zeta_k) the determinant of the numerator matrix (a residue mod Phi_k
+lifted to its polynomial of degree < phi(k)) is a polynomial of bounded
+degree, taken at integer nodes by one ``det_bareiss`` each and recovered by
+exact interpolation (``det_polynomial``; von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 5).  It is then divided by the product of the rows'
+D's with one gcd per copy of each D, or reduced mod Phi_k, which is a ring
+map.  ``det_gauss`` is kept as the tests' reference.
 
 The conjecture probe prints <P_{lam/mu}, p_n>_t, which it takes as one sum
 over the power-sum coordinates of P_lam and P_mu
@@ -50,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm, prod
 
 from .criteria import (
     FamilySpec,
@@ -59,7 +67,17 @@ from .criteria import (
     value_is_unit,
 )
 from .deformed import polynomial_p_coordinates, skew_hl_P_pn_inner, specialize_coeffs
-from .exactalg import Poly, RatFunc, ZeroDenominator
+from .exactalg import (
+    P_ONE,
+    P_ZERO,
+    RF_ZERO,
+    CycloElem,
+    Poly,
+    RatFunc,
+    ZeroDenominator,
+    poly_exact_div,
+    poly_gcd,
+)
 from .partitions import (
     EMPTY,
     Partition,
@@ -78,17 +96,47 @@ PROBE_MAX_DEGREE = 5
 
 @dataclass(frozen=True)
 class DegreeMatrix:
+    """The products u_lam (lam |- n) on the monomial basis, row lam kept as
+    its numerator row over the D's of its factors.
+
+    ``numerators[i]`` is D_lam times u_lam's m-coordinates, D_lam being the
+    product of ``denominators[i]``, the D of each u_{lam_j}.  Only a deformed
+    family over its generic field keeps its D's (polynomials): its rows are
+    never reduced entry by entry, and ``det`` divides once.  Every other row
+    is divided when it is built, an exact integer quotient for a classical
+    family and nothing at a specialization (D = 1), and lists no D.
+    """
+
     degree: int
     rows: tuple  # partitions indexing the products u_lam
     cols: tuple  # partitions indexing the monomial coordinates
-    entries: tuple  # row-major, exact ring values
+    numerators: tuple  # row-major: ints, Fractions, CycloElems or Polys
+    denominators: tuple  # per row, the D of each factor (empty: divided)
+
+    @property
+    def entries(self) -> tuple:
+        """Row-major exact ring values, each numerator reduced over its row's
+        D by ``RatFunc.make``.  For comparison with a reference; ``det`` does
+        not read it."""
+        return tuple(
+            tuple(RatFunc.make(v, prod(dens)) for v in row) if dens else row
+            for row, dens in zip(self.numerators, self.denominators)
+        )
 
     def det(self):
-        """Bareiss for integer entries, Gaussian elimination for field ones."""
-        mat = [list(r) for r in self.entries]
-        if all(isinstance(v, int) for r in mat for v in r):
-            return det_bareiss(mat)
-        return det_gauss(mat)
+        """The determinant, by ``det_bareiss`` on integers on every ring:
+        directly on a classical family's entries, on the rows cleared of
+        their denominators at a rational point, and at interpolation nodes
+        (``det_polynomial``) over Q(t), Q(q,t) and Q(zeta_k)."""
+        first = self.numerators[0][0]
+        if isinstance(first, int):
+            return det_bareiss(self.numerators)
+        if isinstance(first, Fraction):
+            return _det_rational(self.numerators)
+        if isinstance(first, CycloElem):
+            lifted = [[_residue_poly(v) for v in row] for row in self.numerators]
+            return CycloElem.from_poly(det_polynomial(lifted), first.k)
+        return _over_denominators(det_polynomial(self.numerators), self.denominators)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +166,155 @@ def det_bareiss(mat: list) -> int:
     return sign * mat[size - 1][size - 1]
 
 
+def _cleared(values: list) -> tuple[list, int, int]:
+    """(ints, g, l) with values = ints * g / l and the ints coprime: l is
+    the lcm of the denominators and g the gcd of the cleared numerators
+    (0 when every value is 0)."""
+    common = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (common // v.denominator) for v in values]
+    content = gcd(*ints)
+    if content > 1:
+        ints = [c // content for c in ints]
+    return ints, content, common
+
+
+def _det_rational(mat) -> Fraction:
+    """det of a Fraction matrix: ``det_bareiss`` on its rows cleared to
+    coprime integers, over the product of the row scales."""
+    top = bottom = 1
+    rows = []
+    for row in mat:
+        ints, content, common = _cleared(row)
+        if not content:
+            return Fraction(0)
+        rows.append(ints)
+        top *= content
+        bottom *= common
+    return Fraction(det_bareiss(rows) * top, bottom)
+
+
+def _nodes(count: int) -> list:
+    """The interpolation nodes 0, 1, -1, 2, -2, ..., ``count`` of them."""
+    return [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(count)]
+
+
+def _interpolated(nodes: list, values: list) -> list:
+    """Coefficients (constant first) of the integer polynomial of degree
+    < len(nodes) taking ``values`` at the integer ``nodes``: Newton's divided
+    differences, each an integer (that of x^m is the complete homogeneous
+    polynomial h_{m-k} of the nodes), then the Newton form expanded."""
+    diffs = list(values)
+    for k in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) // (nodes[i] - nodes[i - k])
+    coeffs = [diffs[-1]]
+    for k in range(len(nodes) - 2, -1, -1):
+        node = nodes[k]
+        coeffs = [diffs[k] - node * coeffs[0]] + [
+            coeffs[i - 1] - node * coeffs[i] for i in range(1, len(coeffs))
+        ] + [coeffs[-1]]
+    return coeffs
+
+
+def _degree_bound(degrees: list) -> int:
+    """A proven bound on the degree of det from the entries' degrees (-1 for
+    a zero entry): the smaller of the row-wise and column-wise sums of the
+    largest degree, each permutation's product being bounded by both."""
+    return min(sum(map(max, degrees)), sum(map(max, zip(*degrees))))
+
+
+def det_polynomial(mat) -> Poly:
+    """Determinant of a square matrix of Polys in q and t.
+
+    Each row is cleared to coprime integer coefficients (``_cleared``), so
+    the determinant is an integer polynomial times the product of the row
+    scales.  Its degree in each variable is at most ``_degree_bound`` B, so
+    its values at the (B_q + 1) x (B_t + 1) nodes ``_nodes`` fix it: one
+    ``det_bareiss`` per node on the entries evaluated to integers, then
+    exact Newton interpolation in t at each q-node and in q for each
+    coefficient of t.
+    """
+    if not mat:
+        return P_ONE
+    top = bottom = 1
+    rows = []
+    for row in mat:
+        ints, content, common = _cleared([c for p in row for c in p.terms.values()])
+        if not content:
+            return P_ZERO
+        top *= content
+        bottom *= common
+        cleared = iter(ints)
+        rows.append([{term: next(cleared) for term in p.terms} for p in row])
+    deg_q = [[max((dq for dq, _ in e), default=-1) for e in row] for row in rows]
+    deg_t = [[max((dt for _, dt in e), default=-1) for e in row] for row in rows]
+    if min(map(max, zip(*deg_t))) < 0:  # a zero column
+        return P_ZERO
+    q_nodes = _nodes(_degree_bound(deg_q) + 1)
+    t_nodes = _nodes(_degree_bound(deg_t) + 1)
+    by_q = []
+    for a in q_nodes:
+        # the entries at q = a, as dense coefficient lists in t, highest first
+        dense = []
+        for row, row_degs in zip(rows, deg_t):
+            dense_row = []
+            for e, top_t in zip(row, row_degs):
+                coeffs = [0] * (top_t + 1)
+                for (dq, dt), c in e.items():
+                    coeffs[top_t - dt] += c * a**dq
+                dense_row.append(coeffs)
+            dense.append(dense_row)
+        values = []
+        for b in t_nodes:
+            at_node = []
+            for dense_row in dense:
+                out = []
+                for coeffs in dense_row:
+                    v = 0
+                    for c in coeffs:
+                        v = v * b + c
+                    out.append(v)
+                at_node.append(out)
+            values.append(det_bareiss(at_node))
+        by_q.append(_interpolated(t_nodes, values))
+    terms = {}
+    for dt, column in enumerate(zip(*by_q)):
+        for dq, c in enumerate(_interpolated(q_nodes, list(column))):
+            if c:
+                terms[(dq, dt)] = Fraction(c * top, bottom)
+    return Poly(terms)
+
+
+def _residue_poly(v: CycloElem) -> Poly:
+    """A residue mod Phi_k as its polynomial in t, of degree < phi(k)."""
+    return Poly({(0, i): c for i, c in enumerate(v.coeffs) if c})
+
+
+def _over_denominators(num: Poly, denominators: tuple) -> RatFunc:
+    """num over the product of every row's D's, reduced by one ``poly_gcd``
+    of the numerator against each copy of each D, never against their
+    product: after each copy, a factor of it is left in the numerator or in
+    the denominator, not in both."""
+    if num.is_zero():
+        return RF_ZERO
+    den = P_ONE
+    for dens in denominators:
+        for d in dens:
+            common = poly_gcd(num, d)
+            if common != P_ONE:
+                num = poly_exact_div(num, common)
+                d = poly_exact_div(d, common)
+            den = den * d
+    return RatFunc._make_coprime(num, den, Fraction(1))
+
+
 def det_gauss(mat: list):
     """Exact Gaussian-elimination determinant over a field (Fraction,
-    RatFunc or CycloElem entries)."""
+    RatFunc or CycloElem entries), one pivot inverse per column.
+
+    No engine code calls it: ``DegreeMatrix.det`` eliminates with
+    ``det_bareiss`` on every ring.  The tests compare against it, and the
+    benchmark's tracer names it."""
     size = len(mat)
     if size == 0:
         return Fraction(1)
@@ -198,15 +392,24 @@ def _zero(spec: FamilySpec):
 
 def _product(spec: FamilySpec, seq, lam: tuple, memo: dict) -> tuple:
     """The pair of u_lam, u_{lam_1} times u_{lam minus lam_1}, memoized by
-    product index (u_k at (k,))."""
+    product index (u_k at (k,)).  A u_k that does not exist under the
+    specialization is memoized as None, and every later lookup raises
+    ZeroDenominator without building it again."""
     if lam not in memo:
         if len(lam) == 1:
-            memo[lam] = _p_coordinates(spec, family_element(spec, *seq[lam[0] - 1]))
+            try:
+                memo[lam] = _p_coordinates(spec, family_element(spec, *seq[lam[0] - 1]))
+            except ZeroDenominator:
+                memo[lam] = None
+                raise
         else:
             d_head, head = _product(spec, seq, lam[:1], memo)
             d_tail, tail = _product(spec, seq, lam[1:], memo)
             memo[lam] = d_head * d_tail, _p_convolve(head, tail, _zero(spec))
-    return memo[lam]
+    pair = memo[lam]
+    if pair is None:
+        raise ZeroDenominator(f"u_{lam[0]} does not exist under the specialization")
+    return pair
 
 
 def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> DegreeMatrix:
@@ -215,10 +418,11 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
     Rows follow the canonical order of the product index lam; columns the
     canonical order of the monomial index.  Products are convolved on the
     p-basis as (D, coordinates) pairs and then taken to m by the integer
-    p -> m matrix, each entry divided by the row's D (module docstring).
-    ``memo`` maps each product index to its pair (``_product``).  Pass the
-    same dict for every degree of one sequence to build each element and
-    product once.
+    p -> m matrix.  Over Q(t) and Q(q,t) a row stays the numerator over the
+    D's of its factors (``DegreeMatrix``); every other row is divided by its
+    D (module docstring).  ``memo`` maps each product index to its pair
+    (``_product``).  Pass the same dict for every degree of one sequence to
+    build each element and product once.
     """
     if len(seq) < n:
         raise ValueError(f"sequence defines degrees 1..{len(seq)}, need {n}")
@@ -229,7 +433,7 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
     to_m = _basis_matrix_inverse("m", n)
     # column nu of the p -> m matrix, as (row, entry) pairs for its nonzeros
     cols = [[(j, row[i]) for j, row in enumerate(to_m) if row[i]] for i in range(len(order))]
-    rows = []
+    rows, denominators = [], []
     for lam in order:
         scale, coords = _product(spec, seq, lam, memo)
         row = [zero] * len(order)
@@ -238,8 +442,19 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
             if c is not None:
                 for j, r in col:
                     row[j] = row[j] + c * r
-        rows.append(tuple(_divided(v, scale) for v in row))
-    return DegreeMatrix(degree=n, rows=order, cols=order, entries=tuple(rows))
+        if isinstance(scale, Poly):
+            rows.append(tuple(row))
+            denominators.append(tuple(memo[(k,)][0] for k in lam))
+        else:
+            rows.append(tuple(_divided(v, scale) for v in row))
+            denominators.append(())
+    return DegreeMatrix(
+        degree=n,
+        rows=order,
+        cols=order,
+        numerators=tuple(rows),
+        denominators=tuple(denominators),
+    )
 
 
 def recomputed_inner(spec: FamilySpec, seq, n: int, memo: dict):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -388,6 +389,40 @@ def test_value_at_matches_substitution(f, q, t):
                 p.value_at(q, t)
         else:
             assert p.value_at(q, t) == poly_subs(p, q=q, t=t).as_fraction()
+
+
+def fraction_split_content(p: Poly):
+    """split_content by Fraction division alone: scale = +-gcd/lcm of the
+    coefficients, sign of the leading term."""
+    if p.is_zero():
+        return Fraction(0), P_ZERO
+    num_gcd = den_lcm = 0
+    for c in p.terms.values():
+        num_gcd = math.gcd(num_gcd, c.numerator)
+        den_lcm = math.lcm(den_lcm or 1, c.denominator)
+    scale = Fraction(num_gcd, den_lcm) * (1 if p.leading()[1] > 0 else -1)
+    return scale, Poly({term: Fraction(c) / scale for term, c in p.terms.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.integers(-12, 12) | st.fractions(-4, 4, max_denominator=6),
+        max_size=5,
+    ),
+    factor=st.sampled_from([1, -1, 6, -35]),
+)
+def test_split_content_matches_fraction_division(terms, factor):
+    # integer coefficients (floor division) and rational ones, either sign,
+    # with a common factor, and the zero polynomial (content 0)
+    p = Poly({term: c * factor for term, c in terms.items()})
+    scale, prim = p.split_content()
+    want_scale, want_prim = fraction_split_content(p)
+    assert type(scale) is Fraction and scale == want_scale
+    assert prim.terms == want_prim.terms
+    assert all(type(c) is int for c in prim.terms.values())
+    assert p.is_zero() or (prim.leading()[1] > 0 and scale * prim == p)
 
 
 def test_rendering_grammar():

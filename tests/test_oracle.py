@@ -3,16 +3,27 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symgen import cli, deformed, exactalg, oracle
-from symgen.criteria import FAMILIES, FamilySpec, Specialization, criterion
+from symgen.criteria import FAMILIES, FamilySpec, Specialization, criterion, render_value
 from symgen.deformed import deformed_inner, skew_hl_P, skew_hl_P_pn_inner
-from symgen.exactalg import RING_QT, RatFunc, _poly_gcd_prim
+from symgen.exactalg import (
+    P_ZERO,
+    RING_QT,
+    Poly,
+    RatFunc,
+    ZeroDenominator,
+    _poly_gcd_prim,
+)
 from symgen.oracle import (
+    DegreeMatrix,
     conjecture_probe,
     degree_matrix,
     det_bareiss,
     det_gauss,
+    det_polynomial,
     family_element,
     recomputed_inner,
     verdict,
@@ -52,6 +63,72 @@ def test_bareiss_pivoting_and_singularity():
     assert det_bareiss([[0, 1], [1, 0]]) == -1
     assert det_bareiss([[0, 0], [1, 1]]) == 0
     assert det_bareiss([]) == 1
+
+
+def polys(q_top: int):
+    """Polys of degree <= q_top in q and <= 3 in t, Fraction coefficients."""
+    return st.dictionaries(
+        st.tuples(st.integers(0, q_top), st.integers(0, 3)),
+        st.fractions(-4, 4, max_denominator=3),
+        max_size=3,
+    ).map(Poly)
+
+
+@st.composite
+def poly_matrices(draw, min_size=0):
+    """Square matrices of Polys in t alone or in q and t; some made
+    singular by a multiple of a row, some given a zero row."""
+    size = draw(st.integers(min_size, 3))
+    entry = polys(draw(st.sampled_from([0, 2])))
+    mat = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    if size:
+        shape = draw(st.sampled_from(["plain", "multiple", "zero"]))
+        row = draw(st.integers(0, size - 1))
+        if shape == "multiple":
+            factor = draw(entry)
+            mat[row] = [factor * p for p in mat[size - 1 - row]]
+        elif shape == "zero":
+            mat[row] = [P_ZERO] * size
+    return mat
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_matrices())
+@example([])
+@example([[Poly({(0, 2): Fraction(-3, 2)})]])
+@example([[P_ZERO]])
+def test_polynomial_determinant_matches_gauss(mat):
+    want = det_gauss([[RatFunc.make(p) for p in row] for row in mat])
+    assert RatFunc.make(det_polynomial(mat)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_matrices(min_size=1), st.data())
+def test_numerator_rows_over_their_denominators(mat, data):
+    """DegreeMatrix.det over Q(q,t): each row over one or two D's, the row
+    a multiple of its first D in some draws, so the reduction cancels."""
+    denominators = []
+    for i, row in enumerate(mat):
+        dens = data.draw(st.lists(polys(2).filter(bool), min_size=1, max_size=2))
+        if data.draw(st.booleans()):
+            mat[i] = [p * dens[0] for p in row]
+        denominators.append(tuple(dens))
+    matrix = DegreeMatrix(len(mat), (), (), tuple(map(tuple, mat)), tuple(denominators))
+    assert matrix.det() == det_gauss([list(row) for row in matrix.entries])
+
+
+def test_rational_determinant_matches_gauss():
+    rng = random.Random(11)
+    for size in range(1, 5):
+        for _ in range(20):
+            mat = [
+                [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(size)]
+                for _ in range(size)
+            ]
+            if rng.random() < 0.3:
+                mat[rng.randrange(size)] = [Fraction(0)] * size
+            got = DegreeMatrix(size, (), (), tuple(map(tuple, mat)), ((),) * size).det()
+            assert type(got) is Fraction and got == det_gauss(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +229,59 @@ def test_classical_degree_matrices_are_integral(name, ring):
     assert not hasattr(oracle, "multiply") and not hasattr(oracle, "to_basis")
 
 
+DEFORMED_SPECS = [
+    spec
+    for name, fam in sorted(FAMILIES.items())
+    if fam.deformation
+    for spec in (
+        [FamilySpec(name, "Qqt")]
+        + [FamilySpec(name, "Q", Specialization.at_pair(*pair)) for pair in ((2, 3), (3, 9))]
+        if fam.deformation == "qt"
+        else [FamilySpec(name, "Qt")]
+        + [FamilySpec(name, "Q", Specialization.at_root(k)) for k in (1, 2, 3, 4, 6)]
+        + [FamilySpec(name, "Q", Specialization.at_value(v)) for v in (2, -1, 0)]
+    )
+]
+
+
+def spec_id(spec):
+    spz = spec.specialization
+    if spz is None:
+        return f"{spec.family}-{spec.ring}"
+    point = {"root": spz.root_order, "value": spz.value, "pair": f"{spz.q_value},{spz.t_value}"}
+    return f"{spec.family}-{spz.kind}-{point[spz.kind]}"
+
+
+@pytest.mark.parametrize("spec", DEFORMED_SPECS, ids=spec_id)
+def test_determinant_matches_gauss_on_the_entries(spec):
+    """Every deformed field: det of the numerator rows equals det_gauss of
+    the reduced entries, in value and in rendering."""
+    top = 3 if spec.definition.deformation == "qt" else 4
+    seqs = [seq_of(*[(n,) for n in range(1, top + 1)]), seq_of((1,), (1, 1), (2, 1), (3, 1))]
+    for seq in seqs:
+        memo = {}
+        for n in range(1, top + 1):
+            try:
+                mat = degree_matrix(spec, seq, n, memo)
+            except ZeroDenominator:  # some u_k does not exist here
+                break
+            got, want = mat.det(), det_gauss([list(row) for row in mat.entries])
+            assert type(got) is type(want) and got == want, n
+            assert render_value(got) == render_value(want), n
+
+
+def test_macdonald_degree_5_determinant_specializes():
+    # the generic degree-5 determinant over Q(q,t), at (q,t) = (2,3), is the
+    # determinant of the matrix built at (2,3)
+    seq = seq_of(*[(n,) for n in range(1, 6)])
+    generic, memo = FamilySpec("mac-P", "Qqt"), {}
+    pair = Specialization.at_pair(2, 3)
+    at_pair, pair_memo = FamilySpec("mac-P", "Q", pair), {}
+    for n in range(1, 6):
+        det = degree_matrix(generic, seq, n, memo).det()
+        assert pair.apply(det) == degree_matrix(at_pair, seq, n, pair_memo).det(), n
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -181,8 +311,8 @@ GENERIC_DEFORMED = [
 @pytest.mark.parametrize("spec", GENERIC_DEFORMED, ids=lambda spec: spec.family)
 def test_polynomial_route_takes_no_rational_function_arithmetic(spec, monkeypatch):
     """Over Q(t) and Q(q,t) the products are convolved on polynomial
-    p-coordinates: no RatFunc product or sum, and a gcd only for the lcm of
-    an element's denominators or inside the one RatFunc.make per entry."""
+    p-coordinates and the rows stay numerators: no RatFunc product, sum or
+    make, and a gcd only for the lcm of an element's denominators."""
     seq = seq_of((1,), (1, 1), (2, 1), (3, 1))
     elements = {lam: family_element(spec, lam, mu) for lam, mu in seq}
     monkeypatch.setattr(oracle, "family_element", lambda spec, lam, mu=None: elements[lam])
@@ -218,8 +348,8 @@ def test_polynomial_route_takes_no_rational_function_arithmetic(spec, monkeypatc
     for n in range(1, 5):
         degree_matrix(spec, seq, n, memo)
     assert calls["coordinates", "products"] == 4
-    assert calls["make", "products"] == sum(len(partitions_of(n)) ** 2 for n in range(1, 5))
-    assert {scope for name, scope in calls if name == "gcd"} <= {"lcm", "make"}
+    assert calls["make", "products"] == 0
+    assert {scope for name, scope in calls if name == "gcd"} <= {"lcm"}
     assert not any(name in ("mul", "add") for name, _ in calls)
     if spec.family != "mac-P":
         # every coefficient is a polynomial: no gcd reaches the cached core
@@ -270,6 +400,26 @@ def test_verdict_builds_each_element_once_per_degree(monkeypatch):
     verdict(FamilySpec("s", "Q"), seq, 5)
     # recomputed_inner reads u_n off the memo the matrices filled
     assert len(built) == 5
+
+
+def test_verdict_builds_a_missing_element_once(monkeypatch):
+    # c_(2) and c_(3,1) vanish at (q,t) = (2, 1/2): u_2 = P_(2) and
+    # u_4 = P_(3,1) do not exist; the degree-2 inner product and the
+    # matrices of degrees 3 and 4 meet u_2, the degree-4 inner product u_4
+    built = Counter()
+    real = oracle.family_element
+
+    def counting(spec, lam, mu=None):
+        built[lam] += 1
+        return real(spec, lam, mu)
+
+    monkeypatch.setattr(oracle, "family_element", counting)
+    spec = FamilySpec("mac-P", "Q", Specialization.at_pair(2, Fraction(1, 2)))
+    records = verdict(spec, seq_of((1,), (2,), (2, 1), (3, 1)), 4)
+    assert built == {P(1): 1, P(2): 1, P(2, 1): 1, P(3, 1): 1}
+    assert [r["det"] for r in records[1:]] == [None, None, None]
+    # the degree-3 inner product still reads u_3, which exists
+    assert [r["inner"] is None for r in records] == [False, True, False, True]
 
 
 def test_recomputed_inner_matches_closed_value():

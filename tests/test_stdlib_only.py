@@ -1,6 +1,6 @@
-"""Import rules of the engine, read off its source with ast: every module
-under src/symgen imports nothing but the standard library and symgen
-itself, and none reaches into ``deformed``'s private names."""
+"""Rules of the engine, read off its source with ast: every module under
+src/symgen imports nothing but the standard library and symgen itself, none
+reaches into ``deformed``'s private names, and none calls ``det_gauss``."""
 
 import ast
 import sys
@@ -49,3 +49,16 @@ def test_no_module_imports_private_names_from_deformed():
         if alias.name.startswith("_")
     }
     assert private == set()
+
+
+def test_no_module_calls_det_gauss():
+    # det_gauss is the tests' reference elimination (and a traced name);
+    # the engine eliminates with det_bareiss on every ring
+    calls = {
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "det_gauss" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert calls == set()
