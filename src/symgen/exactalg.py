@@ -5,15 +5,20 @@ function at a rational value, a rational (q,t) pair or a root of unity.
 
 Canonical forms
 ---------------
-* ``Poly`` terms map an exponent pair ``(deg_q, deg_t)`` to a nonzero
-  ``Fraction``; monomials are ordered graded-lex with t > q, i.e. by
+* ``Poly`` terms map an exponent pair ``(deg_q, deg_t)`` of non-negative
+  ints to a nonzero coefficient: an ``int`` when it is integral, else a
+  ``Fraction``.  Monomials are ordered graded-lex with t > q, i.e. by
   ``(deg_q + deg_t, deg_t)``.
 * ``RatFunc`` is ``scale * num / den`` with ``num``/``den`` coprime primitive
   integer polynomials whose graded-lex leading coefficients are positive and
   with the whole rational content in ``scale``.  Equality of rational
   functions is structural equality of this form.
 * ``CycloElem`` is a residue mod the k-th cyclotomic polynomial, stored as a
-  vector of phi(k) rationals.
+  vector of phi(k) rationals: ints, unless a division made a ``Fraction``.
+* Each value gets its form once, from the arithmetic that makes it; no
+  constructor normalizes it again.  An int or Fraction multiplies a
+  ``CycloElem`` coefficient-wise (no residue product) and a ``RatFunc`` as
+  a constant, so every other module passes the plain number.
 
 GCD routes
 ----------
@@ -95,43 +100,36 @@ def _render_monomial(dq: int, dt: int) -> str:
 
 
 class Poly:
-    """Sparse polynomial in q and t with Fraction coefficients."""
+    """Sparse polynomial in q and t with rational coefficients."""
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
+        # every producer makes non-negative int exponents (tests check it), so
+        # only zeros are dropped and an integral Fraction is stored as an int,
+        # which is far faster in the gcd kernels
         clean = {}
         if terms:
-            for (dq, dt), c in terms.items():
-                # integral coefficients are stored as plain ints: Python's
-                # int/Fraction interoperate exactly and int arithmetic is far
-                # faster in the gcd kernels (check int first, it is cheap)
-                if type(c) is not int:
-                    if isinstance(c, Fraction):
-                        c = c.numerator if c.denominator == 1 else c
-                    elif isinstance(c, int):
-                        c = int(c)
-                    else:
-                        c = Fraction(c)
-                if c != 0:
-                    if dq < 0 or dt < 0:
-                        raise ValueError("negative exponent in Poly")
-                    clean[(int(dq), int(dt))] = c
+            for term, c in terms.items():
+                if c:
+                    if type(c) is not int and c.denominator == 1:
+                        c = c.numerator
+                    clean[term] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def const(c) -> "Poly":
-        return Poly({(0, 0): Fraction(c)})
+        return Poly({(0, 0): c})
 
     @staticmethod
     def t(power: int = 1) -> "Poly":
-        return Poly({(0, power): Fraction(1)})
+        return Poly({(0, power): 1})
 
     @staticmethod
     def q(power: int = 1) -> "Poly":
-        return Poly({(power, 0): Fraction(1)})
+        return Poly({(power, 0): 1})
 
     # -- basic queries -----------------------------------------------------
     def is_zero(self) -> bool:
@@ -371,7 +369,7 @@ def _from_dense_uni(coeffs, var: str) -> Poly:
     terms = {}
     for i, c in enumerate(coeffs):
         if c:
-            terms[(0, i) if var == "t" else (i, 0)] = Fraction(c)
+            terms[(0, i) if var == "t" else (i, 0)] = c
     return Poly(terms)
 
 
@@ -528,7 +526,7 @@ def _poly_gcd_prim(a: Poly, b: Poly) -> Poly:
         a = Poly({(dq - amq, dt - amt): c for (dq, dt), c in a.terms.items()})
     if bmq or bmt:
         b = Poly({(dq - bmq, dt - bmt): c for (dq, dt), c in b.terms.items()})
-    mono = Poly({(mq, mt): Fraction(1)})
+    mono = Poly({(mq, mt): 1})
     if a.is_const() or b.is_const():
         core = P_ONE
     elif a.is_univariate_t() and b.is_univariate_t():
@@ -789,11 +787,11 @@ RF_ONE = RatFunc(Fraction(1), P_ONE, P_ONE, _raw=True)
 # cyclotomic residues
 # ---------------------------------------------------------------------------
 
-def _phi_dense(k: int) -> list[Fraction]:
+def _phi_dense(k: int) -> list[int]:
     return _dense_uni(cyclotomic_poly(k), "t")
 
 
-def _poly_mod_phi(coeffs: list[Fraction], k: int) -> list[Fraction]:
+def _poly_mod_phi(coeffs: list, k: int) -> list:
     phi = _phi_dense(k)
     d = len(phi) - 1
     r = list(coeffs)
@@ -804,12 +802,13 @@ def _poly_mod_phi(coeffs: list[Fraction], k: int) -> list[Fraction]:
             for i, c in enumerate(phi):
                 r[i + shift] -= lead * c
         r.pop()
-    return r + [Fraction(0)] * (d - len(r))
+    return r + [0] * (d - len(r))
 
 
 class CycloElem:
     """An element of Q[t]/Phi_k(t): the exact value of t at a primitive
-    k-th root of unity."""
+    k-th root of unity.  The coefficients (int or Fraction) are kept as the
+    arithmetic leaves them."""
 
     __slots__ = ("k", "coeffs")
 
@@ -817,26 +816,24 @@ class CycloElem:
         if k < 1:
             raise ValueError("k must be positive")
         d = euler_phi(k)
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = tuple(coeffs)
         if len(coeffs) != d:
             raise ValueError(f"residue vector must have length {d}")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def zero(k: int) -> "CycloElem":
-        return CycloElem(k, [Fraction(0)] * euler_phi(k))
+        return CycloElem(k, [0] * euler_phi(k))
 
     @staticmethod
     def one(k: int) -> "CycloElem":
-        c = [Fraction(0)] * euler_phi(k)
-        c[0] = Fraction(1)
-        return CycloElem(k, c)
+        return CycloElem.from_fraction(1, k)
 
     @staticmethod
     def from_fraction(fr, k: int) -> "CycloElem":
-        c = [Fraction(0)] * euler_phi(k)
-        c[0] = Fraction(fr)
+        c = [0] * euler_phi(k)
+        c[0] = fr
         return CycloElem(k, c)
 
     @staticmethod
@@ -881,10 +878,13 @@ class CycloElem:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scales the vector: no lift, no reduction
+            return CycloElem(self.k, [a * other for a in self.coeffs])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        prod = [Fraction(0)] * (2 * len(self.coeffs))
+        prod = [0] * (2 * len(self.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -912,7 +912,7 @@ class CycloElem:
             return _strip_trailing(out)
 
         r0, r1 = _phi_dense(self.k), _strip_trailing(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
+        s0, s1 = [], [1]
         while r1:
             # full polynomial division r0 = q*r1 + r
             r, s = r0, s0
@@ -952,7 +952,7 @@ class CycloElem:
         """Plain rational value; only for k <= 2 (t = 1 or t = -1)."""
         if len(self.coeffs) != 1:
             raise ValueError("not a rational cyclotomic element")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def render(self) -> str:
         if len(self.coeffs) == 1:
@@ -977,9 +977,10 @@ def specialize_root_of_unity(f: RatFunc, k: int) -> CycloElem:
 class CoeffRing:
     """A coefficient field: exact arithmetic, exact equality, a renderer.
 
-    Ring values are plain Fraction / RatFunc / CycloElem objects; this tag
-    only supplies constructors, zero tests and rendering so the symmetric
-    function layer can stay generic.
+    Ring values are plain Fraction / RatFunc / CycloElem objects, zero
+    exactly when falsy, and an int or Fraction multiplies each directly; this
+    tag supplies zero, one, ``from_fraction`` (for a rational read from text)
+    and rendering, so the symmetric function layer can stay generic.
     """
 
     def __init__(self, name, zero, one, from_fraction, render):
@@ -988,13 +989,6 @@ class CoeffRing:
         self.one = one
         self.from_fraction = from_fraction
         self._render = render
-
-    def from_int(self, n: int):
-        return self.from_fraction(Fraction(n))
-
-    @staticmethod
-    def is_zero(x) -> bool:
-        return not x
 
     def render(self, x) -> str:
         return self._render(x)

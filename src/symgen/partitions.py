@@ -18,9 +18,15 @@ class NotARibbon(ValueError):
 
 
 class Partition(tuple):
-    """A weakly decreasing tuple of positive integers (trailing zeros dropped)."""
+    """A weakly decreasing tuple of positive integers (trailing zeros dropped).
+
+    Parts from outside (a tuple, a list, a generator) are validated; a
+    Partition is already valid and is returned as it is.
+    """
 
     def __new__(cls, parts=()):
+        if type(parts) is Partition:
+            return parts
         parts = tuple(map(int, parts))
         for i, p in enumerate(parts):
             if p < 0:

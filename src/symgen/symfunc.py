@@ -26,6 +26,10 @@ the power sums, so that adjoint is one formula on p-coefficients,
 ratio of the norms z.  ``skew`` (every classical skew family) and
 ``pn_perp`` are built on it (``deformed`` has its t-form analogue).
 
+Coefficients are values of a ``CoeffRing``.  The rational coefficients of
+these expansions and the weights z and eps multiply them as plain numbers
+on every ring; only text entering a ring (``parse_symfunc``) is lifted.
+
 Text format: ``-1*m[3] + 3*m[2,1]`` (coefficient always explicit, terms in
 ascending canonical order: by degree, then reversed enumeration order).
 """
@@ -63,7 +67,7 @@ class SymFunc:
             raise ValueError(f"unknown basis {basis!r}")
         clean = {}
         for lam, c in coeffs.items():
-            if not CoeffRing.is_zero(c):
+            if c:
                 clean[Partition(lam)] = c
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "ring", ring)
@@ -83,7 +87,7 @@ class SymFunc:
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
             s = out.get(lam, self.ring.zero) + c
-            if CoeffRing.is_zero(s):
+            if not s:
                 out.pop(lam, None)
             else:
                 out[lam] = s
@@ -92,10 +96,10 @@ class SymFunc:
     def __sub__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
-        return self + other.scaled(self.ring.from_int(-1))
+        return self + other.scaled(-1)
 
     def scaled(self, c) -> "SymFunc":
-        if CoeffRing.is_zero(c):
+        if not c:
             return SymFunc(self.basis, {}, self.ring)
         return SymFunc(
             self.basis, {lam: v * c for lam, v in self.coeffs.items()}, self.ring
@@ -339,8 +343,8 @@ def p_expansion(x: SymFunc) -> dict:
     out: dict = {}
     for lam, c in x.coeffs.items():
         for nu, fr in _basis_to_p(x.basis, lam):
-            s = out.get(nu, ring.zero) + c * ring.from_fraction(fr)
-            if CoeffRing.is_zero(s):
+            s = out.get(nu, ring.zero) + c * fr
+            if not s:
                 out.pop(nu, None)
             else:
                 out[nu] = s
@@ -368,7 +372,7 @@ def to_basis(x: SymFunc, target: str) -> SymFunc:
             for i, v in vec:
                 if row[i]:
                     c = c + v * row[i]
-            if not CoeffRing.is_zero(c):
+            if c:
                 out[mu] = c
     return SymFunc(target, out, ring)
 
@@ -391,20 +395,17 @@ def hall_inner(x: SymFunc, y: SymFunc):
     for lam, cx in xp.items():
         cy = yp.get(lam)
         if cy is not None:
-            total = total + ring.from_int(stats(lam).z) * cx * cy
+            total = total + stats(lam).z * cx * cy
     return total
 
 
 def omega(x: SymFunc) -> SymFunc:
     """The involution with p_n -> (-1)^(n-1) p_n (so h <-> e, m <-> f)."""
-    ring = x.ring
-    out = {}
-    for lam, c in p_expansion(x).items():
-        out[lam] = c * ring.from_int(stats(lam).eps)
-    return SymFunc("p", out, ring)
+    out = {lam: c * stats(lam).eps for lam, c in p_expansion(x).items()}
+    return SymFunc("p", out, x.ring)
 
 
-def skew_p(xp: dict, yp: dict, ring: CoeffRing) -> dict:
+def skew_p(xp: dict, yp: dict) -> dict:
     """p-coefficients of y^perp x, the adjoint of multiplication by y under
     the Hall form: p_beta p_gamma = p_{beta u gamma} and <p_nu, p_nu> = z_nu
     give z_gamma [p_gamma] y^perp x = sum_beta y_beta x_{beta u gamma}
@@ -412,16 +413,12 @@ def skew_p(xp: dict, yp: dict, ring: CoeffRing) -> dict:
     """
     out: dict = {}
     for alpha, cx in xp.items():
-        weighted = cx * ring.from_int(stats(alpha).z)
+        weighted = cx * stats(alpha).z
         for beta, cy in yp.items():
             gamma = difference(alpha, beta)
             if gamma is not None:
-                out[gamma] = out.get(gamma, ring.zero) + cy * weighted
-    return {
-        gamma: c * (ring.one / ring.from_int(stats(gamma).z))
-        for gamma, c in out.items()
-        if not CoeffRing.is_zero(c)
-    }
+                out[gamma] = out.get(gamma, 0) + cy * weighted
+    return {gamma: c * Fraction(1, stats(gamma).z) for gamma, c in out.items() if c}
 
 
 def pn_perp(x: SymFunc, n: int) -> SymFunc:
@@ -429,7 +426,7 @@ def pn_perp(x: SymFunc, n: int) -> SymFunc:
     if n < 1:
         raise ValueError("n must be positive")
     yp = {Partition((n,)): x.ring.one}
-    return SymFunc("p", skew_p(p_expansion(x), yp, x.ring), x.ring)
+    return SymFunc("p", skew_p(p_expansion(x), yp), x.ring)
 
 
 def skew(family: str, lam, mu, ring: CoeffRing = RING_Q) -> SymFunc:
@@ -444,7 +441,7 @@ def skew(family: str, lam, mu, ring: CoeffRing = RING_Q) -> SymFunc:
     if Partition(lam).size < Partition(mu).size:
         return SymFunc("p", {}, ring)
     xp = p_expansion(sym(family, lam, ring))
-    return SymFunc("p", skew_p(xp, p_expansion(sym(family, mu, ring)), ring), ring)
+    return SymFunc("p", skew_p(xp, p_expansion(sym(family, mu, ring))), ring)
 
 
 def skew_monomial_weight_sum(lam, mu, n: int) -> Fraction:

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symgen import exactalg
 from symgen.exactalg import (
     _poly_gcd_prim,
     P_ONE,
@@ -22,7 +23,6 @@ from symgen.exactalg import (
     CycloElem,
     ZeroDenominator,
     ZeroPolynomial,
-    cyclo_ring,
     cyclotomic_poly,
     euler_phi,
     poly_exact_div,
@@ -312,9 +312,55 @@ def test_cyclo_powers_match_repeated_products(k):
 
 
 def test_cyclo_zero_test_is_vector_zero():
-    ring = cyclo_ring(4)
-    assert ring.is_zero(CycloElem.zero(4))
-    assert not ring.is_zero(CycloElem.from_poly(T, 4))
+    assert not CycloElem.zero(4)
+    assert CycloElem.from_poly(T, 4)
+
+
+# ---------------------------------------------------------------------------
+# residue arithmetic: a rational scales, integers stay int
+# ---------------------------------------------------------------------------
+
+residue_orders = st.sampled_from([1, 2, 3, 4, 5, 6, 12])
+small_ints = st.integers(-6, 6)
+
+
+def residues(k, coeffs):
+    return st.lists(coeffs, min_size=euler_phi(k), max_size=euler_phi(k)).map(
+        lambda c: CycloElem(k, c)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=residue_orders, r=small_ints | small_fracs)
+def test_rational_times_residue_is_the_lifted_product(data, k, r):
+    x = data.draw(residues(k, small_ints | small_fracs))
+    assert x * r == r * x == x * CycloElem.from_fraction(r, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), k=residue_orders, n=small_ints)
+def test_integer_residues_keep_int_coefficients(data, k, n):
+    x = data.draw(residues(k, small_ints))
+    y = data.draw(residues(k, small_ints))
+    p = Poly({(0, i): c for i, c in enumerate(data.draw(st.lists(small_ints, max_size=14)))})
+    for value in (
+        x + y, x - y, x * y, x * n, n * x, x + n, n - x,
+        CycloElem.from_poly(p, k), CycloElem.zero(k), CycloElem.one(k),
+    ):
+        assert all(type(c) is int for c in value.coeffs), value.coeffs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 12])
+def test_scalar_product_takes_no_residue_reduction(k, monkeypatch):
+    x = CycloElem.from_poly(t_pow(3) - 2 * T + 1, k)
+    reductions = []
+    reduce = exactalg._poly_mod_phi
+    monkeypatch.setattr(
+        exactalg, "_poly_mod_phi", lambda coeffs, k: reductions.append(k) or reduce(coeffs, k)
+    )
+    for r in (3, -1, Fraction(2, 7)):
+        assert (x * r).coeffs == (r * x).coeffs == tuple(c * r for c in x.coeffs)
+    assert reductions == []
 
 
 def test_euler_phi_degrees():

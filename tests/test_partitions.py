@@ -46,6 +46,16 @@ def test_partition_rejects_interior_zeros():
     assert Partition((0, 0)) == EMPTY
 
 
+def test_partition_of_a_partition_is_itself():
+    # a Partition is already valid: it is neither re-checked nor re-wrapped
+    lam = Partition((3, 1, 1))
+    assert Partition(lam) is lam
+    for mu in partitions_of(5):
+        assert Partition(mu) is mu
+    # a plain tuple equal to it is validated and wrapped anew
+    assert type(Partition(tuple(lam))) is Partition and Partition(tuple(lam)) == lam
+
+
 def test_enumeration_order_and_counts():
     assert [tuple(p) for p in partitions_of(0)] == [()]
     assert [tuple(p) for p in partitions_of(4)] == [

@@ -1,6 +1,7 @@
 """Rules of the engine, read off its source with ast: every module under
 src/symgen imports nothing but the standard library and symgen itself, none
-reaches into ``deformed``'s private names, and none calls ``det_gauss``."""
+reaches into ``deformed``'s private names, none calls ``det_gauss``, and
+only ``exactalg`` lifts a rational into a coefficient ring."""
 
 import ast
 import sys
@@ -62,3 +63,25 @@ def test_no_module_calls_det_gauss():
         and "det_gauss" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert calls == set()
+
+
+def _functions(tree: ast.Module):
+    """(function name, node) for every function, nested ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+
+
+def test_only_exactalg_lifts_rationals_into_a_ring():
+    # an int or Fraction multiplies every ring value directly (exactalg
+    # decides how); a ring constructor is for text entering a ring only
+    lifts = {
+        (name, function)
+        for name, tree in _trees()
+        if name != "exactalg.py"
+        for function, node in _functions(tree)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", None) in ("from_fraction", "from_int")
+    }
+    assert lifts <= {("symfunc.py", "parse_symfunc")}

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from symgen.exactalg import RING_Q
 from symgen.partitions import (
     EMPTY,
     Partition,
@@ -179,10 +178,10 @@ def test_skew_p_mixed_degrees():
     # p_2^perp (p_2 p_1 + p_2) = 2 p_1 + 2 under the Hall form
     xp = {P(2, 1): F(1), P(2): F(1)}
     yp = {P(2): F(1)}
-    assert skew_p(xp, yp, RING_Q) == {P(1): F(2), EMPTY: F(2)}
+    assert skew_p(xp, yp) == {P(1): F(2), EMPTY: F(2)}
     # (p_{2,1} + p_2)^perp p_2: only p_2 acts; p_2^perp p_1 = 0
-    assert skew_p(yp, xp, RING_Q) == {EMPTY: F(2)}
-    assert skew_p({P(1): F(1)}, yp, RING_Q) == {}
+    assert skew_p(yp, xp) == {EMPTY: F(2)}
+    assert skew_p({P(1): F(1)}, yp) == {}
 
 
 def test_pn_perp_adjoint_identity():
