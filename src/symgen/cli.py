@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 when a check/oracle run's overall verdict is false,
 2 on parse errors (more than one of --at-root, --at-value and --at-q/--at-t
 included), shapes that do not fit the degree (``inner`` included),
 a ``--max-degree`` below 1 or beyond the file (or, for probe, beyond
-``oracle.PROBE_MAX_DEGREE``), or a criterion that disagrees with its own
-exact value (one-line diagnostic on stderr).
+``oracle.PROBE_MAX_DEGREE``, which is 8), or a criterion that disagrees with
+its own exact value (one-line diagnostic on stderr).
 """
 
 from __future__ import annotations

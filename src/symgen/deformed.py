@@ -12,6 +12,9 @@ T; Hall-Littlewood P is its q = 0 case (III (5.11')), the q-Whittaker
 functions its t = 0 case.  No inner product enters, and no gcd: every psi is
 a quotient of binomials, and the sums run in polynomials (for Macdonald, in
 the integral form J = c_lam P, whose m-coefficients they are, VI (8.11)).
+One element is built alone: a tableau of shape lam grows through shapes
+contained in lam, so the strips are cut to lam's rows and no other shape of
+its degree is summed.
 
 Big Schur: S_lam = det(q_{lam_i - i + j}) is s_lam[(1-t)X], since q_r =
 h_r[(1-t)X] (III (2.10)); on the power sums it is the Schur character
@@ -237,11 +240,12 @@ def _binomial_quotient(sign: int, monomial: tuple, num_binomials, den_binomials)
 # the families as sums over semistandard tableaux
 # ---------------------------------------------------------------------------
 
-def _horizontal_strips(mu: Partition, k: int):
-    """Every lam with lam/mu a horizontal strip of k cells: mu_i <= lam_i <= mu_{i-1}."""
+def _horizontal_strips(mu: Partition, k: int, outer: Partition):
+    """Every lam inside ``outer`` with lam/mu a horizontal strip of k cells,
+    for a mu inside ``outer``: mu_i <= lam_i <= min(mu_{i-1}, outer_i)."""
     rows = list(mu) + [0]
-    bounds = zip(rows, [rows[0] + k] + list(mu))
-    for parts in product(*(range(low, high + 1) for low, high in bounds)):
+    bounds = zip(rows, [rows[0] + k] + list(mu), list(outer) + [0])
+    for parts in product(*(range(low, min(high, cap) + 1) for low, high, cap in bounds)):
         if sum(parts) == mu.size + k:
             yield Partition(parts)
 
@@ -279,17 +283,19 @@ def _strip_factor(mu: Partition, lam: Partition, kind: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _tableau_states(content: tuple, kind: str) -> dict:
-    """{lam: [x^content] c_lam P_lam}, the tableaux of each shape grown by
-    the last part of the content as a horizontal strip.  The values are
+def _tableau_states(content: tuple, kind: str, outer: Partition) -> dict:
+    """{lam: [x^content] c_lam P_lam} over the shapes lam inside ``outer``,
+    the tableaux of each shape grown by the last part of the content as a
+    horizontal strip.  A tableau of shape ``outer`` passes only through
+    shapes inside it, so no other shape is grown.  The values are
     polynomials (for "qt" those of J_lam, VI (8.11)), so the lcm of the key
     denominators of the terms reaching one shape divides their sum exactly.
     """
     if not content:
         return {EMPTY: P_ONE}
     incoming: dict = {}
-    for mu, coeff in _tableau_states(content[:-1], kind).items():
-        for lam in _horizontal_strips(mu, content[-1]):
+    for mu, coeff in _tableau_states(content[:-1], kind, outer).items():
+        for lam in _horizontal_strips(mu, content[-1], outer):
             incoming.setdefault(lam, []).append((coeff, _strip_factor(mu, lam, kind)))
     out = {}
     for lam, terms in incoming.items():
@@ -314,22 +320,23 @@ def _over_c(coeff: Poly, lam: Partition, kind: str) -> RatFunc:
 
 
 @lru_cache(maxsize=None)
-def _gs_family(n: int, kind: str) -> dict:
-    """{lam: {nu: [m_nu] P_lam}} for every lam of n, read off the tableau
-    sums (see the module docstring) at x^nu.  The name is historical (the
-    families came from Gram-Schmidt); the traced benchmark looks it up.
+def _gs_family(lam: Partition, kind: str) -> dict:
+    """{nu: [m_nu] P_lam}, the one column of lam read off the tableau sums
+    (see the module docstring) at x^nu, grown inside lam only.  The name is
+    historical (it built every lam of one degree by Gram-Schmidt); the
+    traced benchmark looks it up and splits its span by ``kind``.
     """
-    family: dict = {lam: {} for lam in partitions_of(n)}
-    for nu in partitions_of(n):
-        for lam, coeff in _tableau_states(tuple(nu), kind).items():
-            family[lam][nu] = _over_c(coeff, lam, kind)
-    return family
+    column = {}
+    for nu in partitions_of(lam.size):
+        coeff = _tableau_states(tuple(nu), kind, lam).get(lam)
+        if coeff is not None:
+            column[nu] = _over_c(coeff, lam, kind)
+    return column
 
 
 def hl_P(lam) -> SymFunc:
     """Hall-Littlewood P: m-unitriangular, orthogonal for the t-form."""
-    lam = Partition(lam)
-    return SymFunc("m", _gs_family(lam.size, "t")[lam], RING_QT)
+    return SymFunc("m", _gs_family(Partition(lam), "t"), RING_QT)
 
 
 def hl_Q(lam) -> SymFunc:
@@ -348,8 +355,7 @@ def qn(n: int) -> SymFunc:
 
 def mac_P(lam) -> SymFunc:
     """Macdonald P: m-unitriangular, orthogonal for the (q,t)-form."""
-    lam = Partition(lam)
-    return SymFunc("m", _gs_family(lam.size, "qt")[lam], RING_QQT)
+    return SymFunc("m", _gs_family(Partition(lam), "qt"), RING_QQT)
 
 
 def mac_J(lam) -> SymFunc:
@@ -357,7 +363,7 @@ def mac_J(lam) -> SymFunc:
     states themselves (VI (8.11)), polynomials in q and t."""
     lam = Partition(lam)
     return SymFunc("m", {
-        nu: RatFunc.make(_tableau_states(tuple(nu), "qt").get(lam, P_ZERO))
+        nu: RatFunc.make(_tableau_states(tuple(nu), "qt", lam).get(lam, P_ZERO))
         for nu in partitions_of(lam.size)
     }, RING_QQT)
 
@@ -365,8 +371,7 @@ def mac_J(lam) -> SymFunc:
 def whittaker(lam) -> SymFunc:
     """q-Whittaker W: the Macdonald P at t = 0, from the tableau sum with psi
     at t = 0; the tests check it against the substituted Macdonald P."""
-    lam = Partition(lam)
-    return SymFunc("m", _gs_family(lam.size, "q0")[lam], RING_QT)
+    return SymFunc("m", _gs_family(Partition(lam), "q0"), RING_QT)
 
 
 # ---------------------------------------------------------------------------

@@ -770,7 +770,12 @@ class RatFunc:
     def render(self) -> str:
         if self.is_zero():
             return "(0)"
-        shown = Poly({term: self.scale * c for term, c in self.num.terms.items()})
+        if self.scale == 1:
+            shown = self.num
+        elif self.scale == -1:
+            shown = -self.num
+        else:
+            shown = Poly({term: self.scale * c for term, c in self.num.terms.items()})
         if self.den == P_ONE:
             return f"({shown.render()})"
         return f"({shown.render()})/({self.den.render()})"

@@ -91,7 +91,7 @@ from .partitions import (
 from .symfunc import SymFunc, _basis_matrix_inverse, _p_convolve, p_expansion
 
 # the highest degree the skew Hall-Littlewood probe computes
-PROBE_MAX_DEGREE = 5
+PROBE_MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,26 @@ a root of unity takes the residues of both parts.
 
 The symmetric-function references build h, e and the Schur functions the
 long way: h_n and e_n by the Newton recurrences, and s_lam by every term of
-its Jacobi-Trudi determinant.
+its Jacobi-Trudi determinant.  The tableau sums of the deformed families are
+grown over every shape of each degree, not only inside the shape built.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
+from symgen.deformed import _key_product, _strip_factor
 from symgen.exactalg import (
+    P_ONE,
+    P_ZERO,
     CycloElem,
     Poly,
     RatFunc,
     ZeroDenominator,
     ZeroPolynomial,
     cyclotomic_poly,
+    poly_exact_div,
     try_exact_div,
 )
 from symgen.partitions import EMPTY, Partition, union
@@ -159,3 +167,32 @@ def newton_row(n, sign=1):
                 out[key] = out.get(key, 0) + sign ** (r - 1) * c / m
         rows.append(out)
     return rows[n]
+
+
+def horizontal_strips_unpruned(mu, k):
+    """Every lam with lam/mu a horizontal strip of k cells: mu_i <= lam_i <= mu_{i-1}."""
+    rows = list(mu) + [0]
+    bounds = zip(rows, [rows[0] + k] + list(mu))
+    for parts in product(*(range(low, high + 1) for low, high in bounds)):
+        if sum(parts) == mu.size + k:
+            yield Partition(parts)
+
+
+@lru_cache(maxsize=None)
+def tableau_states_unpruned(content: tuple, kind: str) -> dict:
+    """{lam: [x^content] c_lam P_lam} for every shape lam the content fills,
+    summed over the lcm of the key denominators of each shape's terms."""
+    if not content:
+        return {EMPTY: P_ONE}
+    incoming: dict = {}
+    for mu, coeff in tableau_states_unpruned(content[:-1], kind).items():
+        for lam in horizontal_strips_unpruned(mu, content[-1]):
+            incoming.setdefault(lam, []).append((coeff, _strip_factor(mu, lam, kind)))
+    out = {}
+    for lam, terms in incoming.items():
+        lcm: Counter = Counter()
+        for _, (_, count) in terms:
+            lcm |= -count
+        total = sum((c * s * _key_product(count + lcm) for c, (s, count) in terms), P_ZERO)
+        out[lam] = poly_exact_div(total, _key_product(lcm)) if lcm else total
+    return out

@@ -366,13 +366,26 @@ def test_seed_manifest_default_max_degree(capsys, two_line_path, command, record
 
 
 def test_probe_rejects_degree_above_cap(capsys, tmp_path):
-    path = tmp_path / "six.txt"
-    path.write_text("".join(f"{n}: [{n}]\n" for n in range(1, 7)), encoding="utf-8")
+    path = tmp_path / "nine.txt"
+    path.write_text("".join(f"{n}: [{n}]\n" for n in range(1, 10)), encoding="utf-8")
     code, out, err = invoke(
-        capsys, "probe", "--seq-file", str(path), "--max-degree", "6"
+        capsys, "probe", "--seq-file", str(path), "--max-degree", "9"
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_probe_runs_up_to_cap(capsys, tmp_path):
+    path = tmp_path / "eight.txt"
+    lines = [f"{n}: [{n}]\n" for n in range(1, 8)] + ["8: [4,3,2,1,1]/[2,1]\n"]
+    path.write_text("".join(lines), encoding="utf-8")
+    code, out, err = invoke(
+        capsys, "probe", "--seq-file", str(path), "--max-degree", "8"
+    )
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and err == ""
+    assert [r["n"] for r in records] == list(range(1, 9))
+    assert records[-1]["lambda"] == "[4,3,2,1,1]" and records[-1]["nonzero"]
 
 
 def test_mac_pair_specialization_via_cli(capsys):

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from symgen import exactalg
+from symgen import deformed, exactalg
 from symgen.deformed import (
     _binomial_quotient,
     _cyclotomic_factor,
     _gram_inverse_t,
     _gs_family,
+    _over_c,
     _strip_factor,
     _tableau_states,
     big_schur,
@@ -66,6 +67,7 @@ from exact_reference import (
     jacobi_trudi_unpruned,
     ratfunc_subs,
     ratfunc_subs_q_to_t,
+    tableau_states_unpruned,
 )
 
 
@@ -178,6 +180,48 @@ def test_family_unitriangular_and_orthogonal(kind, cap):
                 assert _form(xp, yp, kind).is_zero() == (lam != mu), (kind, lam, mu)
 
 
+@pytest.mark.parametrize("kind,cap", [("t", 8), ("q0", 6), ("qt", 5)])
+def test_column_matches_unpruned_tableau_sum(kind, cap):
+    # one lam's column, grown inside lam, against the states of every shape
+    for n in range(cap + 1):
+        for lam in partitions_of(n):
+            want = {}
+            for nu in partitions_of(n):
+                states = tableau_states_unpruned(tuple(nu), kind)
+                if lam in states:
+                    want[nu] = _over_c(states[lam], lam, kind)
+            assert _gs_family(lam, kind) == want, (kind, lam)
+
+
+def test_mac_J_matches_unpruned_tableau_sum():
+    for n in range(6):
+        for lam in partitions_of(n):
+            want = {
+                nu: RatFunc.make(tableau_states_unpruned(tuple(nu), "qt")[lam])
+                for nu in partitions_of(n)
+                if lam in tableau_states_unpruned(tuple(nu), "qt")
+            }
+            assert mac_J(lam) == SymFunc("m", want, RING_QQT), lam
+
+
+def test_one_element_grows_no_shape_outside_it(monkeypatch):
+    grown = []
+    original = deformed._horizontal_strips
+
+    def recorded(*args):
+        for shape in original(*args):
+            grown.append(shape)
+            yield shape
+
+    monkeypatch.setattr(deformed, "_horizontal_strips", recorded)
+    for lam, build in (((1,) * 8, hl_P), ((3, 2, 1), mac_P)):
+        for cache in (_gs_family, _tableau_states):
+            cache.cache_clear()
+        grown.clear()
+        build(lam)
+        assert grown and all(contains(shape, lam) for shape in grown), lam
+
+
 def test_psi_worked_cases():
     # [m_11] P_(2): the tableau 1 2 has psi = psi_{(2)/(1)}, one cell of
     # (1) in the row but not the column of the strip
@@ -202,7 +246,8 @@ def test_hl_family_takes_no_gcd(monkeypatch):
     ):
         cache.cache_clear()
     for n in range(9):
-        _gs_family(n, "t")
+        for lam in partitions_of(n):
+            _gs_family(lam, "t")
     assert calls == []
 
 
@@ -338,8 +383,8 @@ def test_no_pole_at_roots_of_unity():
         (c.swap_vars() if kind == "q0" else c, False)
         for kind, top in (("t", 6), ("q0", 6), ("qt", 4))
         for n in range(1, top + 1)
-        for row in _gs_family(n, kind).values()
-        for c in row.values()
+        for lam in partitions_of(n)
+        for c in _gs_family(lam, kind).values()
     ]
     for value, closed in closed_forms + coefficients:
         if value.is_zero():

@@ -390,6 +390,19 @@ def small_ratfuncs(draw):
     return RatFunc.make(num, den)
 
 
+@settings(max_examples=120, deadline=None)
+@given(f=small_ratfuncs(), scale=st.sampled_from([1, -1]) | small_fracs)
+def test_render_matches_scaled_numerator(f, scale):
+    # the numerator is shown as scale * num, built term by term
+    f = RatFunc.make(f.num, f.den, scale)
+    if f.is_zero():
+        assert f.render() == "(0)"
+        return
+    shown = Poly({term: f.scale * c for term, c in f.num.terms.items()}).render()
+    want = f"({shown})" if f.den == P_ONE else f"({shown})/({f.den.render()})"
+    assert f.render() == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(a=small_ratfuncs(), b=small_ratfuncs(), c=small_ratfuncs())
 def test_ratfunc_field_laws(a, b, c):
