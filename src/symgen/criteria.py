@@ -110,13 +110,16 @@ class Family:
 
     ``deformation`` is "" for a classical family (over Q or Z), "t" for a
     one-parameter family (generic over Q(t), or over Q at a rational value or
-    a root of unity of ``variable``) and "qt" for a Macdonald family (generic
-    over Q(q,t), or over Q at a rational (q,t) pair).  ``element(lam, mu)``
-    builds u_n and ``pairing(lam, mu, n)`` is the closed form of <u_n, p_n>,
-    both unspecialized; ``clause(spec, lam, mu, n)`` is the per-degree
-    criterion, None leaving it to the value.  A deformed family also has
-    ``keys(lam, mu, n)``, its pairing kept as a ``KeyQuotient`` for a
-    specialization to evaluate key by key.  Straight families get mu = EMPTY.
+    a root of unity of its parameter) and "qt" for a Macdonald family
+    (generic over Q(q,t), or over Q at a rational (q,t) pair).
+    ``element(lam, mu)`` builds u_n and ``pairing(lam, mu, n)`` is the closed
+    form of <u_n, p_n>, both unspecialized; ``clause(spec, lam, mu, n)`` is
+    the per-degree criterion, None leaving it to the value.  A deformed
+    family also has ``keys(lam, mu, n)``, its pairing kept as a
+    ``KeyQuotient`` for a specialization to evaluate key by key.  Straight
+    families get mu = EMPTY.  ``variable`` names the parameter in
+    ``FamilySpec``'s error message only: a specialization reads it off the
+    value (q for the q-Whittaker family, whose values are in q alone).
     """
 
     name: str
@@ -538,7 +541,7 @@ def inner_value(spec: FamilySpec, lam, mu, n: int):
     if spz is None:
         return fam.pairing(lam, mu, n)
     try:
-        return spz.apply(fam.keys(lam, mu, n), fam.variable)
+        return spz.apply(fam.keys(lam, mu, n))
     except ZeroDenominator:
         return None
 

@@ -563,12 +563,9 @@ def skew_hl_P_pn_inner(lam, mu, n: int) -> RatFunc:
 # coefficient specialization of whole elements
 # ---------------------------------------------------------------------------
 
-def specialize_coeffs(x: SymFunc, spz: Specialization, variable: str = "t") -> SymFunc:
-    """x with ``spz`` applied to the parameter ``variable`` of every
-    coefficient, over Q or Q(zeta_k)."""
-    return SymFunc(
-        x.basis, {lam: spz.apply(c, variable) for lam, c in x.coeffs.items()}, spz.ring
-    )
+def specialize_coeffs(x: SymFunc, spz: Specialization) -> SymFunc:
+    """x with ``spz`` applied to every coefficient, over Q or Q(zeta_k)."""
+    return SymFunc(x.basis, {lam: spz.apply(c) for lam, c in x.coeffs.items()}, spz.ring)
 
 
 def specialize_coeffs_root(x: SymFunc, k: int) -> SymFunc:

@@ -36,7 +36,9 @@ Specialization
 denominator; a closed form kept as its key count (``deformed.KeyQuotient``)
 its monomial and key polynomials.  ``Specialization.evaluate`` takes each
 factor once to the point, as an integer sum over one denominator
-(``Poly.value_at``) or as a residue mod Phi_k.  Every ``RatFunc`` constructor
+(``Poly.value_at``) or as a residue mod Phi_k.  A one-parameter point reads
+its variable off the factor: t, unless the factor is in q alone (the
+q-Whittaker family); no caller names it.  Every ``RatFunc`` constructor
 keeps its parts coprime, and so does a key count, so a specialization takes
 no gcd and a vanishing denominator factor is a pole; it is checked before a
 vanishing numerator factor makes the value 0 (at a root of unity Phi_k
@@ -198,9 +200,6 @@ class Poly:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerced(other)
@@ -551,27 +550,33 @@ def _poly_gcd_prim(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(k: int) -> Poly:
-    """The k-th cyclotomic polynomial Phi_k(t): t^k - 1 divided by Phi_d for
-    each proper divisor d, as dense integer division by monic divisors."""
+def _phi_dense(k: int) -> tuple:
+    """The k-th cyclotomic polynomial Phi_k(t) as its dense integer
+    coefficients, constant first: t^k - 1 divided by Phi_d for each proper
+    divisor d, each division by a monic divisor exact."""
     if k < 1:
         raise ValueError("k must be positive")
     rem = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            div = _dense_uni(cyclotomic_poly(d), "t")
+            div = _phi_dense(d)
             quo = [0] * (len(rem) - len(div) + 1)
             for i in reversed(range(len(quo))):
                 c = quo[i] = rem[i + len(div) - 1]
                 for j, b in enumerate(div):
                     rem[i + j] -= c * b
             rem = quo
-    return _from_dense_uni(rem, "t")
+    return tuple(rem)
 
 
 @lru_cache(maxsize=None)
+def cyclotomic_poly(k: int) -> Poly:
+    """Phi_k(t) as a Poly (``_phi_dense``)."""
+    return _from_dense_uni(_phi_dense(k), "t")
+
+
 def euler_phi(k: int) -> int:
-    return cyclotomic_poly(k).deg_t()
+    return len(_phi_dense(k)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +629,6 @@ class RatFunc:
     def __bool__(self):
         return self.scale != 0
 
-    def is_polynomial(self) -> bool:
-        return self.den == P_ONE
-
     def is_constant(self) -> bool:
         return self.num.is_const() and self.den.is_const()
 
@@ -636,11 +638,6 @@ class RatFunc:
         if self.is_zero():
             return Fraction(0)
         return self.scale * self.num.as_fraction() / self.den.as_fraction()
-
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial")
-        return Poly({term: self.scale * c for term, c in self.num.terms.items()})
 
     def is_univariate_t(self) -> bool:
         return self.num.is_univariate_t() and self.den.is_univariate_t()
@@ -683,9 +680,6 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -727,16 +721,6 @@ class RatFunc:
         if other is None:
             return NotImplemented
         return other / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if self.is_zero():
-                raise ZeroDenominator("negative power of zero")
-            return (RF_ONE / self) ** (-n)
-        out = RF_ONE
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -792,10 +776,6 @@ RF_ONE = RatFunc(Fraction(1), P_ONE, P_ONE, _raw=True)
 # cyclotomic residues
 # ---------------------------------------------------------------------------
 
-def _phi_dense(k: int) -> list[int]:
-    return _dense_uni(cyclotomic_poly(k), "t")
-
-
 def _poly_mod_phi(coeffs: list, k: int) -> list:
     phi = _phi_dense(k)
     d = len(phi) - 1
@@ -818,8 +798,6 @@ class CycloElem:
     __slots__ = ("k", "coeffs")
 
     def __init__(self, k: int, coeffs):
-        if k < 1:
-            raise ValueError("k must be positive")
         d = euler_phi(k)
         coeffs = tuple(coeffs)
         if len(coeffs) != d:
@@ -843,9 +821,18 @@ class CycloElem:
 
     @staticmethod
     def from_poly(p: Poly, k: int) -> "CycloElem":
+        """The residue of a polynomial in one variable, t or q (a polynomial
+        in q alone is read as the same polynomial in t)."""
+        var = "t"
         if not p.is_univariate_t():
-            raise ValueError("polynomial must be univariate in t")
-        return CycloElem(k, _poly_mod_phi(_dense_uni(p, "t"), k))
+            if p.deg_t():
+                raise ValueError("polynomial must be univariate in t or in q")
+            var = "q"
+        return CycloElem(k, _poly_mod_phi(_dense_uni(p, var), k))
+
+    def as_poly(self) -> Poly:
+        """The residue as its polynomial in t, of degree < phi(k)."""
+        return Poly({(0, i): c for i, c in enumerate(self.coeffs) if c})
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -916,7 +903,7 @@ class CycloElem:
                 out[i + shift] -= factor * c
             return _strip_trailing(out)
 
-        r0, r1 = _phi_dense(self.k), _strip_trailing(list(self.coeffs))
+        r0, r1 = list(_phi_dense(self.k)), _strip_trailing(list(self.coeffs))
         s0, s1 = [], [1]
         while r1:
             # full polynomial division r0 = q*r1 + r
@@ -962,8 +949,7 @@ class CycloElem:
     def render(self) -> str:
         if len(self.coeffs) == 1:
             return str(self.coeffs[0])
-        p = Poly({(0, i): c for i, c in enumerate(self.coeffs) if c})
-        return f"({p.render()}) mod Phi_{self.k}"
+        return f"({self.as_poly().render()}) mod Phi_{self.k}"
 
     def __repr__(self):
         return f"CycloElem({self.render()})"
@@ -1026,8 +1012,8 @@ def cyclo_ring(k: int) -> CoeffRing:
 class Specialization:
     """t = value, t = primitive k-th root of unity, or a (q,t) rational pair.
 
-    A one-parameter specialization sets the family's one parameter: t, or q
-    for the q-Whittaker family.
+    A one-parameter specialization sets whichever of q and t occurs in the
+    value: t, or q for a q-Whittaker value, which is in q alone.
     """
 
     kind: str  # "value" | "root" | "pair"
@@ -1055,18 +1041,20 @@ class Specialization:
         """The field of the specialized values: Q, or Q(zeta_k) at a root."""
         return cyclo_ring(self.root_order) if self.kind == "root" else RING_Q
 
-    def evaluate(self, poly: Poly, variable: str = "t"):
-        """``poly`` at this point, ``variable`` (t or q) being the parameter a
-        one-parameter specialization sets: a Fraction, or at a root of unity
-        the residue of ``poly`` as a polynomial in ``variable``."""
+    def evaluate(self, poly: Poly):
+        """``poly`` at this point: a Fraction, or at a root of unity its
+        residue.  A one-parameter point sets t, or q when ``poly`` is in q
+        alone; a polynomial in both q and t raises ValueError there."""
         if self.kind == "root":
-            in_t = poly.swap_vars() if variable == "q" else poly
-            return CycloElem.from_poly(in_t, self.root_order)
+            return CycloElem.from_poly(poly, self.root_order)
         if self.kind == "value":
-            return poly.value_at(**{variable: self.value})
+            try:
+                return poly.value_at(t=self.value)
+            except ValueError:  # q occurs: a value in q alone, else an error
+                return poly.value_at(q=self.value)
         return poly.value_at(self.q_value, self.t_value)
 
-    def apply(self, value, variable: str = "t"):
+    def apply(self, value):
         """``value`` specialized: a Fraction, or a CycloElem at a root of
         unity.  ``value`` is a RatFunc or a closed form kept as its key count
         (``deformed.KeyQuotient``); either gives its ``factors()``, and each
@@ -1080,7 +1068,7 @@ class Specialization:
             return self.ring.zero
         points = []
         for poly, mult in sorted(factors, key=lambda factor: factor[1]):
-            point = self.evaluate(poly, variable)
+            point = self.evaluate(poly)
             if not point:
                 if mult > 0:
                     return self.ring.zero

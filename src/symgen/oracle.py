@@ -38,14 +38,14 @@ and ``inner`` null at degree k; the criterion fields still come from
 ``criteria``.  The memo records the missing u_k, so it is built once.
 
 Determinants: every ring takes one fraction-free elimination,
-``det_bareiss`` on integers (Bareiss 1968).  A classical family's matrix on
-m is integral over Q as over Z and goes to it directly.  At a rational
-point each row is cleared to coprime integers first.  Over Q(t), Q(q,t) and
-Q(zeta_k) the determinant of the numerator matrix (a residue mod Phi_k
-lifted to its polynomial of degree < phi(k)) is a polynomial of bounded
-degree, taken at integer nodes by one ``det_bareiss`` each and recovered by
-exact interpolation (``det_polynomial``; von zur Gathen & Gerhard, *Modern
-Computer Algebra*, ch. 5).  It is then divided by the product of the rows'
+``det_bareiss`` on integers (Bareiss 1968), with two callers.  A classical
+family's matrix on m is integral over Q as over Z and goes to it directly.
+Every other matrix is lifted to polynomials, a rational to a constant and a
+residue mod Phi_k to its polynomial of degree < phi(k), and goes to
+``det_polynomial``: the determinant is a polynomial of bounded degree,
+taken at integer nodes by one ``det_bareiss`` each and recovered by exact
+interpolation (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5);
+a constant takes one node.  It is then divided by the product of the rows'
 D's with one gcd per copy of each D, or reduced mod Phi_k, which is a ring
 map.  ``det_gauss`` is kept as the tests' reference.
 
@@ -125,16 +125,18 @@ class DegreeMatrix:
 
     def det(self):
         """The determinant, by ``det_bareiss`` on integers on every ring:
-        directly on a classical family's entries, on the rows cleared of
-        their denominators at a rational point, and at interpolation nodes
-        (``det_polynomial``) over Q(t), Q(q,t) and Q(zeta_k)."""
+        directly on a classical family's entries, and through
+        ``det_polynomial`` on every other matrix, a rational point's entries
+        lifted to constants and a residue to its polynomial in t (no
+        separate clearing of rational rows)."""
         first = self.numerators[0][0]
         if isinstance(first, int):
             return det_bareiss(self.numerators)
         if isinstance(first, Fraction):
-            return _det_rational(self.numerators)
+            lifted = [[Poly.const(v) for v in row] for row in self.numerators]
+            return Fraction(det_polynomial(lifted).as_fraction())
         if isinstance(first, CycloElem):
-            lifted = [[_residue_poly(v) for v in row] for row in self.numerators]
+            lifted = [[v.as_poly() for v in row] for row in self.numerators]
             return CycloElem.from_poly(det_polynomial(lifted), first.k)
         return _over_denominators(det_polynomial(self.numerators), self.denominators)
 
@@ -176,21 +178,6 @@ def _cleared(values: list) -> tuple[list, int, int]:
     if content > 1:
         ints = [c // content for c in ints]
     return ints, content, common
-
-
-def _det_rational(mat) -> Fraction:
-    """det of a Fraction matrix: ``det_bareiss`` on its rows cleared to
-    coprime integers, over the product of the row scales."""
-    top = bottom = 1
-    rows = []
-    for row in mat:
-        ints, content, common = _cleared(row)
-        if not content:
-            return Fraction(0)
-        rows.append(ints)
-        top *= content
-        bottom *= common
-    return Fraction(det_bareiss(rows) * top, bottom)
 
 
 def _nodes(count: int) -> list:
@@ -285,11 +272,6 @@ def det_polynomial(mat) -> Poly:
     return Poly(terms)
 
 
-def _residue_poly(v: CycloElem) -> Poly:
-    """A residue mod Phi_k as its polynomial in t, of degree < phi(k)."""
-    return Poly({(0, i): c for i, c in enumerate(v.coeffs) if c})
-
-
 def _over_denominators(num: Poly, denominators: tuple) -> RatFunc:
     """num over the product of every row's D's, reduced by one ``poly_gcd``
     of the numerator against each copy of each D, never against their
@@ -354,7 +336,7 @@ def family_element(spec: FamilySpec, lam, mu=None) -> SymFunc:
     base = fam.element(Partition(lam), Partition(mu) if mu is not None else EMPTY)
     if spec.specialization is None:
         return base
-    return specialize_coeffs(base, spec.specialization, fam.variable)
+    return specialize_coeffs(base, spec.specialization)
 
 
 def _exact_quotient(num: int, den: int) -> int:
@@ -405,7 +387,7 @@ def _product(spec: FamilySpec, seq, lam: tuple, memo: dict) -> tuple:
         else:
             d_head, head = _product(spec, seq, lam[:1], memo)
             d_tail, tail = _product(spec, seq, lam[1:], memo)
-            memo[lam] = d_head * d_tail, _p_convolve(head, tail, _zero(spec))
+            memo[lam] = d_head * d_tail, _p_convolve(head, tail)
     pair = memo[lam]
     if pair is None:
         raise ZeroDenominator(f"u_{lam[0]} does not exist under the specialization")

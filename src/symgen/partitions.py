@@ -41,10 +41,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def conjugate(self) -> "Partition":
         if not self:
             return EMPTY

@@ -5,7 +5,8 @@ the Hall inner product is diagonal there.  Conversions route every basis
 through p:
 
 * ``m`` uses the domino-tabloid expansion of a monomial into power sums,
-* ``h`` is a product of rows ``h_n = sum_{nu |- n} p_nu / z_nu``,
+* ``h`` is read off the counted p -> m matrix by Hall duality,
+  ``[p_nu] h_lam = [m_lam] p_nu / z_nu``, one row lam (``_fillings``),
 * ``s`` has the characters of the symmetric group as its coordinates,
   ``s_lam = sum_nu chi^lam(nu) p_nu / z_nu``, each chi^lam(nu) an integer
   from the Murnaghan-Nakayama rule (one rim hook per part of nu),
@@ -43,7 +44,6 @@ from functools import lru_cache
 
 from .exactalg import RING_Q, CoeffRing
 from .partitions import (
-    EMPTY,
     Partition,
     difference,
     eps_of,
@@ -93,11 +93,6 @@ class SymFunc:
                 out[lam] = s
         return SymFunc(self.basis, out, self.ring)
 
-    def __sub__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return self + other.scaled(-1)
-
     def scaled(self, c) -> "SymFunc":
         if not c:
             return SymFunc(self.basis, {}, self.ring)
@@ -118,23 +113,24 @@ class SymFunc:
         return f"SymFunc({render_symfunc(self)})"
 
 
-def sym(basis: str, lam, ring: CoeffRing = RING_Q, coeff=None) -> SymFunc:
-    """A single basis element (optionally scaled)."""
-    return SymFunc(basis, {Partition(lam): coeff if coeff is not None else ring.one}, ring)
+def sym(basis: str, lam, ring: CoeffRing = RING_Q) -> SymFunc:
+    """A single basis element."""
+    return SymFunc(basis, {Partition(lam): ring.one}, ring)
 
 
 # ---------------------------------------------------------------------------
 # transitions into the power-sum basis (exact, over Q, cached)
 # ---------------------------------------------------------------------------
 
-def _p_convolve(a: dict, b: dict, zero=0) -> dict:
+def _p_convolve(a: dict, b: dict) -> dict:
     """The product of two power-sum coordinate maps {nu: c}, as
-    p_la p_lb = p_{la u lb}; ``zero`` is the coefficients' zero."""
+    p_la p_lb = p_{la u lb}."""
     out: dict = {}
     for la, ca in a.items():
         for lb, cb in b.items():
             key = union(la, lb)
-            s = out.get(key, zero) + ca * cb
+            prev = out.get(key)
+            s = ca * cb if prev is None else prev + ca * cb
             if s:
                 out[key] = s
             else:
@@ -152,19 +148,6 @@ def _m_to_p(lam: Partition) -> tuple:
             st = stats(nu)
             out.append((nu, Fraction(st.eps * el * weight, st.z)))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _h_to_p(n: int) -> tuple:
-    """h_n = sum over nu |- n of p_nu / z_nu (Macdonald I (2.14))."""
-    return tuple((nu, Fraction(1, stats(nu).z)) for nu in partitions_of(n))
-
-
-def _prod_row(rows: tuple) -> dict:
-    out = {EMPTY: Fraction(1)}
-    for row in rows:
-        out = _p_convolve(out, dict(row))
-    return out
 
 
 def _beta_set(parts) -> tuple:
@@ -203,15 +186,22 @@ def _basis_to_p(basis: str, lam: Partition) -> tuple:
     """Power-sum expansion of one basis element, as ((nu, Fraction), ...),
     nu ascending.
 
-    s_lam = sum_nu chi^lam(nu) p_nu / z_nu (``_character``); the other bases
-    follow the module docstring.
+    s_lam = sum_nu chi^lam(nu) p_nu / z_nu (``_character``), and by Hall
+    duality h_lam = sum_nu c_nu p_nu / z_nu with c_nu = [m_lam] p_nu
+    (``_fillings``, one memo for the one row lam); the other bases follow
+    the module docstring.
     """
     if basis == "p":
         return ((lam, Fraction(1)),)
     if basis == "m":
         return _m_to_p(lam)
     if basis == "h":
-        return tuple(sorted(_prod_row(tuple(_h_to_p(part) for part in lam)).items()))
+        memo: dict = {}
+        return tuple(
+            (nu, Fraction(count, stats(nu).z))
+            for nu in reversed(partitions_of(lam.size))
+            if (count := _fillings(nu, lam, memo))
+        )
     if basis in _OMEGA:
         return tuple((nu, stats(nu).eps * c) for nu, c in _basis_to_p(_OMEGA[basis], lam))
     if basis == "s":
@@ -232,42 +222,41 @@ _OMEGA = {"e": "h", "f": "m"}
 _DUAL = {"h": "m", "e": "f", "f": "e", "s": "s"}
 
 
+def _fillings(parts: tuple, caps: tuple, memo: dict) -> int:
+    """The coefficient of m_mu in p_nu, ``parts`` the parts of nu and
+    ``caps`` those of mu (both decreasing): the ways to drop the parts into
+    the labelled rows of mu so that every row fills exactly (Macdonald
+    I.6).  Parts go in one at a time, largest first; the count depends only
+    on the parts left and the sorted capacities left, which is what ``memo``
+    holds (a row of capacity c stands for all rows of capacity c)."""
+    if not parts:
+        return 1
+    if len(parts) < len(caps):  # every row takes at least one part
+        return 0
+    key = (parts, caps)
+    if key not in memo:
+        first, rest = parts[0], parts[1:]
+        total = 0
+        for i, cap in enumerate(caps):
+            if cap < first:
+                break
+            if i and caps[i - 1] == cap:
+                continue
+            left = cap - first
+            shrunk = caps[:i] + caps[i + 1:]
+            if left:
+                shrunk = tuple(sorted(shrunk + (left,), reverse=True))
+            total += caps.count(cap) * _fillings(rest, shrunk, memo)
+        memo[key] = total
+    return memo[key]
+
+
 def _p_to_m_counts(order: tuple) -> tuple:
     """The p -> m matrix on ``order`` (all partitions of one n): entry
-    [j][i] is the coefficient of m_{mu_j} in p_{nu_i}.
-
-    That coefficient counts the ways to drop the parts of nu into the
-    labelled rows of mu so that every row fills exactly (Macdonald I.6).
-    Parts go in one at a time, largest first; the count depends only on the
-    parts left and the sorted capacities left, which is what ``counts``
-    memoizes for this one matrix (a row of capacity c stands for all rows of
-    capacity c).
-    """
-    counts: dict = {}
-
-    def count(parts: tuple, caps: tuple) -> int:
-        if not parts:
-            return 1
-        if len(parts) < len(caps):  # every row takes at least one part
-            return 0
-        key = (parts, caps)
-        if key not in counts:
-            first, rest = parts[0], parts[1:]
-            total = 0
-            for i, cap in enumerate(caps):
-                if cap < first:
-                    break
-                if i and caps[i - 1] == cap:
-                    continue
-                left = cap - first
-                shrunk = caps[:i] + caps[i + 1:]
-                if left:
-                    shrunk = tuple(sorted(shrunk + (left,), reverse=True))
-                total += caps.count(cap) * count(rest, shrunk)
-            counts[key] = total
-        return counts[key]
-
-    return tuple(tuple(count(tuple(nu), tuple(mu)) for nu in order) for mu in order)
+    [j][i] is the coefficient of m_{mu_j} in p_{nu_i} (``_fillings``, one
+    memo for this one matrix)."""
+    memo: dict = {}
+    return tuple(tuple(_fillings(nu, mu, memo) for nu in order) for mu in order)
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +371,7 @@ def multiply(x: SymFunc, y: SymFunc) -> SymFunc:
     ring = x.ring
     if ring.name != y.ring.name:
         raise ValueError("mixed coefficient rings in multiply")
-    return SymFunc("p", _p_convolve(p_expansion(x), p_expansion(y), ring.zero), ring)
+    return SymFunc("p", _p_convolve(p_expansion(x), p_expansion(y)), ring)
 
 
 def hall_inner(x: SymFunc, y: SymFunc):

@@ -25,6 +25,7 @@ from symgen.deformed import (
     mac_P,
     mac_P_pn_closed,
     skew_hl_P,
+    skew_hl_P_pn_inner,
     specialize_coeffs,
     whittaker,
     whittaker_pn_closed,
@@ -382,6 +383,17 @@ def test_acceptance_9_conjecture_probe():
                             skew_hl_P(lam, mu), sym("p", (n,), RING_QT), "t"
                         )
                         assert not value.is_zero(), (lam, mu)
+        # the probe's own route, one sum over power-sum coordinates: every
+        # ribbon of size n <= 7 with |mu| <= 2
+        ribbons = 0
+        for n in range(1, 8):
+            for m in range(3):
+                for mu in partitions_of(m):
+                    for lam in partitions_of(n + m):
+                        if is_ribbon(SkewPartition(lam, mu)):
+                            ribbons += 1
+                            assert not skew_hl_P_pn_inner(lam, mu, n).is_zero(), (lam, mu)
+        assert ribbons == 117
         # the probe emits exact values for column-separated shapes without
         # asserting anything about them
         seq = [(Partition((1,)), None), (Partition((3, 1)), Partition((2,)))]

@@ -611,8 +611,20 @@ def test_specialization_apply():
     f = RatFunc.make(P_ONE - T * T, P_ONE - T)  # 1 + t
     assert Specialization.at_value(2).apply(f) == 3
     assert Specialization.at_root(3).apply(f).render() == "(t + 1) mod Phi_3"
-    assert Specialization.at_value(2).apply(f.swap_vars(), "q") == 3
-    assert Specialization.at_root(2).apply(f.swap_vars(), "q").as_fraction() == 0
+    assert Specialization.at_value(2).apply(f.swap_vars()) == 3
+    assert Specialization.at_root(2).apply(f.swap_vars()).as_fraction() == 0
+    # a value in q alone sets q, as its swap in t alone sets t
+    in_q = RatFunc.make(Q**3 - 2 * Q + 5, Q * Q + Q + 3)
+    at_points = [Specialization.at_value(Fraction(-3, 2))]
+    at_points += [Specialization.at_root(k) for k in (3, 4, 6)]
+    for spz in at_points:
+        assert spz.apply(in_q) == spz.apply(in_q.swap_vars()), spz
+    assert CycloElem.from_poly(Q**5 - Q, 6) == CycloElem.from_poly(T**5 - T, 6)
+    # a value in both q and t has no one parameter to set
+    both_vars = RatFunc.make(Q + T)
+    for spz in (Specialization.at_value(2), Specialization.at_root(3)):
+        with pytest.raises(ValueError):
+            spz.apply(both_vars)
     assert Specialization.at_pair(5, 2).apply(f) == 3
     pole = RatFunc.make(P_ONE, P_ONE - T)
     for spz in (Specialization.at_value(1), Specialization.at_root(1)):

@@ -95,7 +95,7 @@ def test_family_elements_and_closed_forms_are_in_normal_form(checked_poly):
                 keys.expand()
                 for point in _points(fam):
                     try:
-                        point.apply(keys, fam.variable)
+                        point.apply(keys)
                     except ZeroDenominator:
                         pass
 

@@ -1,7 +1,8 @@
 """Rules of the engine, read off its source with ast: every module under
 src/symgen imports nothing but the standard library and symgen itself, none
-reaches into ``deformed``'s private names, none calls ``det_gauss``, and
-only ``exactalg`` lifts a rational into a coefficient ring."""
+reaches into ``deformed``'s private names, none calls ``det_gauss``, only
+``DegreeMatrix.det`` and ``det_polynomial`` call ``det_bareiss``, and only
+``exactalg`` lifts a rational into a coefficient ring."""
 
 import ast
 import sys
@@ -70,6 +71,20 @@ def _functions(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.name, node
+
+
+def test_det_bareiss_has_two_callers():
+    # one integer elimination: a classical matrix goes to it directly
+    # (``DegreeMatrix.det``), every other field through its polynomial lift
+    callers = {
+        (name, function)
+        for name, tree in _trees()
+        for function, node in _functions(tree)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and "det_bareiss" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    }
+    assert callers == {("oracle.py", "det"), ("oracle.py", "det_polynomial")}
 
 
 def test_only_exactalg_lifts_rationals_into_a_ring():

@@ -385,8 +385,8 @@ def test_one_row_and_one_column_schur():
 
 
 def test_schur_expansions_take_no_jacobi_trudi_and_no_h_products(monkeypatch):
-    # s reaches p through its characters alone: no product of h-rows is
-    # built, for s, skew s or the p -> s matrix
+    # s reaches p through its characters alone: no h-row is counted off the
+    # p -> m matrix, for s, skew s or the p -> s matrix
     import sys
 
     from symgen import symfunc
@@ -402,8 +402,8 @@ def test_schur_expansions_take_no_jacobi_trudi_and_no_h_products(monkeypatch):
 
     modules = [m for key, m in sys.modules.items() if key.startswith("symgen.")]
     for module in modules:
-        if "_prod_row" in vars(module):
-            monkeypatch.setattr(module, "_prod_row", counted("_prod_row", vars(module)["_prod_row"]))
+        if "_fillings" in vars(module):
+            monkeypatch.setattr(module, "_fillings", counted("_fillings", vars(module)["_fillings"]))
     for cache in (symfunc._basis_to_p, symfunc._basis_matrix_inverse, symfunc._character):
         cache.cache_clear()
     for n in range(9):
