@@ -40,7 +40,6 @@ from .criteria import (
     render_value,
     verdict_records,
 )
-from .exactalg import RING_Q
 from .deformed import skew_hl_P
 from .oracle import conjecture_probe, verdict
 from .partitions import parse_partition
@@ -75,7 +74,7 @@ PROBE_DEFAULT_DEGREE = _Default(4)
 
 # the skew subcommand's element constructors and default target bases
 _SKEW_ELEMENTS = {
-    **{b: (lambda lam, mu, b=b: skew(b, lam, mu, RING_Q), "h") for b in "mhesf"},
+    **{b: (lambda lam, mu, b=b: skew(b, lam, mu), "h") for b in "mhesf"},
     "hl-P": (lambda lam, mu: skew_hl_P(lam, mu), "m"),
 }
 

@@ -68,10 +68,9 @@ from .exactalg import (
     RING_QQT,
     RING_QT,
     CoeffRing,
-    CycloElem,
-    RatFunc,
     Specialization,
     ZeroDenominator,
+    render as render_value,
 )
 from .partitions import (
     EMPTY,
@@ -544,14 +543,6 @@ def inner_value(spec: FamilySpec, lam, mu, n: int):
         return spz.apply(fam.keys(lam, mu, n))
     except ZeroDenominator:
         return None
-
-
-def render_value(value) -> str | None:
-    if value is None:
-        return None
-    if isinstance(value, (RatFunc, CycloElem)):
-        return value.render()
-    return str(value)
 
 
 def value_is_unit(spec: FamilySpec, value) -> bool:

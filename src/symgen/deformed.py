@@ -23,7 +23,9 @@ expansion with every p_nu scaled by prod (1 - t^{nu_i}).
 Skew Hall-Littlewood P: the t-form is diagonal on the power sums, so the
 adjoint of multiplication by P_mu is one sum over the polynomial power-sum
 coordinates of P_lam and P_mu (``_skew_hl_coordinates``).  ``skew_hl_P``
-takes every coordinate of P_{lam/mu}, and its pairing with p_n only one.
+takes every coordinate of P_{lam/mu} and changes them to the m-basis as
+polynomials over their one denominator, and its pairing with p_n takes only
+one coordinate; each reduces a printed value once.
 
 Polynomial coordinates: ``polynomial_p_coordinates`` gives an element over
 Q(t) or Q(q,t) on the power sums as polynomials over one known
@@ -65,6 +67,7 @@ from .exactalg import (
     RF_ZERO,
     RING_QQT,
     RING_QT,
+    CoeffRing,
     RatFunc,
     Specialization,
     cyclotomic_poly,
@@ -536,15 +539,19 @@ def skew_hl_P(lam, mu) -> SymFunc:
     """P_{lam/mu}, defined by <P_{lam/mu}, f>_t = <P_lam, P_mu f>_t: the
     adjoint of multiplication by P_mu under the t-form applied to P_lam,
     taken on the power sums (``_skew_hl_coordinates``) and given on the
-    m-basis; |lam| < |mu| gives zero without building either family.  At
-    t=0 this is the skew Schur function.
+    m-basis.  The polynomial coordinates go to m over the polynomial ring,
+    and each m-coefficient is reduced over the one denominator once: no
+    rational function is added or multiplied.  |lam| < |mu| gives zero
+    without building either family.  At t=0 this is the skew Schur function.
     """
     lam, mu = Partition(lam), Partition(mu)
     if lam.size < mu.size:
         return SymFunc("m", {}, RING_QT)
     scale, coords = _skew_hl_coordinates(lam, mu, partitions_of(lam.size - mu.size))
-    coeffs = {gamma: RatFunc.make(c, scale) for gamma, c in coords.items()}
-    return to_basis(SymFunc("p", coeffs, RING_QT), "m")
+    numerators = to_basis(SymFunc("p", coords, CoeffRing("Z[q,t]", P_ZERO)), "m")
+    return SymFunc(
+        "m", {nu: RatFunc.make(c, scale) for nu, c in numerators.coeffs.items()}, RING_QT
+    )
 
 
 def skew_hl_P_pn_inner(lam, mu, n: int) -> RatFunc:

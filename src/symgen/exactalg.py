@@ -16,9 +16,12 @@ Canonical forms
 * ``CycloElem`` is a residue mod the k-th cyclotomic polynomial, stored as a
   vector of phi(k) rationals: ints, unless a division made a ``Fraction``.
 * Each value gets its form once, from the arithmetic that makes it; no
-  constructor normalizes it again.  An int or Fraction multiplies a
-  ``CycloElem`` coefficient-wise (no residue product) and a ``RatFunc`` as
-  a constant, so every other module passes the plain number.
+  constructor normalizes it again.  A ``RatFunc`` product keeps the form
+  as it is: after the cross-cancel its four parts are primitive with
+  positive leading coefficients, and by Gauss's lemma so are their
+  products.  An int or Fraction multiplies a ``CycloElem`` coefficient-wise
+  (no residue product) and a ``RatFunc`` as a constant, so every other
+  module passes the plain number.
 
 GCD routes
 ----------
@@ -52,7 +55,8 @@ omitted except on constants (e.g. ``-q*t + t - q + 1``).
 ``RatFunc``: ``(N)`` or ``(N)/(D)`` where N is scale*num expanded (rational
 coefficients allowed) and D is den (integer, positive leading coefficient).
 ``CycloElem``: a plain rational for k <= 2, otherwise ``(P) mod Phi_k`` with
-P the residue polynomial in t.
+P the residue polynomial in t.  ``render`` shows any ring value: these
+three by their own ``render``, an int or Fraction by ``str``.
 """
 
 from __future__ import annotations
@@ -583,7 +587,32 @@ def euler_phi(k: int) -> int:
 # rational functions
 # ---------------------------------------------------------------------------
 
-class RatFunc:
+class _Field:
+    """Subtraction and division of a field's values, written once from the
+    value type's ``_coerce``, ``+``, unary ``-``, ``*`` and ``inverse()``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
+
+
+class RatFunc(_Field):
     """Reduced rational function scale*num/den in canonical form."""
 
     __slots__ = ("scale", "num", "den")
@@ -674,12 +703,6 @@ class RatFunc:
             return self
         return RatFunc(-self.scale, self.num, self.den, _raw=True)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -687,14 +710,24 @@ class RatFunc:
         if self.is_zero() or other.is_zero():
             return RF_ZERO
         # cross-cancel before multiplying; the four parts are then pairwise
-        # coprime, so the product needs no further gcd
+        # coprime and primitive with positive leading coefficients, and by
+        # Gauss's lemma so are the two products: the form needs no gcd and
+        # no content split
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
         n1 = self.num if g1 == P_ONE else poly_exact_div(self.num, g1)
         d2 = other.den if g1 == P_ONE else poly_exact_div(other.den, g1)
         n2 = other.num if g2 == P_ONE else poly_exact_div(other.num, g2)
         d1 = self.den if g2 == P_ONE else poly_exact_div(self.den, g2)
-        return RatFunc._make_coprime(n1 * n2, d1 * d2, self.scale * other.scale)
+        return RatFunc(self.scale * other.scale, n1 * n2, d1 * d2, _raw=True)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "RatFunc":
+        """1/self: the parts swapped and the scale inverted, which keeps the form."""
+        if self.is_zero():
+            raise ZeroDenominator("division by zero rational function")
+        return RatFunc(1 / self.scale, self.den, self.num, _raw=True)
 
     @staticmethod
     def _make_coprime(num: Poly, den: Poly, scale: Fraction) -> "RatFunc":
@@ -704,23 +737,6 @@ class RatFunc:
         cn, pn = num.split_content()
         cd, pd = den.split_content()
         return RatFunc(scale * cn / cd, pn, pd, _raw=True)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDenominator("division by zero rational function")
-        inv = RatFunc(1 / other.scale, other.den, other.num, _raw=True)
-        return self * inv
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -790,7 +806,7 @@ def _poly_mod_phi(coeffs: list, k: int) -> list:
     return r + [0] * (d - len(r))
 
 
-class CycloElem:
+class CycloElem(_Field):
     """An element of Q[t]/Phi_k(t): the exact value of t at a primitive
     k-th root of unity.  The coefficients (int or Fraction) are kept as the
     arithmetic leaves them."""
@@ -860,12 +876,6 @@ class CycloElem:
     def __neg__(self):
         return CycloElem(self.k, [-a for a in self.coeffs])
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
     def __rsub__(self, other):
         return (-self) + other
 
@@ -919,18 +929,6 @@ class CycloElem:
         inv = [_coeff_div(c, g) for c in s0]
         return CycloElem(self.k, _poly_mod_phi(inv, self.k))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -966,46 +964,45 @@ def specialize_root_of_unity(f: RatFunc, k: int) -> CycloElem:
 # ---------------------------------------------------------------------------
 
 class CoeffRing:
-    """A coefficient field: exact arithmetic, exact equality, a renderer.
+    """A coefficient field, named, with its zero.
 
-    Ring values are plain Fraction / RatFunc / CycloElem objects, zero
-    exactly when falsy, and an int or Fraction multiplies each directly; this
-    tag supplies zero, one, ``from_fraction`` (for a rational read from text)
-    and rendering, so the symmetric function layer can stay generic.
+    Ring values are plain Fraction / RatFunc / CycloElem objects (Poly for a
+    numerator ring), zero exactly when falsy, and an int or Fraction adds
+    to and multiplies each directly: a rational read from text enters the
+    ring as ``zero + r``, through the value type's own coercion, and
+    ``render`` shows every value.  So the symmetric function layer can stay
+    generic.
     """
 
-    def __init__(self, name, zero, one, from_fraction, render):
+    def __init__(self, name, zero):
         self.name = name
         self.zero = zero
-        self.one = one
-        self.from_fraction = from_fraction
-        self._render = render
 
-    def render(self, x) -> str:
-        return self._render(x)
+    @property
+    def one(self):
+        return self.zero + 1
 
     def __repr__(self):
         return f"CoeffRing({self.name})"
 
 
-RING_Q = CoeffRing("Q", Fraction(0), Fraction(1), Fraction, str)
-RING_QT = CoeffRing(
-    "Qt", RF_ZERO, RF_ONE, RatFunc.from_fraction, lambda v: v.render()
-)
-RING_QQT = CoeffRing(
-    "Qqt", RF_ZERO, RF_ONE, RatFunc.from_fraction, lambda v: v.render()
-)
+def render(value) -> str | None:
+    """A ring value as text (see the rendering grammar); None stays None."""
+    if value is None:
+        return None
+    if isinstance(value, (RatFunc, CycloElem)):
+        return value.render()
+    return str(value)
+
+
+RING_Q = CoeffRing("Q", Fraction(0))
+RING_QT = CoeffRing("Qt", RF_ZERO)
+RING_QQT = CoeffRing("Qqt", RF_ZERO)
 
 
 @lru_cache(maxsize=None)
 def cyclo_ring(k: int) -> CoeffRing:
-    return CoeffRing(
-        f"C{k}",
-        CycloElem.zero(k),
-        CycloElem.one(k),
-        lambda fr, k=k: CycloElem.from_fraction(fr, k),
-        lambda v: v.render(),
-    )
+    return CoeffRing(f"C{k}", CycloElem.zero(k))
 
 
 @dataclass(frozen=True)

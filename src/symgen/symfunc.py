@@ -29,7 +29,8 @@ ratio of the norms z.  ``skew`` (every classical skew family) and
 
 Coefficients are values of a ``CoeffRing``.  The rational coefficients of
 these expansions and the weights z and eps multiply them as plain numbers
-on every ring; only text entering a ring (``parse_symfunc``) is lifted.
+on every ring, and a rational read from text (``parse_symfunc``) is added
+to the ring's zero; ``exactalg`` decides how a rational enters each ring.
 
 Text format: ``-1*m[3] + 3*m[2,1]`` (coefficient always explicit, terms in
 ascending canonical order: by degree, then reversed enumeration order).
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import RING_Q, CoeffRing
+from .exactalg import RING_Q, CoeffRing, render
 from .partitions import (
     Partition,
     difference,
@@ -418,19 +419,19 @@ def pn_perp(x: SymFunc, n: int) -> SymFunc:
     return SymFunc("p", skew_p(p_expansion(x), yp), x.ring)
 
 
-def skew(family: str, lam, mu, ring: CoeffRing = RING_Q) -> SymFunc:
+def skew(family: str, lam, mu) -> SymFunc:
     """The skew element u_{lam/mu} defined by <u_{lam/mu}, f> = <u_lam, u_mu f>.
 
     That is u_mu^perp u_lam, the adjoint of multiplication by u_mu applied to
-    u_lam on the power sums (``skew_p``), given on the p-basis; pairs with
-    |lam| < |mu| give the zero element.
+    u_lam on the power sums (``skew_p``), given on the p-basis over Q; pairs
+    with |lam| < |mu| give the zero element.
     """
     if family not in ("m", "h", "e", "s", "f"):
         raise ValueError(f"no skew family for basis {family!r}")
     if Partition(lam).size < Partition(mu).size:
-        return SymFunc("p", {}, ring)
-    xp = p_expansion(sym(family, lam, ring))
-    return SymFunc("p", skew_p(xp, p_expansion(sym(family, mu, ring))), ring)
+        return SymFunc("p", {})
+    xp = p_expansion(sym(family, lam))
+    return SymFunc("p", skew_p(xp, p_expansion(sym(family, mu))))
 
 
 def skew_monomial_weight_sum(lam, mu, n: int) -> Fraction:
@@ -492,7 +493,7 @@ def render_symfunc(x: SymFunc) -> str:
         return "0"
     pieces = []
     for lam in sorted(x.coeffs, key=_term_sort_key):
-        body = f"{x.ring.render(x.coeffs[lam])}*{x.basis}{format_partition(lam)}"
+        body = f"{render(x.coeffs[lam])}*{x.basis}{format_partition(lam)}"
         if not pieces:
             pieces.append(body)
         elif body.startswith("-"):
@@ -536,9 +537,7 @@ def parse_symfunc(text: str, ring: CoeffRing = RING_Q) -> SymFunc:
         lam = Partition(
             int(tok) for tok in match.group("parts").split(",") if tok.strip()
         )
-        c = ring.from_fraction(sign * fr)
-        prev = coeffs.get(lam, ring.zero)
-        coeffs[lam] = prev + c
+        coeffs[lam] = coeffs.get(lam, ring.zero) + sign * fr
         pos = match.end()
     if basis is None:
         raise ValueError(f"empty symmetric function expression: {text!r}")

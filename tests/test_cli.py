@@ -17,7 +17,6 @@ from symgen.criteria import (
     render_value,
     verdict_records,
 )
-from symgen.exactalg import RING_Q
 from symgen.oracle import conjecture_probe, verdict
 from symgen.partitions import Partition
 from symgen.symfunc import render_symfunc, skew, sym, to_basis
@@ -91,7 +90,7 @@ def test_skew_subcommand(capsys):
         capsys, "skew", "--family", "h", "--lambda", "2,1", "--mu", "1"
     )
     assert code == 0
-    expected = to_basis(skew("h", (2, 1), (1,), RING_Q), "h")
+    expected = to_basis(skew("h", (2, 1), (1,)), "h")
     assert out.strip() == render_symfunc(expected)
 
 
@@ -495,6 +494,22 @@ def test_conflicting_specializations_exit_two(capsys, ribbon_path, command, flag
     code, out, err = invoke(capsys, *argv, *flags)
     assert code == 2 and out == ""
     assert err == "error: give at most one of --at-root, --at-value and --at-q/--at-t\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--at-q", "2"), "--at-q and --at-t must be given together"),
+        (("--at-t", "2"), "--at-q and --at-t must be given together"),
+        (("--at-root", "0"), "root order must be positive"),
+    ],
+)
+def test_incomplete_specializations_exit_two(capsys, flags, message):
+    code, out, err = invoke(
+        capsys, "inner", "--family", "mac-P", "--lambda", "2", "--n", "2", *flags
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def _count_subparsers(monkeypatch):

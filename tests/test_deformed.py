@@ -683,28 +683,30 @@ def test_skew_hl_smaller_lam_builds_no_family():
 
 
 def test_skew_hl_P_takes_no_rational_sum_or_product(monkeypatch):
-    # the adjoint runs on polynomial p-coordinates: the first RatFunc
-    # arithmetic is the change of basis to m, which stops the count
-    from symgen import deformed
-
-    class ReachedToBasis(Exception):
-        pass
-
-    def stop(*args):
-        raise ReachedToBasis
-
+    # the adjoint and the change of basis to m run on polynomial
+    # p-coordinates; each m-coefficient is reduced once, by RatFunc.make
+    shapes = [((2, 1), (1,)), ((2, 2), (1,)), ((3, 1), (2,)), ((2, 1, 1), (1, 1)),
+              ((3, 2), (2, 1)), ((2,), EMPTY), ((1, 1), (1, 1))]
+    # the same element with its p-coordinates reduced first and summed as
+    # rational functions
+    want = []
+    for lam, mu in shapes:
+        lam, mu = Partition(lam), Partition(mu)
+        scale, coords = deformed._skew_hl_coordinates(
+            lam, mu, partitions_of(lam.size - mu.size)
+        )
+        rational = {gamma: RatFunc.make(c, scale) for gamma, c in coords.items()}
+        want.append(to_basis(SymFunc("p", rational, RING_QT), "m"))
     calls = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         def counted(self, other, _name=name, _original=vars(RatFunc)[name]):
             calls.append(_name)
             return _original(self, other)
         monkeypatch.setattr(RatFunc, name, counted)
-    monkeypatch.setattr(deformed, "to_basis", stop)
-    for lam, mu in [((2, 1), (1,)), ((2, 2), (1,)), ((3, 1), (2,)), ((2, 1, 1), (1, 1)),
-                    ((3, 2), (2, 1)), ((2,), EMPTY)]:
-        with pytest.raises(ReachedToBasis):
-            skew_hl_P(lam, mu)
+    _gs_family.cache_clear()  # the call builds P_lam and P_mu too
+    got = [skew_hl_P(lam, mu) for lam, mu in shapes]
     assert calls == []
+    assert got == want
 
 
 def test_gram_inverse_t_inverts_the_power_sum_gram_matrix():

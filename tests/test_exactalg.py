@@ -338,6 +338,20 @@ def test_rational_times_residue_is_the_lifted_product(data, k, r):
 
 
 @settings(max_examples=100, deadline=None)
+@given(data=st.data(), k=residue_orders, r=small_ints | small_fracs)
+def test_cyclo_division_is_product_by_inverse(data, k, r):
+    x = data.draw(residues(k, small_ints | small_fracs))
+    y = data.draw(residues(k, small_ints | small_fracs))
+    if not y:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    assert x / y == x * y.inverse()
+    assert r / y == y.inverse() * r
+    assert y * y.inverse() == CycloElem.one(k)
+
+
+@settings(max_examples=100, deadline=None)
 @given(data=st.data(), k=residue_orders, n=small_ints)
 def test_integer_residues_keep_int_coefficients(data, k, n):
     x = data.draw(residues(k, small_ints))
@@ -414,6 +428,32 @@ def test_ratfunc_field_laws(a, b, c):
     assert a * RF_ONE == a
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=small_ratfuncs(), b=small_ratfuncs())
+def test_product_is_already_canonical(a, b):
+    # the cross-cancelled product is stored as it is; make, which splits the
+    # content and takes the gcd again, reaches the same form
+    assert a * b == RatFunc.make(a.num * b.num, a.den * b.den, a.scale * b.scale)
+
+
+def test_zero_ratfunc_has_no_inverse():
+    with pytest.raises(ZeroDenominator):
+        RF_ZERO.inverse()
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=small_ratfuncs(), b=small_ratfuncs(), r=small_ints | small_fracs)
+def test_ratfunc_division_is_product_by_inverse(a, b, r):
+    if b.is_zero():
+        for divide in (b.inverse, lambda: a / b, lambda: r / b):
+            with pytest.raises(ZeroDenominator):
+                divide()
+        return
+    assert a / b == a * b.inverse()
+    assert r / b == b.inverse() * r
+    assert b * b.inverse() == RF_ONE
 
 
 small_points = st.fractions(min_value=-2, max_value=2, max_denominator=2)
