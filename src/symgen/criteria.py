@@ -45,22 +45,15 @@ from math import gcd
 from typing import Callable
 
 from .deformed import (
-    big_schur,
-    big_schur_pn_closed,
+    big_schur_form,
     big_schur_pn_keys,
-    hl_P,
-    hl_P_pn_closed,
     hl_P_pn_keys,
-    hl_Q,
+    hl_Q_form,
     hl_Q_pn_keys,
-    mac_J,
-    mac_J_pn_closed,
+    mac_J_form,
     mac_J_pn_keys,
-    mac_P,
-    mac_P_pn_closed,
     mac_P_pn_keys,
-    whittaker,
-    whittaker_pn_closed,
+    tableau_form,
     whittaker_pn_keys,
 )
 from .exactalg import (
@@ -112,11 +105,11 @@ class Family:
     a root of unity of its parameter) and "qt" for a Macdonald family
     (generic over Q(q,t), or over Q at a rational (q,t) pair).
     ``element(lam, mu)`` builds u_n and ``pairing(lam, mu, n)`` is the closed
-    form of <u_n, p_n>, both unspecialized; ``clause(spec, lam, mu, n)`` is
-    the per-degree criterion, None leaving it to the value.  A deformed
-    family also has ``keys(lam, mu, n)``, its pairing kept as a
-    ``KeyQuotient`` for a specialization to evaluate key by key.  Straight
-    families get mu = EMPTY.  ``variable`` names the parameter in
+    form of <u_n, p_n>, both unspecialized: for a deformed family the form
+    (D, numerators) of ``deformed.reduced`` and a ``KeyQuotient``, which
+    ``inner_value`` expands or evaluates key by key.  ``clause(spec, lam,
+    mu, n)`` is the per-degree criterion, None leaving it to the value.
+    Straight families get mu = EMPTY.  ``variable`` names the parameter in
     ``FamilySpec``'s error message only: a specialization reads it off the
     value (q for the q-Whittaker family, whose values are in q alone).
     """
@@ -128,7 +121,6 @@ class Family:
     pairing: Callable
     clause: Callable
     variable: str = "t"
-    keys: Callable | None = None
 
     @property
     def rings(self) -> tuple:
@@ -452,7 +444,7 @@ def _skew_schur_pn_value(lam: Partition, mu: Partition, n: int) -> Fraction:
 # the family table
 # ---------------------------------------------------------------------------
 
-# The deformed closed forms and key counts are called through their
+# The deformed forms and key counts are called through their
 # module-level names, so that swapping a module attribute (as a tracer or a
 # test does) reaches them.
 FAMILIES = {fam.name: fam for fam in (
@@ -472,24 +464,18 @@ FAMILIES = {fam.name: fam for fam in (
            _schur_pn_value, _crit_hook),
     Family("skew-s", True, "", lambda lam, mu: skew("s", lam, mu),
            _skew_schur_pn_value, _crit_ribbon),
-    Family("hl-P", False, "t", lambda lam, mu: hl_P(lam),
-           lambda lam, mu, n: hl_P_pn_closed(lam, n), _crit_hl_P,
-           keys=lambda lam, mu, n: hl_P_pn_keys(lam, n)),
-    Family("hl-Q", False, "t", lambda lam, mu: hl_Q(lam),
-           lambda lam, mu, n: hl_Q_pn_keys(lam, n).expand(), _crit_hl_Q,
-           keys=lambda lam, mu, n: hl_Q_pn_keys(lam, n)),
-    Family("big-S", False, "t", lambda lam, mu: big_schur(lam),
-           lambda lam, mu, n: big_schur_pn_closed(lam, n), _crit_big_schur,
-           keys=lambda lam, mu, n: big_schur_pn_keys(lam, n)),
-    Family("whittaker", False, "t", lambda lam, mu: whittaker(lam),
-           lambda lam, mu, n: whittaker_pn_closed(lam, n), _crit_whittaker,
-           variable="q", keys=lambda lam, mu, n: whittaker_pn_keys(lam, n)),
-    Family("mac-P", False, "qt", lambda lam, mu: mac_P(lam),
-           lambda lam, mu, n: mac_P_pn_closed(lam, n), _crit_mac,
-           keys=lambda lam, mu, n: mac_P_pn_keys(lam, n)),
-    Family("mac-J", False, "qt", lambda lam, mu: mac_J(lam),
-           lambda lam, mu, n: mac_J_pn_closed(lam, n), _crit_mac,
-           keys=lambda lam, mu, n: mac_J_pn_keys(lam, n)),
+    Family("hl-P", False, "t", lambda lam, mu: tableau_form(lam, "t"),
+           lambda lam, mu, n: hl_P_pn_keys(lam, n), _crit_hl_P),
+    Family("hl-Q", False, "t", lambda lam, mu: hl_Q_form(lam),
+           lambda lam, mu, n: hl_Q_pn_keys(lam, n), _crit_hl_Q),
+    Family("big-S", False, "t", lambda lam, mu: big_schur_form(lam),
+           lambda lam, mu, n: big_schur_pn_keys(lam, n), _crit_big_schur),
+    Family("whittaker", False, "t", lambda lam, mu: tableau_form(lam, "q0"),
+           lambda lam, mu, n: whittaker_pn_keys(lam, n), _crit_whittaker, variable="q"),
+    Family("mac-P", False, "qt", lambda lam, mu: tableau_form(lam, "qt"),
+           lambda lam, mu, n: mac_P_pn_keys(lam, n), _crit_mac),
+    Family("mac-J", False, "qt", lambda lam, mu: mac_J_form(lam),
+           lambda lam, mu, n: mac_J_pn_keys(lam, n), _crit_mac),
 )}
 
 
@@ -533,14 +519,16 @@ def inner_value(spec: FamilySpec, lam, mu, n: int):
 
     Deformed families pair with the Hall form (the form in the generation
     lemma); for hl-Q that is (1 - t^n) times the t-form closed evaluator.
-    A specialization evaluates the family's key count, never its expansion.
+    A deformed pairing is a key count: expanded over the generic field, and
+    evaluated key by key, never expanded, at a specialization.
     """
     lam, mu = _graded(spec, lam, mu, n)
     fam, spz = spec.definition, spec.specialization
+    value = fam.pairing(lam, mu, n)
     if spz is None:
-        return fam.pairing(lam, mu, n)
+        return value.expand() if fam.deformation else value
     try:
-        return spz.apply(fam.keys(lam, mu, n))
+        return spz.apply(value)
     except ZeroDenominator:
         return None
 

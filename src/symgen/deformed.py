@@ -27,10 +27,10 @@ takes every coordinate of P_{lam/mu} and changes them to the m-basis as
 polynomials over their one denominator, and its pairing with p_n takes only
 one coordinate; each reduces a printed value once.
 
-Polynomial coordinates: ``polynomial_p_coordinates`` gives an element over
-Q(t) or Q(q,t) on the power sums as polynomials over one known
-denominator, which is how the oracle and the probe take products and
-pairings without rational-function arithmetic.
+Forms: an element is built as a form (D, x), polynomial coefficients x over
+a key count D (for Macdonald P the keys of c_lam that do not divide all of
+x, else none).  ``reduced`` divides x by D; ``polynomial_p_coordinates``
+takes x to polynomial power-sum coordinates over k! D for the oracle.
 
 Closed forms: the Hall-Littlewood and Macdonald pairings are a sign times a
 monomial times a quotient of products of binomials q^a t^b - q^c t^d, one
@@ -45,15 +45,16 @@ between numerator and denominator by counting therefore leaves a coprime
 numerator and denominator, which is already the reduced form ``RatFunc.make``
 would reach through a bivariate gcd.  The key polynomials are irreducible (a
 unimodular change of monomials takes P/N to one variable), so trial division
-by the keys of a known denominator reduces a quotient too.  A closed form
-stays a key count (``KeyQuotient``) until it is used: over Q(t) or Q(q,t)
-it is multiplied out once, and at a specialization each key is evaluated
-once and the values multiplied.
+by the keys of a denominator D reduces a quotient (``KeyQuotient.divide``),
+and every D the engine builds is such a count.  A closed form stays a key
+count until it is used: over Q(t) or Q(q,t) it is multiplied out once, and
+at a specialization each key is evaluated once and the values multiplied.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -72,7 +73,6 @@ from .exactalg import (
     Specialization,
     cyclotomic_poly,
     poly_exact_div,
-    poly_gcd,
     try_exact_div,
 )
 from .partitions import EMPTY, Partition, is_hook, partitions_of, stats, union
@@ -115,30 +115,23 @@ def _pexp_inner(xp: dict, yp: dict, kind: str) -> RatFunc:
     return total
 
 
-def polynomial_p_coordinates(x: SymFunc) -> tuple[Poly, dict]:
-    """(D, {nu: D [p_nu] x}) for a homogeneous x of degree k over Q(t) or
-    Q(q,t): D is k! times the lcm of the denominators of x's coefficients.
-
-    Every coordinate is a Poly, summed term by term from the coefficients
-    scale * num * (lcm / den) and the rational p-expansions of x's basis,
-    with no rational-function arithmetic; only the lcm takes gcds.  As z_nu
-    divides k!, an x with coefficients in Z[t] or Z[q,t] on m has integer
-    coordinates.
+def polynomial_p_coordinates(form) -> tuple[KeyQuotient, dict]:
+    """(D, {nu: D [p_nu] u}) for the element u of degree k that a form
+    (den, x) stands for (``reduced``): D = k! den, and every coordinate is a
+    Poly, summed term by term from x's coefficients and the rational
+    p-expansions of x's basis.  As z_nu divides k!, an x with coefficients
+    in Z[t] or Z[q,t] on m has integer coordinates.
     """
-    common = P_ONE
-    for den in {c.den for c in x.coeffs.values()}:
-        if den != P_ONE:
-            common = common * poly_exact_div(den, poly_gcd(common, den))
+    den, x = form
     scale = factorial(x.degree())
     acc: dict = {}
-    for lam, c in x.coeffs.items():
-        num = c.num if c.den == common else c.num * poly_exact_div(common, c.den)
+    for lam, num in x.coeffs.items():
         for nu, fr in _basis_to_p(x.basis, lam):
             terms = acc.setdefault(nu, {})
-            weight = c.scale * fr * scale
+            weight = fr * scale
             for term, v in num.terms.items():
                 terms[term] = terms.get(term, 0) + v * weight
-    return common * scale, {
+    return KeyQuotient(den.scale * scale, den.monomial, den.count), {
         nu: p for nu, terms in acc.items() if (p := Poly(terms))
     }
 
@@ -154,7 +147,8 @@ def _one_minus(a: int, b: int) -> tuple:
     return ((0, 0), (a, b))
 
 
-def _binomial_keys(binomial) -> tuple[int, list]:
+@lru_cache(maxsize=None)
+def _binomial_keys(binomial) -> tuple[int, tuple]:
     """(sign, keys): the binomial is sign * prod H_d(P, N) over its keys."""
     e1, e2 = binomial
     if min(e1[0], e2[0]) or min(e1[1], e2[1]) or e1 == e2:
@@ -164,7 +158,7 @@ def _binomial_keys(binomial) -> tuple[int, list]:
     sign = 1
     if pos > neg:
         pos, neg, sign = neg, pos, -1
-    return sign, [(d, pos, neg) for d in range(1, g + 1) if g % d == 0]
+    return sign, tuple((d, pos, neg) for d in range(1, g + 1) if g % d == 0)
 
 
 @lru_cache(maxsize=None)
@@ -200,36 +194,56 @@ def _key_product(count: Counter, out: Poly = P_ONE) -> Poly:
     return out
 
 
+@dataclass(frozen=True)
 class KeyQuotient:
-    """sign * q^a t^b * prod H_key^count[key], with monomial = (a, b): a
+    """scale * q^a t^b * prod H_key^count[key], with monomial = (a, b): a
     closed form kept as its key count, the keys counted negative forming
     the denominator.  Equal keys have cancelled, so numerator and
-    denominator are coprime (see the module docstring).
+    denominator are coprime (see the module docstring).  A zero scale is
+    the closed form 0; one with no negative count and monomial 1 is a
+    denominator D, which ``divide`` divides by.
 
     ``expand`` multiplies the keys out into the reduced RatFunc.
     ``factors`` lists the monomial and the key polynomials with their
     counts, which is what ``Specialization.apply`` evaluates, each once at
-    the point: evaluation is a ring homomorphism, so the value is that of
-    the expanded form, and no product of polynomials is built just to be
-    evaluated.  A zero sign is the closed form 0.
+    the point (a ring homomorphism), so no product is built to be evaluated.
     """
 
-    __slots__ = ("sign", "monomial", "count")
-
-    def __init__(self, sign: int, monomial: tuple, count: Counter):
-        self.sign, self.monomial, self.count = sign, monomial, count
+    scale: int
+    monomial: tuple
+    count: Counter = field(hash=False)  # equal with a missing key read as 0
 
     def expand(self) -> RatFunc:
         num = _key_product(self.count, Poly({self.monomial: 1}))
-        return RatFunc._make_coprime(num, _key_product(-self.count), Fraction(self.sign))
+        return RatFunc._make_coprime(num, _key_product(-self.count), Fraction(self.scale))
 
     def factors(self) -> tuple:
-        """(sign, ((H_key, count[key]), ..., (q^a t^b, 1))) over the keys
+        """(scale, ((H_key, count[key]), ..., (q^a t^b, 1))) over the keys
         with a nonzero count; the monomial, which vanishes only where q or t
         is 0, comes last."""
-        return self.sign, tuple(
+        return self.scale, tuple(
             (_cyclotomic_factor(*key), mult) for key, mult in self.count.items() if mult
         ) + ((Poly({self.monomial: 1}), 1),)
+
+    def divide(self, num: Poly) -> RatFunc:
+        """num / D, reduced by trial division: each key is divided out of num
+        at most its count times, and the keys left form the denominator."""
+        if not num:
+            return RF_ZERO
+        den = P_ONE
+        for key, mult in self.count.items():
+            factor = _cyclotomic_factor(*key)
+            while mult and (quotient := try_exact_div(num, factor)) is not None:
+                num, mult = quotient, mult - 1
+            if mult:
+                den = den * factor ** mult
+        return RatFunc._make_coprime(num, den, Fraction(1, self.scale))
+
+    def __mul__(self, other: "KeyQuotient") -> "KeyQuotient":
+        count = self.count.copy()
+        count.update(other.count)
+        (a, b), (c, d) = self.monomial, other.monomial
+        return KeyQuotient(self.scale * other.scale, (a + c, b + d), count)
 
 
 def _binomial_quotient(sign: int, monomial: tuple, num_binomials, den_binomials) -> KeyQuotient:
@@ -310,45 +324,61 @@ def _tableau_states(content: tuple, kind: str, outer: Partition) -> dict:
     return out
 
 
-def _over_c(coeff: Poly, lam: Partition, kind: str) -> RatFunc:
-    """coeff / c_lam (c as in ``_strip_factor``), reduced by trial division."""
-    sign, count = _binomial_count(_cell_binomials(lam)[1] if kind == "qt" else [], [])
-    den = P_ONE
-    for key, mult in count.items():
-        factor = _cyclotomic_factor(*key)
-        while mult and (quotient := try_exact_div(coeff, factor)) is not None:
-            coeff, mult = quotient, mult - 1
-        den = den * factor ** mult
-    return RatFunc._make_coprime(coeff, den, Fraction(sign))
+NUMERATORS = CoeffRing("Q[q,t]", P_ZERO)
+_NO_KEYS = KeyQuotient(1, (0, 0), Counter())
+
+
+def reduced(form, ring: CoeffRing) -> SymFunc:
+    """The element a form (D, x) stands for, over ``ring``: each coefficient
+    of x divided by D (``KeyQuotient.divide``)."""
+    den, x = form
+    return SymFunc(x.basis, {lam: den.divide(c) for lam, c in x.coeffs.items()}, ring)
+
+
+def _column(lam: Partition, kind: str) -> dict:
+    """{nu: [x^nu] c_lam P_lam} for every nu |- |lam| (``_gs_family``)."""
+    return {nu: _tableau_states(tuple(nu), kind, lam).get(lam, P_ZERO)
+            for nu in partitions_of(lam.size)}
 
 
 @lru_cache(maxsize=None)
-def _gs_family(lam: Partition, kind: str) -> dict:
-    """{nu: [m_nu] P_lam}, the one column of lam read off the tableau sums
-    (see the module docstring) at x^nu, grown inside lam only.  The name is
-    historical (it built every lam of one degree by Gram-Schmidt); the
-    traced benchmark looks it up and splits its span by ``kind``.
-    """
-    column = {}
-    for nu in partitions_of(lam.size):
-        coeff = _tableau_states(tuple(nu), kind, lam).get(lam)
-        if coeff is not None:
-            column[nu] = _over_c(coeff, lam, kind)
-    return column
+def _gs_family(lam: Partition, kind: str) -> tuple:
+    """The form of P_lam: its tableau sums {nu: [x^nu] c_lam P_lam}, grown
+    inside lam only, over the keys of c_lam (c as in ``_strip_factor``) that
+    do not divide them all.  The name is historical (it built every lam of
+    one degree by Gram-Schmidt); the traced benchmark splits its span by
+    ``kind``."""
+    column = _column(lam, kind)
+    sign, count = _binomial_count(_cell_binomials(lam)[1] if kind == "qt" else [], [])
+    for key in count:
+        factor = _cyclotomic_factor(*key)
+        while count[key]:
+            quotients = [try_exact_div(c, factor) for c in column.values()]
+            if any(quotient is None for quotient in quotients):
+                break
+            column, count[key] = dict(zip(column, quotients)), count[key] - 1
+    return KeyQuotient(sign, (0, 0), count), SymFunc("m", column, NUMERATORS)
+
+
+def tableau_form(lam, kind: str) -> tuple:
+    """The form of Hall-Littlewood P ("t"), Macdonald P ("qt") or W ("q0")."""
+    return _gs_family(Partition(lam), kind)
 
 
 def hl_P(lam) -> SymFunc:
     """Hall-Littlewood P: m-unitriangular, orthogonal for the t-form."""
-    return SymFunc("m", _gs_family(Partition(lam), "t"), RING_QT)
+    return reduced(tableau_form(lam, "t"), RING_QT)
+
+
+def hl_Q_form(lam) -> tuple:
+    lam = Partition(lam)
+    den, x = tableau_form(lam, "t")
+    return den, x.scaled(prod(map(phi_factorial, lam.multiplicities().values()), start=P_ONE))
 
 
 def hl_Q(lam) -> SymFunc:
     """Q = prod_i phi_{m_i(lam)}(t) * P."""
-    lam = Partition(lam)
-    factor = P_ONE
-    for m in lam.multiplicities().values():
-        factor = factor * phi_factorial(m)
-    return hl_P(lam).scaled(RatFunc.make(factor))
+    return reduced(hl_Q_form(lam), RING_QT)
 
 
 def qn(n: int) -> SymFunc:
@@ -358,23 +388,23 @@ def qn(n: int) -> SymFunc:
 
 def mac_P(lam) -> SymFunc:
     """Macdonald P: m-unitriangular, orthogonal for the (q,t)-form."""
-    return SymFunc("m", _gs_family(Partition(lam), "qt"), RING_QQT)
+    return reduced(tableau_form(lam, "qt"), RING_QQT)
+
+
+def mac_J_form(lam) -> tuple:
+    return _NO_KEYS, SymFunc("m", _column(Partition(lam), "qt"), NUMERATORS)
 
 
 def mac_J(lam) -> SymFunc:
     """Integral form J = c_lam(q,t) P: its m-coefficients are the tableau
     states themselves (VI (8.11)), polynomials in q and t."""
-    lam = Partition(lam)
-    return SymFunc("m", {
-        nu: RatFunc.make(_tableau_states(tuple(nu), "qt", lam).get(lam, P_ZERO))
-        for nu in partitions_of(lam.size)
-    }, RING_QQT)
+    return reduced(mac_J_form(lam), RING_QQT)
 
 
 def whittaker(lam) -> SymFunc:
     """q-Whittaker W: the Macdonald P at t = 0, from the tableau sum with psi
     at t = 0; the tests check it against the substituted Macdonald P."""
-    return SymFunc("m", _gs_family(Partition(lam), "q0"), RING_QT)
+    return reduced(tableau_form(lam, "q0"), RING_QT)
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +453,18 @@ def hl_P_pn_closed(lam, n: int) -> RatFunc:
     return hl_P_pn_keys(lam, n).expand()
 
 
+def big_schur_form(lam) -> tuple:
+    return _NO_KEYS, SymFunc("p", {
+        nu: prod((P_ONE - Poly.t(r) for r in nu), start=P_ONE) * c
+        for nu, c in _basis_to_p("s", Partition(lam))
+    }, NUMERATORS)
+
+
 def big_schur(lam) -> SymFunc:
     """S_lam(x;t) = s_lam[(1-t)X] (module docstring): [p_nu] S_lam is
     chi^lam(nu)/z_nu, read off ``_basis_to_p("s", lam)``, times
     prod (1 - t^{nu_i})."""
-    return SymFunc("p", {
-        nu: RatFunc.make(prod((P_ONE - Poly.t(r) for r in nu), start=P_ONE), P_ONE, c)
-        for nu, c in _basis_to_p("s", Partition(lam))
-    }, RING_QT)
+    return reduced(big_schur_form(lam), RING_QT)
 
 
 def big_schur_pn_keys(lam, n: int) -> KeyQuotient:
@@ -516,8 +550,8 @@ def _skew_hl_coordinates(lam: Partition, mu: Partition, gammas) -> tuple:
     of [p_beta] P_mu [p_{beta u gamma}] P_lam z_{beta u gamma} / (z_gamma
     prod (1 - t^{beta_i})), and each prod (1 - t^{beta_i}) divides
     phi_{|mu|}(t)."""
-    d_lam, x = polynomial_p_coordinates(hl_P(lam))
-    d_mu, y = polynomial_p_coordinates(hl_P(mu))
+    d_lam, x = polynomial_p_coordinates(_gs_family(lam, "t"))
+    d_mu, y = polynomial_p_coordinates(_gs_family(mu, "t"))
     phi = phi_factorial(mu.size)
     weighted = [
         (beta, cy * poly_exact_div(phi, prod((P_ONE - Poly.t(r) for r in beta), start=P_ONE)))
@@ -532,7 +566,8 @@ def _skew_hl_coordinates(lam: Partition, mu: Partition, gammas) -> tuple:
             if cx is not None:
                 total = total + cx * cy * (stats(alpha).z // z_gamma)
         coords[gamma] = total
-    return d_lam * d_mu * phi, coords
+    phi_keys = _binomial_quotient(1, (0, 0), [_one_minus(0, j) for j in range(1, mu.size + 1)], [])
+    return d_lam * d_mu * phi_keys, coords
 
 
 def skew_hl_P(lam, mu) -> SymFunc:
@@ -548,10 +583,7 @@ def skew_hl_P(lam, mu) -> SymFunc:
     if lam.size < mu.size:
         return SymFunc("m", {}, RING_QT)
     scale, coords = _skew_hl_coordinates(lam, mu, partitions_of(lam.size - mu.size))
-    numerators = to_basis(SymFunc("p", coords, CoeffRing("Z[q,t]", P_ZERO)), "m")
-    return SymFunc(
-        "m", {nu: RatFunc.make(c, scale) for nu, c in numerators.coeffs.items()}, RING_QT
-    )
+    return reduced((scale, to_basis(SymFunc("p", coords, NUMERATORS), "m")), RING_QT)
 
 
 def skew_hl_P_pn_inner(lam, mu, n: int) -> RatFunc:
@@ -563,7 +595,7 @@ def skew_hl_P_pn_inner(lam, mu, n: int) -> RatFunc:
         return RF_ZERO
     pn = Partition((n,))
     scale, coords = _skew_hl_coordinates(lam, mu, (pn,))
-    return RatFunc.make(coords[pn] * n, scale * (P_ONE - Poly.t(n)))
+    return (scale * _binomial_quotient(1, (0, 0), [_one_minus(0, n)], [])).divide(coords[pn] * n)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,14 @@ Canonical forms
 
 GCD routes
 ----------
-``poly_gcd`` answers 1 at once when either argument is a constant, without
-touching the ``_poly_gcd_prim`` cache; that is the common case, since a
-polynomial's denominator is 1.  The cached core first takes out the common
-monomial.  A pair that is then constant has gcd 1; a pair in t alone takes
-a dense integer primitive PRS (polynomial remainder sequence); every other
-pair takes the gcd of its q-contents times the primitive PRS in t over Z[q].
+``poly_gcd`` serves general RatFunc arithmetic: ``RatFunc.make`` and the
+cross-cancel of ``RatFunc.__mul__``, as in ``expand``/``to_basis`` over Q(t)
+and Q(q,t), ``deformed_inner`` and the tests' ``det_gauss``; the deformed
+families, the oracle and the probe divide by key counts instead
+(``deformed.KeyQuotient.divide``).  A constant argument gives 1 at once.
+The cached core takes out the common monomial; then a pair in t alone takes
+a dense integer primitive PRS (polynomial remainder sequence), and every
+other pair the gcd of its q-contents times the primitive PRS in t over Z[q].
 
 Specialization
 --------------

@@ -17,20 +17,20 @@ that the coordinates need no fraction (``_p_coordinates``):
 * a classical family's degree-k element has D = k!.  It lies in the
   integral ring, and z_nu divides k!, so its coordinates are integers; a
   fraction raises ``ValueError``;
-* a deformed family over its generic field Q(t) or Q(q,t) has the D of
-  ``polynomial_p_coordinates``: k! times the lcm of the denominators of its
-  coefficients (1 for every such family but Macdonald P, where it divides
-  c_lam), and polynomial coordinates;
+* a deformed family over its generic field Q(t) or Q(q,t) comes as its
+  form (``deformed.reduced``): D is k! times the form's key count (a
+  ``KeyQuotient``), and its coordinates are polynomials;
 * a specialized deformed family (at a value, a root of unity or a (q,t)
-  pair) has D = 1, and coordinates in its coefficient field.
+  pair) has its form reduced and specialized: D = 1, and coordinates in
+  its coefficient field.
 
 A product is the convolution of its factors' coordinates over the product
 of their D, and a row of m-entries is the product's row times the p -> m
 matrix.  A classical row is divided by its D at once, an exact integer
 quotient (a remainder raises ``ValueError``), and at D = 1 the row is the
-values themselves.  A polynomial D is never divided entry by entry: the row
+values themselves.  A key-count D is never divided entry by entry: the row
 stays its numerators, and the determinant divides once.  No
-rational-function arithmetic and no gcd but the lcm's is taken on the way.
+rational-function arithmetic and no gcd is taken on the way.
 
 A specialization under which some u_k does not exist (a vanishing
 denominator) leaves ``det`` null and ``independent`` false from degree k on,
@@ -45,9 +45,9 @@ residue mod Phi_k to its polynomial of degree < phi(k), and goes to
 ``det_polynomial``: the determinant is a polynomial of bounded degree,
 taken at integer nodes by one ``det_bareiss`` each and recovered by exact
 interpolation (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5);
-a constant takes one node.  It is then divided by the product of the rows'
-D's with one gcd per copy of each D, or reduced mod Phi_k, which is a ring
-map.  ``det_gauss`` is kept as the tests' reference.
+a constant takes one node.  It is then divided by the rows' D's, one key
+count, by trial division (``KeyQuotient.divide``), or reduced mod Phi_k, a
+ring map.  ``det_gauss`` is kept as the tests' reference.
 
 The conjecture probe prints <P_{lam/mu}, p_n>_t, which it takes as one sum
 over the power-sum coordinates of P_lam and P_mu
@@ -61,23 +61,20 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
 from .criteria import (
+    RINGS,
     FamilySpec,
     checked_criterion,
     render_value,
     value_is_unit,
 )
-from .deformed import polynomial_p_coordinates, skew_hl_P_pn_inner, specialize_coeffs
-from .exactalg import (
-    P_ONE,
-    P_ZERO,
-    RF_ZERO,
-    CycloElem,
-    Poly,
-    RatFunc,
-    ZeroDenominator,
-    poly_exact_div,
-    poly_gcd,
+from .deformed import (
+    KeyQuotient,
+    polynomial_p_coordinates,
+    reduced,
+    skew_hl_P_pn_inner,
+    specialize_coeffs,
 )
+from .exactalg import P_ONE, P_ZERO, CycloElem, Poly, ZeroDenominator
 from .partitions import (
     EMPTY,
     Partition,
@@ -97,30 +94,30 @@ PROBE_MAX_DEGREE = 8
 @dataclass(frozen=True)
 class DegreeMatrix:
     """The products u_lam (lam |- n) on the monomial basis, row lam kept as
-    its numerator row over the D's of its factors.
+    its numerator row over its D.
 
-    ``numerators[i]`` is D_lam times u_lam's m-coordinates, D_lam being the
-    product of ``denominators[i]``, the D of each u_{lam_j}.  Only a deformed
-    family over its generic field keeps its D's (polynomials): its rows are
-    never reduced entry by entry, and ``det`` divides once.  Every other row
-    is divided when it is built, an exact integer quotient for a classical
-    family and nothing at a specialization (D = 1), and lists no D.
+    ``numerators[i]`` is D_lam times u_lam's m-coordinates, D_lam =
+    ``denominators[i]`` the product of the D of each u_{lam_j}.  Only a
+    deformed family over its generic field keeps its D's (key counts): its
+    rows are never reduced entry by entry, and ``det`` divides once.  Every
+    other row is divided when it is built, an exact integer quotient for a
+    classical family and nothing at a specialization (D = 1), and has no D.
     """
 
     degree: int
     rows: tuple  # partitions indexing the products u_lam
     cols: tuple  # partitions indexing the monomial coordinates
     numerators: tuple  # row-major: ints, Fractions, CycloElems or Polys
-    denominators: tuple  # per row, the D of each factor (empty: divided)
+    denominators: tuple  # per row, its D as a KeyQuotient (None: divided)
 
     @property
     def entries(self) -> tuple:
         """Row-major exact ring values, each numerator reduced over its row's
-        D by ``RatFunc.make``.  For comparison with a reference; ``det`` does
-        not read it."""
+        D by ``KeyQuotient.divide``.  For comparison with a reference;
+        ``det`` does not read it."""
         return tuple(
-            tuple(RatFunc.make(v, prod(dens)) for v in row) if dens else row
-            for row, dens in zip(self.numerators, self.denominators)
+            tuple(den.divide(v) for v in row) if den else row
+            for row, den in zip(self.numerators, self.denominators)
         )
 
     def det(self):
@@ -138,7 +135,8 @@ class DegreeMatrix:
         if isinstance(first, CycloElem):
             lifted = [[v.as_poly() for v in row] for row in self.numerators]
             return CycloElem.from_poly(det_polynomial(lifted), first.k)
-        return _over_denominators(det_polynomial(self.numerators), self.denominators)
+        dens = self.denominators
+        return prod(dens[1:], start=dens[0]).divide(det_polynomial(self.numerators))
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +270,6 @@ def det_polynomial(mat) -> Poly:
     return Poly(terms)
 
 
-def _over_denominators(num: Poly, denominators: tuple) -> RatFunc:
-    """num over the product of every row's D's, reduced by one ``poly_gcd``
-    of the numerator against each copy of each D, never against their
-    product: after each copy, a factor of it is left in the numerator or in
-    the denominator, not in both."""
-    if num.is_zero():
-        return RF_ZERO
-    den = P_ONE
-    for dens in denominators:
-        for d in dens:
-            common = poly_gcd(num, d)
-            if common != P_ONE:
-                num = poly_exact_div(num, common)
-                d = poly_exact_div(d, common)
-            den = den * d
-    return RatFunc._make_coprime(num, den, Fraction(1))
-
-
 def det_gauss(mat: list):
     """Exact Gaussian-elimination determinant over a field (Fraction,
     RatFunc or CycloElem entries), one pivot inverse per column.
@@ -329,14 +309,15 @@ def det_gauss(mat: list):
 # family elements
 # ---------------------------------------------------------------------------
 
-def family_element(spec: FamilySpec, lam, mu=None) -> SymFunc:
-    """The sequence element u_n of the family, over the spec's coefficient
-    field, with the spec's specialization already applied."""
+def family_element(spec: FamilySpec, lam, mu=None) -> SymFunc | tuple:
+    """The sequence element u_n of the family: a classical family's, a
+    deformed family's form over its generic field (module docstring), or
+    that form reduced and specialized."""
     fam = spec.definition
     base = fam.element(Partition(lam), Partition(mu) if mu is not None else EMPTY)
     if spec.specialization is None:
         return base
-    return specialize_coeffs(base, spec.specialization)
+    return specialize_coeffs(reduced(base, RINGS[fam.rings[0]]), spec.specialization)
 
 
 def _exact_quotient(num: int, den: int) -> int:
@@ -346,7 +327,7 @@ def _exact_quotient(num: int, den: int) -> int:
     return quotient
 
 
-def _p_coordinates(spec: FamilySpec, u: SymFunc) -> tuple:
+def _p_coordinates(spec: FamilySpec, u) -> tuple:
     """u as the pair (D, {nu: D [p_nu] u}) of the module docstring."""
     if spec.specialization is not None:
         return 1, p_expansion(u)
@@ -361,8 +342,8 @@ def _p_coordinates(spec: FamilySpec, u: SymFunc) -> tuple:
 
 def _divided(value, scale):
     """value / scale for a coordinate value over its pair's D."""
-    if isinstance(scale, Poly):
-        return RatFunc.make(value, scale)
+    if isinstance(scale, KeyQuotient):
+        return scale.divide(value)
     return value if scale == 1 else _exact_quotient(value, scale)
 
 
@@ -424,12 +405,9 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
             if c is not None:
                 for j, r in col:
                     row[j] = row[j] + c * r
-        if isinstance(scale, Poly):
-            rows.append(tuple(row))
-            denominators.append(tuple(memo[(k,)][0] for k in lam))
-        else:
-            rows.append(tuple(_divided(v, scale) for v in row))
-            denominators.append(())
+        kept = isinstance(scale, KeyQuotient)
+        rows.append(tuple(row) if kept else tuple(_divided(v, scale) for v in row))
+        denominators.append(scale if kept else None)
     return DegreeMatrix(
         degree=n,
         rows=order,

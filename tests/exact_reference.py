@@ -40,7 +40,7 @@ def specialized_by_expansion(spec, lam, mu, n):
     """The family's closed form <u_n, p_n> as a RatFunc, specialized without
     ``Specialization.apply``: None where the value is undefined."""
     fam, spz = spec.definition, spec.specialization
-    f = fam.pairing(lam, mu, n)
+    f = fam.pairing(lam, mu, n).expand()
     if spz.kind == "root":
         if fam.variable == "q":
             f = f.swap_vars()
@@ -58,6 +58,12 @@ def specialized_by_expansion(spec, lam, mu, n):
         return ratfunc_subs(f, **point).as_fraction()
     except ZeroDenominator:
         return None
+
+
+def key_denominator(den) -> Poly:
+    """The polynomial a key-count denominator (``deformed.KeyQuotient``)
+    stands for, multiplied out."""
+    return Poly.const(den.scale) * _key_product(den.count, Poly({den.monomial: 1}))
 
 
 def ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:

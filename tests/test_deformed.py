@@ -2,14 +2,19 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symgen import deformed, exactalg
 from symgen.deformed import (
+    KeyQuotient,
+    _binomial_keys,
     _binomial_quotient,
+    _cell_binomials,
     _cyclotomic_factor,
     _gram_inverse_t,
     _gs_family,
-    _over_c,
+    _key_product,
     _strip_factor,
     _tableau_states,
     big_schur,
@@ -26,6 +31,7 @@ from symgen.deformed import (
     mac_P_pn_closed,
     phi_factorial,
     qn,
+    reduced,
     skew_hl_P,
     specialize_coeffs,
     specialize_coeffs_root,
@@ -65,6 +71,7 @@ from symgen.tabloids import SizeMismatch
 from exact_reference import (
     cyclotomic_multiplicity,
     jacobi_trudi_unpruned,
+    key_denominator,
     ratfunc_subs,
     ratfunc_subs_q_to_t,
     tableau_states_unpruned,
@@ -182,15 +189,24 @@ def test_family_unitriangular_and_orthogonal(kind, cap):
 
 @pytest.mark.parametrize("kind,cap", [("t", 8), ("q0", 6), ("qt", 5)])
 def test_column_matches_unpruned_tableau_sum(kind, cap):
-    # one lam's column, grown inside lam, against the states of every shape
+    # one lam's column, grown inside lam and reduced jointly over c_lam's
+    # keys, against the states of every shape, each divided by all of c_lam
     for n in range(cap + 1):
         for lam in partitions_of(n):
+            cells = _cell_binomials(lam)[1] if kind == "qt" else []
+            c_lam = _binomial_quotient(1, (0, 0), cells, [])
             want = {}
             for nu in partitions_of(n):
                 states = tableau_states_unpruned(tuple(nu), kind)
-                if lam in states:
-                    want[nu] = _over_c(states[lam], lam, kind)
-            assert _gs_family(lam, kind) == want, (kind, lam)
+                if states.get(lam):
+                    want[nu] = c_lam.divide(states[lam])
+            den, x = _gs_family(lam, kind)
+            assert reduced((den, x), RING_QQT).coeffs == want, (kind, lam)
+            # D divides c_lam, and no key of D divides every numerator
+            assert all(0 < mult <= c_lam.count[key] for key, mult in (+den.count).items()), lam
+            for key in +den.count:
+                factor = _cyclotomic_factor(*key)
+                assert any(exactalg.try_exact_div(c, factor) is None for c in x.coeffs.values())
 
 
 def test_mac_J_matches_unpruned_tableau_sum():
@@ -384,7 +400,7 @@ def test_no_pole_at_roots_of_unity():
         for kind, top in (("t", 6), ("q0", 6), ("qt", 4))
         for n in range(1, top + 1)
         for lam in partitions_of(n)
-        for c in _gs_family(lam, kind).values()
+        for c in FAMILY_KINDS[kind][0](lam).coeffs.values()
     ]
     for value, closed in closed_forms + coefficients:
         if value.is_zero():
@@ -611,6 +627,40 @@ def test_binomial_quotient_cancellation_sign_orientation():
         _binomial_quotient(1, (0, 0), [((1, 1), (1, 0))], [])
 
 
+# 1 - t^6, 1 - q^2 t^4 and 1 - q^3 split into several keys each
+DIVIDE_KEYS = sorted({
+    key
+    for binomial in (((0, 0), (0, 6)), ((0, 0), (2, 4)), ((0, 0), (1, 1)),
+                     ((0, 1), (1, 0)), ((0, 0), (3, 0)))
+    for key in _binomial_keys(binomial)[1]
+})
+
+
+def _key_counts(top):
+    return st.lists(st.integers(0, top), min_size=len(DIVIDE_KEYS), max_size=len(DIVIDE_KEYS)).map(
+        lambda mults: Counter(dict(zip(DIVIDE_KEYS, mults)))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.fractions(-3, 3, max_denominator=2),
+        max_size=3,
+    ).map(Poly),
+    _key_counts(2),
+    _key_counts(1),
+    st.sampled_from([1, -1, 6, 24]),
+)
+def test_divide_matches_gcd_reduction(poly, den_count, num_count, scale):
+    # a random polynomial times a random sub-product of the keys, over a
+    # key-count D: trial division reaches the form the gcd route reaches
+    den = KeyQuotient(scale, (0, 0), den_count)
+    num = _key_product(num_count, poly)
+    assert den.divide(num) == RatFunc.make(num, key_denominator(den))
+
+
 def test_closed_forms_take_no_gcd_or_exact_division(monkeypatch):
     # the closed forms cancel binomial factors by counting; a gcd or an exact
     # division here would bring back the bivariate cost they avoid
@@ -684,7 +734,7 @@ def test_skew_hl_smaller_lam_builds_no_family():
 
 def test_skew_hl_P_takes_no_rational_sum_or_product(monkeypatch):
     # the adjoint and the change of basis to m run on polynomial
-    # p-coordinates; each m-coefficient is reduced once, by RatFunc.make
+    # p-coordinates; each m-coefficient is reduced once, by KeyQuotient.divide
     shapes = [((2, 1), (1,)), ((2, 2), (1,)), ((3, 1), (2,)), ((2, 1, 1), (1, 1)),
               ((3, 2), (2, 1)), ((2,), EMPTY), ((1, 1), (1, 1))]
     # the same element with its p-coordinates reduced first and summed as
@@ -695,7 +745,7 @@ def test_skew_hl_P_takes_no_rational_sum_or_product(monkeypatch):
         scale, coords = deformed._skew_hl_coordinates(
             lam, mu, partitions_of(lam.size - mu.size)
         )
-        rational = {gamma: RatFunc.make(c, scale) for gamma, c in coords.items()}
+        rational = {gamma: RatFunc.make(c, key_denominator(scale)) for gamma, c in coords.items()}
         want.append(to_basis(SymFunc("p", rational, RING_QT), "m"))
     calls = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):

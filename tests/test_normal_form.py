@@ -16,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 from symgen.cli import run
-from symgen.criteria import FAMILIES, FamilySpec
+from symgen.criteria import FAMILIES, RINGS, FamilySpec
+from symgen.deformed import reduced
 from symgen.exactalg import Poly, Specialization, ZeroDenominator
 from symgen.oracle import conjecture_probe, verdict
 from symgen.partitions import EMPTY, Partition, partitions_of
@@ -87,11 +88,11 @@ def test_family_elements_and_closed_forms_are_in_normal_form(checked_poly):
         top = 4 if fam.deformation == "qt" else 6
         for n in range(1, top + 1):
             for lam, mu in _shapes(fam, n):
-                fam.element(lam, mu)
-                fam.pairing(lam, mu, n)
-                if fam.keys is None:
+                element = fam.element(lam, mu)
+                keys = fam.pairing(lam, mu, n)
+                if not fam.deformation:
                     continue
-                keys = fam.keys(lam, mu, n)
+                reduced(element, RINGS[fam.rings[0]])
                 keys.expand()
                 for point in _points(fam):
                     try:

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 from symgen import cli, deformed, exactalg, oracle
 from symgen.criteria import FAMILIES, FamilySpec, Specialization, criterion, render_value
-from symgen.deformed import deformed_inner, skew_hl_P, skew_hl_P_pn_inner
+from symgen.deformed import (
+    _binomial_quotient,
+    deformed_inner,
+    reduced,
+    skew_hl_P,
+    skew_hl_P_pn_inner,
+)
 from symgen.exactalg import (
     P_ZERO,
     RING_QT,
@@ -34,6 +41,8 @@ from symgen.partitions import (
     partitions_of,
 )
 from symgen.symfunc import SymFunc, hall_inner, multiply, sym, to_basis
+
+import exact_reference
 
 
 def P(*parts):
@@ -102,18 +111,34 @@ def test_polynomial_determinant_matches_gauss(mat):
     assert RatFunc.make(det_polynomial(mat)) == want
 
 
+# binomials 1 - q^a t^b and t^c - q^d, whose keys make up the D's below
+BINOMIALS = [((0, 0), (0, 1)), ((0, 0), (0, 2)), ((0, 0), (1, 1)), ((0, 0), (2, 1)),
+             ((0, 0), (1, 2)), ((0, 1), (1, 0)), ((0, 2), (2, 0))]
+
+
+@st.composite
+def key_denominators(draw):
+    """A D as the engine builds one: an integer times binomials' keys."""
+    binomials = draw(st.lists(st.sampled_from(BINOMIALS), max_size=3))
+    return _binomial_quotient(draw(st.sampled_from([1, 2, 6, -3])), (0, 0), binomials, [])
+
+
 @settings(max_examples=60, deadline=None)
 @given(poly_matrices(min_size=1), st.data())
 def test_numerator_rows_over_their_denominators(mat, data):
-    """DegreeMatrix.det over Q(q,t): each row over one or two D's, the row
-    a multiple of its first D in some draws, so the reduction cancels."""
+    """DegreeMatrix.det over Q(q,t): each row over a key-count D, the row a
+    multiple of part of its D in some draws, so the one division cancels."""
     denominators = []
     for i, row in enumerate(mat):
-        dens = data.draw(st.lists(polys(2).filter(bool), min_size=1, max_size=2))
-        if data.draw(st.booleans()):
-            mat[i] = [p * dens[0] for p in row]
-        denominators.append(tuple(dens))
+        den = data.draw(key_denominators())
+        part = data.draw(st.lists(st.sampled_from(BINOMIALS), max_size=2))
+        factor = exact_reference.key_denominator(_binomial_quotient(1, (0, 0), part, []))
+        mat[i] = [p * factor for p in row]
+        denominators.append(den)
     matrix = DegreeMatrix(len(mat), (), (), tuple(map(tuple, mat)), tuple(denominators))
+    for row, den, got in zip(mat, denominators, matrix.entries):
+        # the reference reduction: a gcd against the multiplied-out D
+        assert list(got) == [RatFunc.make(p, exact_reference.key_denominator(den)) for p in row]
     assert matrix.det() == det_gauss([list(row) for row in matrix.entries])
 
 
@@ -194,7 +219,10 @@ def reference_entries(spec, seq, n):
     def product(lam):
         if lam not in memo:
             if len(lam) == 1:
-                memo[lam] = to_basis(family_element(spec, *seq[lam[0] - 1]), "p")
+                element = family_element(spec, *seq[lam[0] - 1])
+                if isinstance(element, tuple):  # a deformed family's form
+                    element = reduced(element, spec.coeff_ring)
+                memo[lam] = to_basis(element, "p")
             else:
                 memo[lam] = multiply(product(lam[:1]), product(lam[1:]))
         return memo[lam]
@@ -312,7 +340,7 @@ GENERIC_DEFORMED = [
 def test_polynomial_route_takes_no_rational_function_arithmetic(spec, monkeypatch):
     """Over Q(t) and Q(q,t) the products are convolved on polynomial
     p-coordinates and the rows stay numerators: no RatFunc product, sum or
-    make, and a gcd only for the lcm of an element's denominators."""
+    make, and no gcd at all (an element's D is a key count)."""
     seq = seq_of((1,), (1, 1), (2, 1), (3, 1))
     elements = {lam: family_element(spec, lam, mu) for lam, mu in seq}
     monkeypatch.setattr(oracle, "family_element", lambda spec, lam, mu=None: elements[lam])
@@ -336,25 +364,57 @@ def test_polynomial_route_takes_no_rational_function_arithmetic(spec, monkeypatc
     monkeypatch.setattr(
         RatFunc, "make", staticmethod(counting("make", RatFunc.make, "make"))
     )
-    for module in (exactalg, deformed):
-        monkeypatch.setattr(module, "poly_gcd", counting("gcd", exactalg.poly_gcd))
-    monkeypatch.setattr(
-        oracle,
-        "polynomial_p_coordinates",
-        counting("coordinates", deformed.polynomial_p_coordinates, "lcm"),
-    )
+    monkeypatch.setattr(exactalg, "poly_gcd", counting("gcd", exactalg.poly_gcd))
+    coordinates = counting("coordinates", deformed.polynomial_p_coordinates)
+    monkeypatch.setattr(oracle, "polynomial_p_coordinates", coordinates)
     lookups = _poly_gcd_prim.cache_info()
     memo = {}
     for n in range(1, 5):
-        degree_matrix(spec, seq, n, memo)
+        degree_matrix(spec, seq, n, memo).det()
     assert calls["coordinates", "products"] == 4
     assert calls["make", "products"] == 0
-    assert {scope for name, scope in calls if name == "gcd"} <= {"lcm"}
-    assert not any(name in ("mul", "add") for name, _ in calls)
-    if spec.family != "mac-P":
-        # every coefficient is a polynomial: no gcd reaches the cached core
-        after = _poly_gcd_prim.cache_info()
-        assert (after.hits, after.misses) == (lookups.hits, lookups.misses)
+    assert not any(name in ("mul", "add", "gcd") for name, _ in calls)
+    after = _poly_gcd_prim.cache_info()
+    assert (after.hits, after.misses) == (lookups.hits, lookups.misses)
+
+
+def test_deformed_oracle_and_probe_take_no_gcd(monkeypatch, capsys):
+    """With poly_gcd raising, every deformed spec (generic and at one point
+    each) gives the verdicts it gives with the gcd in place, and the probe
+    and the skew Hall-Littlewood element print their golden files."""
+    specs = [
+        FamilySpec(name, fam.rings[0]) for name, fam in sorted(FAMILIES.items())
+        if fam.deformation
+    ] + [
+        FamilySpec("hl-P", "Q", Specialization.at_value(2)),
+        FamilySpec("hl-Q", "Q", Specialization.at_root(3)),
+        FamilySpec("big-S", "Q", Specialization.at_root(4)),
+        FamilySpec("whittaker", "Q", Specialization.at_value(Fraction(1, 2))),
+        FamilySpec("mac-P", "Q", Specialization.at_pair(2, 3)),
+        FamilySpec("mac-J", "Q", Specialization.at_pair(3, 9)),
+    ]
+    seq = seq_of((1,), (2,), (2, 1), (3, 1))
+
+    def clear():
+        for cache in (deformed._gs_family, deformed._tableau_states, _poly_gcd_prim):
+            cache.cache_clear()
+
+    clear()
+    want = [verdict(spec, seq, 4) for spec in specs]
+
+    def raising(*args):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(exactalg, "poly_gcd", raising)
+    clear()
+    assert [verdict(spec, seq, 4) for spec in specs] == want
+    golden = Path(__file__).parent / "golden"
+    for name, argv in (
+        ("probe.txt", ["probe", "--seq-file", str(golden / "ribbons5.txt"), "--max-degree", "5"]),
+        ("skew_hl_p.txt", ["skew", "--family", "hl-P", "--lambda", "3,2", "--mu", "1"]),
+    ):
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == (golden / name).read_text(encoding="utf-8")
 
 
 def test_integrality_guard(monkeypatch, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Rules of the engine, read off its source with ast: every module under
 src/symgen imports nothing but the standard library and symgen itself, none
 reaches into ``deformed``'s private names, none calls ``det_gauss``, only
-``DegreeMatrix.det`` and ``det_polynomial`` call ``det_bareiss``, and only
-``exactalg`` calls a ring constructor."""
+``DegreeMatrix.det`` and ``det_polynomial`` call ``det_bareiss``, only
+``exactalg`` calls a ring constructor, and only ``exactalg`` names
+``poly_gcd``."""
 
 import ast
 import sys
@@ -101,3 +102,19 @@ def test_only_exactalg_lifts_rationals_into_a_ring():
         and getattr(call.func, "attr", None) in ("from_fraction", "from_int")
     }
     assert lifts == set()
+
+
+def test_only_exactalg_names_poly_gcd():
+    # every denominator deformed and oracle build is a key count, reduced by
+    # trial division (``KeyQuotient.divide``); the gcd stays behind exactalg's
+    # general RatFunc arithmetic
+    names = {
+        name
+        for name, tree in _trees()
+        if name != "exactalg.py"
+        for node in ast.walk(tree)
+        if "poly_gcd" in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+        )
+    }
+    assert names == set()
