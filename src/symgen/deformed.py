@@ -119,8 +119,9 @@ def polynomial_p_coordinates(form) -> tuple[KeyQuotient, dict]:
     """(D, {nu: D [p_nu] u}) for the element u of degree k that a form
     (den, x) stands for (``reduced``): D = k! den, and every coordinate is a
     Poly, summed term by term from x's coefficients and the rational
-    p-expansions of x's basis.  As z_nu divides k!, an x with coefficients
-    in Z[t] or Z[q,t] on m has integer coordinates.
+    p-expansions of x's basis.  As z_nu divides k!, each weight
+    k! [p_nu] b_lam is an integer, and an x with coefficients in Z[t] or
+    Z[q,t] on m has integer coordinates.
     """
     den, x = form
     scale = factorial(x.degree())
@@ -128,7 +129,7 @@ def polynomial_p_coordinates(form) -> tuple[KeyQuotient, dict]:
     for lam, num in x.coeffs.items():
         for nu, fr in _basis_to_p(x.basis, lam):
             terms = acc.setdefault(nu, {})
-            weight = fr * scale
+            weight = fr.numerator * (scale // fr.denominator)
             for term, v in num.terms.items():
                 terms[term] = terms.get(term, 0) + v * weight
     return KeyQuotient(den.scale * scale, den.monomial, den.count), {

@@ -38,8 +38,12 @@ and ``inner`` null at degree k; the criterion fields still come from
 ``criteria``.  The memo records the missing u_k, so it is built once.
 
 Determinants: every ring takes one fraction-free elimination,
-``det_bareiss`` on integers (Bareiss 1968), with two callers.  A classical
-family's matrix on m is integral over Q as over Z and goes to it directly.
+``det_bareiss`` on integers (Bareiss 1968), with two callers.  It
+eliminates one row at a time: each step rebuilds the rows below the pivot
+without the eliminated column, and a row already 0 in that column is only
+rescaled, or kept as it is when the pivot equals the previous one.  A
+classical family's matrix on m is integral over Q as over Z and goes to it
+directly.
 Every other matrix is lifted to polynomials, a rational to a constant and a
 residue mod Phi_k to its polynomial of degree < phi(k), and goes to
 ``det_polynomial``: the determinant is a polynomial of bounded degree,
@@ -144,26 +148,39 @@ class DegreeMatrix:
 # ---------------------------------------------------------------------------
 
 def det_bareiss(mat: list) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
+    """Fraction-free Bareiss determinant of an integer matrix.
+
+    One row at a time: each step keeps the rows below the pivot row, each
+    without its first column, as (entry * pivot - lead * pivot entry) // prev,
+    exact by Sylvester's identity.  A row whose lead is 0 is only scaled,
+    entry * pivot // prev, or kept as it is when pivot == prev."""
     size = len(mat)
     if size == 0:
         return 1
-    mat = [list(row) for row in mat]
+    rows = list(mat)
     sign = 1
     prev = 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            pivot = next((r for r in range(k + 1, size) if mat[r][k] != 0), None)
+    for _ in range(size - 1):
+        if rows[0][0] == 0:
+            pivot = next((r for r in range(1, len(rows)) if rows[r][0] != 0), None)
             if pivot is None:
                 return 0
-            mat[k], mat[pivot] = mat[pivot], mat[k]
+            rows[0], rows[pivot] = rows[pivot], rows[0]
             sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[size - 1][size - 1]
+        top = rows[0]
+        p, tail = top[0], top[1:]
+        lower = []
+        for row in rows[1:]:
+            lead = row[0]
+            if lead:
+                lower.append([(x * p - lead * y) // prev for x, y in zip(row[1:], tail)])
+            elif p == prev:
+                lower.append(row[1:])
+            else:
+                lower.append([x * p // prev for x in row[1:]])
+        rows = lower
+        prev = p
+    return sign * rows[0][0]
 
 
 def _cleared(values: list) -> tuple[list, int, int]:

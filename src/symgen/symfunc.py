@@ -6,7 +6,7 @@ through p:
 
 * ``m`` uses the domino-tabloid expansion of a monomial into power sums,
 * ``h`` is read off the counted p -> m matrix by Hall duality,
-  ``[p_nu] h_lam = [m_lam] p_nu / z_nu``, one row lam (``_fillings``),
+  ``[p_nu] h_lam = [m_lam] p_nu / z_nu``, one row lam (``_p_in_m``),
 * ``s`` has the characters of the symmetric group as its coordinates,
   ``s_lam = sum_nu chi^lam(nu) p_nu / z_nu``, each chi^lam(nu) an integer
   from the Murnaghan-Nakayama rule (one rim hook per part of nu),
@@ -15,7 +15,9 @@ through p:
 
 and the reverse direction needs no inversion.  The coefficient of m_mu in
 p_nu is counted: the ways to drop the parts of nu into the rows of mu so
-that each row fills exactly.  For the other bases, the Hall inner product has
+that each row fills exactly.  Column nu is p_{nu_1} times the column of nu
+without nu_1 (``_p_in_m``), so one memo builds each column once across
+degrees.  For the other bases, the Hall inner product has
 ``<h_lam, m_mu> = delta`` and ``<p_lam, p_mu> = z_lam delta``, so the
 coefficient of b_mu in p_nu is ``z_nu * [p_nu] d_mu``, where d is the dual
 basis of b: h <-> m, e <-> f, s <-> s.  Those entries are integers; they are
@@ -188,20 +190,19 @@ def _basis_to_p(basis: str, lam: Partition) -> tuple:
     nu ascending.
 
     s_lam = sum_nu chi^lam(nu) p_nu / z_nu (``_character``), and by Hall
-    duality h_lam = sum_nu c_nu p_nu / z_nu with c_nu = [m_lam] p_nu
-    (``_fillings``, one memo for the one row lam); the other bases follow
-    the module docstring.
+    duality h_lam = sum_nu c_nu p_nu / z_nu with c_nu = [m_lam] p_nu, read
+    off the counted columns (``_p_in_m``); the other bases follow the
+    module docstring.
     """
     if basis == "p":
         return ((lam, Fraction(1)),)
     if basis == "m":
         return _m_to_p(lam)
     if basis == "h":
-        memo: dict = {}
         return tuple(
             (nu, Fraction(count, stats(nu).z))
             for nu in reversed(partitions_of(lam.size))
-            if (count := _fillings(nu, lam, memo))
+            if (count := _p_in_m(nu).get(lam))
         )
     if basis in _OMEGA:
         return tuple((nu, stats(nu).eps * c) for nu, c in _basis_to_p(_OMEGA[basis], lam))
@@ -223,41 +224,29 @@ _OMEGA = {"e": "h", "f": "m"}
 _DUAL = {"h": "m", "e": "f", "f": "e", "s": "s"}
 
 
-def _fillings(parts: tuple, caps: tuple, memo: dict) -> int:
-    """The coefficient of m_mu in p_nu, ``parts`` the parts of nu and
-    ``caps`` those of mu (both decreasing): the ways to drop the parts into
-    the labelled rows of mu so that every row fills exactly (Macdonald
-    I.6).  Parts go in one at a time, largest first; the count depends only
-    on the parts left and the sorted capacities left, which is what ``memo``
-    holds (a row of capacity c stands for all rows of capacity c)."""
-    if not parts:
-        return 1
-    if len(parts) < len(caps):  # every row takes at least one part
-        return 0
-    key = (parts, caps)
-    if key not in memo:
-        first, rest = parts[0], parts[1:]
-        total = 0
-        for i, cap in enumerate(caps):
-            if cap < first:
-                break
-            if i and caps[i - 1] == cap:
+@lru_cache(maxsize=None)
+def _p_in_m(nu: tuple) -> dict:
+    """Column nu of the p -> m matrix, {kappa: [m_kappa] p_nu}, kappa as
+    plain tuples.
+
+    p_nu is p_r times p_rest, r = nu_1 and rest the other parts, and
+    p_r m_kappa = sum over mu of m_{s+r}(mu) m_mu, mu being kappa with one
+    part s (s = 0 included) raised to s + r and m_{s+r}(mu) the number of
+    parts of mu equal to s + r (Macdonald I.6).  The column of rest has a
+    lower degree, so the memo builds each column once across degrees."""
+    if not nu:
+        return {(): 1}
+    r = nu[0]
+    out: dict = {}
+    for kappa, c in _p_in_m(nu[1:]).items():
+        previous = None
+        for i, s in enumerate(kappa + (0,)):  # each distinct part once
+            if s == previous:
                 continue
-            left = cap - first
-            shrunk = caps[:i] + caps[i + 1:]
-            if left:
-                shrunk = tuple(sorted(shrunk + (left,), reverse=True))
-            total += caps.count(cap) * _fillings(rest, shrunk, memo)
-        memo[key] = total
-    return memo[key]
-
-
-def _p_to_m_counts(order: tuple) -> tuple:
-    """The p -> m matrix on ``order`` (all partitions of one n): entry
-    [j][i] is the coefficient of m_{mu_j} in p_{nu_i} (``_fillings``, one
-    memo for this one matrix)."""
-    memo: dict = {}
-    return tuple(tuple(_fillings(nu, mu, memo) for nu in order) for mu in order)
+            previous = s
+            mu = tuple(sorted(kappa[:i] + kappa[i + 1:] + (s + r,), reverse=True))
+            out[mu] = out.get(mu, 0) + c * mu.count(s + r)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -265,15 +254,16 @@ def _basis_matrix_inverse(basis: str, n: int) -> tuple:
     """The (p -> basis) change of basis at degree n, as Python ints.
 
     Entry [j][i] is the coefficient of basis_{mu_j} in p_{nu_i}, with both
-    indices in canonical (reverse-lex) order.  For m the entries are counted
-    (``_p_to_m_counts``).  For the other bases, pairing p_nu with the dual
-    element d_mu and using <p_nu, p_rho> = z_nu delta gives them without any
-    inversion: entry = z_{nu_i} * [p_{nu_i}] d_{mu_j}, an integer because
-    p_nu lies in the integral ring.
+    indices in canonical (reverse-lex) order.  For m the entries are counted,
+    column nu_i being ``_p_in_m(nu_i)``.  For the other bases, pairing p_nu
+    with the dual element d_mu and using <p_nu, p_rho> = z_nu delta gives
+    them without any inversion: entry = z_{nu_i} * [p_{nu_i}] d_{mu_j}, an
+    integer because p_nu lies in the integral ring.
     """
     order = partitions_of(n)
     if basis == "m":
-        return _p_to_m_counts(order)
+        cols = [_p_in_m(nu) for nu in order]
+        return tuple(tuple(col.get(mu, 0) for col in cols) for mu in order)
     idx = {lam: i for i, lam in enumerate(order)}
     z = [stats(nu).z for nu in order]
     rows = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symgen import cli, deformed, exactalg, oracle
+from symgen import cli, deformed, exactalg, oracle, symfunc
 from symgen.criteria import FAMILIES, FamilySpec, Specialization, criterion, render_value
 from symgen.deformed import (
     _binomial_quotient,
@@ -72,6 +72,32 @@ def test_bareiss_pivoting_and_singularity():
     assert det_bareiss([[0, 1], [1, 0]]) == -1
     assert det_bareiss([[0, 0], [1, 1]]) == 0
     assert det_bareiss([]) == 1
+
+
+@st.composite
+def int_matrices(draw):
+    """Square integer matrices of size 0-7, mostly zeros, some given a zero
+    row or a repeated row."""
+    size = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    mat = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    if size:
+        shape = draw(st.sampled_from(["plain", "repeated", "zero"]))
+        row = draw(st.integers(0, size - 1))
+        if shape == "repeated":
+            mat[row] = list(mat[draw(st.integers(0, size - 1))])
+        elif shape == "zero":
+            mat[row] = [0] * size
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+@example([[0, 1, 2], [0, 3, 4], [5, 6, 7]])
+@example([[2, 1], [2, 1]])
+def test_bareiss_matches_gauss(mat):
+    assert det_bareiss(mat) == det_gauss([[Fraction(v) for v in row] for row in mat])
 
 
 def polys(q_top: int):
@@ -460,6 +486,19 @@ def test_verdict_builds_each_element_once_per_degree(monkeypatch):
     verdict(FamilySpec("s", "Q"), seq, 5)
     # recomputed_inner reads u_n off the memo the matrices filled
     assert len(built) == 5
+
+
+@pytest.mark.parametrize(
+    "spec", [FamilySpec("s", "Z"), FamilySpec("skew-h", "Q"), FamilySpec("hl-P", "Qt")]
+)
+def test_verdict_counts_each_p_to_m_column_once(spec):
+    # one cache miss per partition of 0..N: column nu is built from the
+    # column of nu without its first part, found in the memo
+    for cache in (symfunc._p_in_m, symfunc._basis_matrix_inverse, symfunc._basis_to_p):
+        cache.cache_clear()
+    seq = seq_of((1,), (2,), (2, 1), (2, 2), (3, 1, 1), (4, 2))
+    verdict(spec, seq, 6)
+    assert symfunc._p_in_m.cache_info().misses == sum(len(partitions_of(k)) for k in range(7))
 
 
 def test_verdict_builds_a_missing_element_once(monkeypatch):

@@ -387,8 +387,6 @@ def test_one_row_and_one_column_schur():
 def test_schur_expansions_take_no_jacobi_trudi_and_no_h_products(monkeypatch):
     # s reaches p through its characters alone: no h-row is counted off the
     # p -> m matrix, for s, skew s or the p -> s matrix
-    import sys
-
     from symgen import symfunc
     from symgen.symfunc import _basis_matrix_inverse, p_expansion
 
@@ -400,10 +398,8 @@ def test_schur_expansions_take_no_jacobi_trudi_and_no_h_products(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    modules = [m for key, m in sys.modules.items() if key.startswith("symgen.")]
-    for module in modules:
-        if "_fillings" in vars(module):
-            monkeypatch.setattr(module, "_fillings", counted("_fillings", vars(module)["_fillings"]))
+    # the p -> m counts have one home; setattr fails if it is renamed away
+    monkeypatch.setattr(symfunc, "_p_in_m", counted("_p_in_m", symfunc._p_in_m))
     for cache in (symfunc._basis_to_p, symfunc._basis_matrix_inverse, symfunc._character):
         cache.cache_clear()
     for n in range(9):
@@ -414,6 +410,9 @@ def test_schur_expansions_take_no_jacobi_trudi_and_no_h_products(monkeypatch):
                 for mu in partitions_of(m):
                     skew("s", lam, mu)
     assert calls == {}
+    # the counter is live: an h expansion reads the counted columns
+    p_expansion(sym("h", P(2, 1)))
+    assert calls["_p_in_m"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +450,22 @@ def test_basis_matrix_inverse_matches_sympy(basis):
         assert sympy.Matrix(inverse) == to_p.inv()
 
 
-def test_counted_p_to_m_matrix_matches_hall_duality():
-    from symgen.symfunc import _basis_matrix_inverse, _basis_to_p
+def _maps_filling_rows(parts: tuple, rows: list) -> int:
+    """The maps from the parts to the rows that fill every row exactly,
+    enumerated one part at a time (a part never goes where it overflows)."""
+    if not parts:
+        return int(not any(rows))
+    total = 0
+    for j, room in enumerate(rows):
+        if room >= parts[0]:
+            rows[j] -= parts[0]
+            total += _maps_filling_rows(parts[1:], rows)
+            rows[j] += parts[0]
+    return total
+
+
+def test_counted_p_to_m_matrix_matches_brute_force_and_tabloids():
+    from symgen.symfunc import _basis_matrix_inverse, _m_to_p
 
     # worked entries: p_(2,1) = m_(3) + m_(2,1), p_(1,1,1) has 3 m_(2,1)
     order = partitions_of(3)
@@ -460,15 +473,19 @@ def test_counted_p_to_m_matrix_matches_hall_duality():
     for n in range(13):
         order = partitions_of(n)
         idx = {lam: i for i, lam in enumerate(order)}
-        dual = []
-        for mu in order:
-            row = [0] * len(order)
-            for nu, c in _basis_to_p("h", mu):
-                row[idx[nu]] = stats(nu).z * c
-            dual.append(tuple(row))
         counted = _basis_matrix_inverse("m", n)
         assert all(type(entry) is int for row in counted for entry in row)
-        assert counted == tuple(dual), n
+        if n <= 8:
+            assert counted == tuple(
+                tuple(_maps_filling_rows(nu, list(mu)) for nu in order) for mu in order
+            ), n
+        # times the m -> p matrix of the domino tabloids, the identity
+        for lam in order:
+            column = [Fraction(0)] * len(order)
+            for nu, c in _m_to_p(lam):
+                for j, row in enumerate(counted):
+                    column[j] += row[idx[nu]] * c
+            assert column == [int(mu == lam) for mu in order], (n, lam)
 
 
 def test_dominance():
