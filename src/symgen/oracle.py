@@ -7,7 +7,8 @@ generates iff the determinant is a unit at every degree so far (nonzero over
 a field, +-1 over Z).  Every ring takes one route: products are convolved in
 the power-sum basis, so none of the closed forms under test participate, and
 then taken to the monomial basis by the integer p -> m matrix that
-``symfunc`` counts.  Each product u_lam is u_{lam_1} times the memoized
+``symfunc`` counts, each column read off its memo (``_p_in_m``) as a sparse
+map.  Each product u_lam is u_{lam_1} times the memoized
 u_{lam minus lam_1}; ``verdict`` keeps one memo of elements and products
 across all its degrees, so each u_k is built once, ``inner`` included.
 
@@ -19,18 +20,22 @@ that the coordinates need no fraction (``_p_coordinates``):
   fraction raises ``ValueError``;
 * a deformed family over its generic field Q(t) or Q(q,t) comes as its
   form (``deformed.reduced``): D is k! times the form's key count (a
-  ``KeyQuotient``), and its coordinates are polynomials;
+  ``KeyQuotient``), and its coordinates are polynomials
+  (``deformed.polynomial_p_coordinates``);
 * a specialized deformed family (at a value, a root of unity or a (q,t)
-  pair) has its form reduced and specialized: D = 1, and coordinates in
-  its coefficient field.
+  pair) takes the same polynomial coordinates, each evaluated once at the
+  point and multiplied by D's value inverted: D = 1, and coordinates in its
+  coefficient field.  Only Macdonald P's D has keys, and u_k is undefined
+  exactly where one of them vanishes (``_p_coordinates``).
 
 A product is the convolution of its factors' coordinates over the product
 of their D, and a row of m-entries is the product's row times the p -> m
-matrix.  A classical row is divided by its D at once, an exact integer
-quotient (a remainder raises ``ValueError``), and at D = 1 the row is the
-values themselves.  A key-count D is never divided entry by entry: the row
-stays its numerators, and the determinant divides once.  No
-rational-function arithmetic and no gcd is taken on the way.
+matrix.  A classical row is divided by its D in one pass that skips its
+zeros, each an exact integer quotient (a remainder raises ``ValueError``),
+and at D = 1 the row is the values themselves.  A key-count D is never
+divided entry by entry: the row stays its numerators, and the determinant
+divides once.  No rational-function arithmetic and no gcd is taken on the
+way.
 
 A specialization under which some u_k does not exist (a vanishing
 denominator) leaves ``det`` null and ``independent`` false from degree k on,
@@ -60,24 +65,18 @@ over the power-sum coordinates of P_lam and P_mu
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
 from .criteria import (
-    RINGS,
     FamilySpec,
     checked_criterion,
     render_value,
     value_is_unit,
 )
-from .deformed import (
-    KeyQuotient,
-    polynomial_p_coordinates,
-    reduced,
-    skew_hl_P_pn_inner,
-    specialize_coeffs,
-)
+from .deformed import KeyQuotient, polynomial_p_coordinates, skew_hl_P_pn_inner
 from .exactalg import P_ONE, P_ZERO, CycloElem, Poly, ZeroDenominator
 from .partitions import (
     EMPTY,
@@ -89,7 +88,7 @@ from .partitions import (
     is_ribbon,
     partitions_of,
 )
-from .symfunc import SymFunc, _basis_matrix_inverse, _p_convolve, p_expansion
+from .symfunc import SymFunc, _p_convolve, _p_in_m, p_expansion
 
 # the highest degree the skew Hall-Littlewood probe computes
 PROBE_MAX_DEGREE = 8
@@ -327,14 +326,11 @@ def det_gauss(mat: list):
 # ---------------------------------------------------------------------------
 
 def family_element(spec: FamilySpec, lam, mu=None) -> SymFunc | tuple:
-    """The sequence element u_n of the family: a classical family's, a
-    deformed family's form over its generic field (module docstring), or
-    that form reduced and specialized."""
+    """The sequence element u_n of the family: a classical family's element,
+    or a deformed family's form over its generic field (module docstring),
+    at a specialization too."""
     fam = spec.definition
-    base = fam.element(Partition(lam), Partition(mu) if mu is not None else EMPTY)
-    if spec.specialization is None:
-        return base
-    return specialize_coeffs(reduced(base, RINGS[fam.rings[0]]), spec.specialization)
+    return fam.element(Partition(lam), Partition(mu) if mu is not None else EMPTY)
 
 
 def _exact_quotient(num: int, den: int) -> int:
@@ -345,9 +341,25 @@ def _exact_quotient(num: int, den: int) -> int:
 
 
 def _p_coordinates(spec: FamilySpec, u) -> tuple:
-    """u as the pair (D, {nu: D [p_nu] u}) of the module docstring."""
-    if spec.specialization is not None:
-        return 1, p_expansion(u)
+    """u as the pair (D, {nu: D [p_nu] u}) of the module docstring.  At a
+    specialization a form's coefficients that vanish at the point are
+    dropped (most of q-Whittaker's at a root of unity), and its polynomial
+    coordinates are evaluated once each and taken over D's value inverted:
+    its integer scale as a rational (coefficient-wise on a residue), and
+    only its keys by a field inverse, which raises ZeroDenominator where one
+    vanishes.  A form keeps a key only while it fails to divide some
+    coefficient, and keys are irreducible, so that is exactly where u does
+    not exist."""
+    spz = spec.specialization
+    if spz is not None:
+        keys, x = u
+        nonzero = {lam: c for lam, c in x.coeffs.items() if spz.evaluate(c)}
+        den, coords = polynomial_p_coordinates((keys, SymFunc(x.basis, nonzero, x.ring)))
+        inverse = Fraction(1, den.scale)
+        if any(den.count.values()):
+            inverted = Counter({key: -mult for key, mult in den.count.items()})
+            inverse = spz.apply(KeyQuotient(1, (0, 0), inverted)) * inverse
+        return 1, {nu: v for nu, c in coords.items() if (v := spz.evaluate(c) * inverse)}
     if spec.definition.deformation:
         return polynomial_p_coordinates(u)
     scale = factorial(u.degree())
@@ -410,9 +422,9 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
     if memo is None:
         memo = {}
     order = partitions_of(n)
-    to_m = _basis_matrix_inverse("m", n)
+    index = {kappa: j for j, kappa in enumerate(order)}
     # column nu of the p -> m matrix, as (row, entry) pairs for its nonzeros
-    cols = [[(j, row[i]) for j, row in enumerate(to_m) if row[i]] for i in range(len(order))]
+    cols = [[(index[kappa], r) for kappa, r in _p_in_m(nu).items()] for nu in order]
     rows, denominators = [], []
     for lam in order:
         scale, coords = _product(spec, seq, lam, memo)
@@ -423,7 +435,9 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
                 for j, r in col:
                     row[j] = row[j] + c * r
         kept = isinstance(scale, KeyQuotient)
-        rows.append(tuple(row) if kept else tuple(_divided(v, scale) for v in row))
+        if not kept and scale != 1:  # a classical row: exact, zeros skipped
+            row = [_exact_quotient(v, scale) if v else 0 for v in row]
+        rows.append(tuple(row))
         denominators.append(scale if kept else None)
     return DegreeMatrix(
         degree=n,

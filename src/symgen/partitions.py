@@ -182,8 +182,10 @@ def is_rectangular(lam: Partition) -> bool:
 
 
 def union(lam, mu) -> Partition:
-    """Merge the part multisets and re-sort weakly decreasing."""
-    return Partition(sorted(tuple(lam) + tuple(mu), reverse=True))
+    """Merge the part multisets and re-sort weakly decreasing.  The parts of
+    two partitions are positive integers, so their merge is built as a
+    Partition without validating it again."""
+    return tuple.__new__(Partition, sorted((*lam, *mu), reverse=True))
 
 
 def difference(lam, mu) -> Partition | None:

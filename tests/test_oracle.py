@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,13 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symgen import cli, deformed, exactalg, oracle, symfunc
-from symgen.criteria import FAMILIES, FamilySpec, Specialization, criterion, render_value
+from symgen.criteria import (
+    FAMILIES,
+    RINGS,
+    FamilySpec,
+    Specialization,
+    criterion,
+    render_value,
+)
 from symgen.deformed import (
     _binomial_quotient,
     deformed_inner,
     reduced,
     skew_hl_P,
     skew_hl_P_pn_inner,
+    specialize_coeffs,
 )
 from symgen.exactalg import (
     P_ZERO,
@@ -239,7 +248,9 @@ SKEW_SEQ = [(P(1), EMPTY), (P(2, 1), P(1)), (P(2, 2), P(1)), (P(3, 2), P(1)),
 
 
 def reference_entries(spec, seq, n):
-    """The products on m by multiply and to_basis, in the coefficient field."""
+    """The products on m by multiply and to_basis, in the coefficient field.
+    A deformed family's form is reduced over its generic field and, at a
+    specialization, its coefficients specialized one by one."""
     memo = {}
 
     def product(lam):
@@ -247,7 +258,9 @@ def reference_entries(spec, seq, n):
             if len(lam) == 1:
                 element = family_element(spec, *seq[lam[0] - 1])
                 if isinstance(element, tuple):  # a deformed family's form
-                    element = reduced(element, spec.coeff_ring)
+                    element = reduced(element, RINGS[spec.definition.rings[0]])
+                    if spec.specialization is not None:
+                        element = specialize_coeffs(element, spec.specialization)
                 memo[lam] = to_basis(element, "p")
             else:
                 memo[lam] = multiply(product(lam[:1]), product(lam[1:]))
@@ -353,6 +366,35 @@ def test_deformed_route_matches_reference(spec):
     for n in range(1, 5):
         mat = degree_matrix(spec, seq, n, memo)
         assert mat.entries == reference_entries(spec, seq, n), n
+
+
+# (q,t) pairs at which Macdonald P's keys vanish or its binomials collide
+COLLIDING_PAIRS = [
+    FamilySpec(name, "Q", Specialization.at_pair(q, t))
+    for name in ("mac-J", "mac-P")
+    for q, t in ((1, 1), (-1, 1), (4, Fraction(1, 2)), (Fraction(1, 4), 2))
+]
+
+# every sequence u_1, ..., u_4 of one partition of each degree
+DEGREE_4_SEQS = [seq_of(*lams) for lams in itertools.product(*map(partitions_of, range(1, 5)))]
+
+
+@pytest.mark.parametrize("spec", DEFORMED_SPECS + COLLIDING_PAIRS, ids=spec_id)
+def test_one_route_matches_the_specialized_reference(spec):
+    """The oracle evaluates polynomial p-coordinates at the point; the
+    reference specializes the reduced element coefficient by coefficient.
+    Their matrices agree, and both find the first u_k that does not exist
+    at the same degree."""
+    for seq in DEGREE_4_SEQS:
+        memo = {}
+        for n in range(1, 5):
+            try:
+                want = reference_entries(spec, seq, n)
+            except ZeroDenominator:
+                with pytest.raises(ZeroDenominator):
+                    degree_matrix(spec, seq, n, memo)
+                break
+            assert degree_matrix(spec, seq, n, memo).entries == want, (seq, n)
 
 
 GENERIC_DEFORMED = [
@@ -578,15 +620,17 @@ def test_hl_sequence_verdict_over_qt():
 
 
 def test_specialized_family_element_at_root():
+    # a specialized family's element is its unspecialized form; the oracle
+    # evaluates its polynomial p-coordinates at zeta_2, over D = 1
     spec = FamilySpec("hl-P", "Q", Specialization.at_root(2))
-    element = family_element(spec, P(2, 1))
-    assert element.ring.name == "C2"
-    # at t = -1 the coefficients are rational: compare against direct subs
-    from symgen.deformed import hl_P, specialize_coeffs
-
-    direct = specialize_coeffs(hl_P((2, 1)), Specialization.at_value(-1))
-    for mu, c in direct.coeffs.items():
-        assert element.coeffs[mu].as_fraction() == c
+    assert family_element(spec, P(2, 1)) == deformed.tableau_form((2, 1), "t")
+    scale, coords = oracle._product(spec, seq_of((1,), (2,), (2, 1)), (3,), {})
+    assert scale == 1 and all(c.k == 2 for c in coords.values())
+    # at t = -1 the coordinates are rational: compare against direct subs
+    direct = symfunc.p_expansion(
+        specialize_coeffs(deformed.hl_P((2, 1)), Specialization.at_value(-1))
+    )
+    assert direct and {nu: c.as_fraction() for nu, c in coords.items()} == direct
 
 
 def test_xi_equals_one_adjudication():

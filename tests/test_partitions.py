@@ -134,6 +134,13 @@ _parts = st.lists(st.integers(1, 4), max_size=6).map(
 
 
 @given(_parts, _parts)
+def test_union_is_the_validated_merge(a, b):
+    merged = union(a, b)
+    assert type(merged) is Partition
+    assert merged == Partition(sorted(a + b, reverse=True))
+
+
+@given(_parts, _parts)
 def test_difference_inverts_union(a, b):
     assert difference(union(a, b), b) == a
     sub_multiset = all(b.count(part) <= a.count(part) for part in set(b))

@@ -2,8 +2,8 @@
 src/symgen imports nothing but the standard library and symgen itself, none
 reaches into ``deformed``'s private names, none calls ``det_gauss``, only
 ``DegreeMatrix.det`` and ``det_polynomial`` call ``det_bareiss``, only
-``exactalg`` calls a ring constructor, and only ``exactalg`` names
-``poly_gcd``."""
+``exactalg`` calls a ring constructor, only ``exactalg`` names
+``poly_gcd``, and ``oracle`` takes one element route."""
 
 import ast
 import sys
@@ -118,3 +118,19 @@ def test_only_exactalg_names_poly_gcd():
         )
     }
     assert names == set()
+
+
+def test_oracle_takes_one_element_route():
+    # every deformed family, specialized or not, reaches the oracle as its
+    # polynomial p-coordinates (a specialization evaluates them), and p -> m
+    # is read off the counted columns: no reduced element, no coefficient-wise
+    # specialization, no dense p -> m matrix
+    tree = dict(_trees())["oracle.py"]
+    named = {
+        name
+        for node in ast.walk(tree)
+        for name in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+        )
+    } & {"reduced", "specialize_coeffs", "_basis_matrix_inverse"}
+    assert named == set()
