@@ -76,7 +76,7 @@ from .exactalg import (
     try_exact_div,
 )
 from .partitions import EMPTY, Partition, is_hook, partitions_of, stats, union
-from .symfunc import SymFunc, _basis_to_p, p_expansion, to_basis
+from .symfunc import SymFunc, _basis_to_p, _class_values, p_expansion, to_basis
 from .tabloids import SizeMismatch
 
 
@@ -118,18 +118,20 @@ def _pexp_inner(xp: dict, yp: dict, kind: str) -> RatFunc:
 def polynomial_p_coordinates(form) -> tuple[KeyQuotient, dict]:
     """(D, {nu: D [p_nu] u}) for the element u of degree k that a form
     (den, x) stands for (``reduced``): D = k! den, and every coordinate is a
-    Poly, summed term by term from x's coefficients and the rational
-    p-expansions of x's basis.  As z_nu divides k!, each weight
-    k! [p_nu] b_lam is an integer, and an x with coefficients in Z[t] or
-    Z[q,t] on m has integer coordinates.
+    Poly, summed term by term from x's coefficients times the integer
+    weights k! [p_nu] b_lam = <b_lam, p_nu> (k!/z_nu), read off the class
+    values of x's basis (``_class_values``; z_nu divides k!).  An x with
+    coefficients in Z[t] or Z[q,t] has integer coordinates.
     """
     den, x = form
     scale = factorial(x.degree())
+    shares: dict = {}  # nu -> k!/z_nu
     acc: dict = {}
     for lam, num in x.coeffs.items():
-        for nu, fr in _basis_to_p(x.basis, lam):
+        for nu, c in _class_values(x.basis, lam):
+            share = shares.get(nu) or shares.setdefault(nu, scale // stats(nu).z)
             terms = acc.setdefault(nu, {})
-            weight = fr.numerator * (scale // fr.denominator)
+            weight = c * share
             for term, v in num.terms.items():
                 terms[term] = terms.get(term, 0) + v * weight
     return KeyQuotient(den.scale * scale, den.monomial, den.count), {

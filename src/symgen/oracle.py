@@ -15,9 +15,12 @@ across all its degrees, so each u_k is built once, ``inner`` included.
 Every element travels as one pair (D, {nu: D [p_nu] u}), with D chosen so
 that the coordinates need no fraction (``_p_coordinates``):
 
-* a classical family's degree-k element has D = k!.  It lies in the
-  integral ring, and z_nu divides k!, so its coordinates are integers; a
-  fraction raises ``ValueError``;
+* a classical family's degree-k element has D = k!.  Its coordinates are
+  its integer class values <b_lam, p_nu> (``symfunc._class_values``) times
+  k!/z_nu, and a skew element's, on the power sums, are k! times its
+  coefficients; no Fraction is built.  z_nu divides k!, so the
+  coordinates of an integral element are integers; a fraction raises
+  ``ValueError``;
 * a deformed family over its generic field Q(t) or Q(q,t) comes as its
   form (``deformed.reduced``): D is k! times the form's key count (a
   ``KeyQuotient``), and its coordinates are polynomials
@@ -87,8 +90,9 @@ from .partitions import (
     format_partition,
     is_ribbon,
     partitions_of,
+    stats,
 )
-from .symfunc import SymFunc, _p_convolve, _p_in_m, p_expansion
+from .symfunc import SymFunc, _class_values, _p_convolve, _p_in_m
 
 # the highest degree the skew Hall-Littlewood probe computes
 PROBE_MAX_DEGREE = 8
@@ -363,10 +367,15 @@ def _p_coordinates(spec: FamilySpec, u) -> tuple:
     if spec.definition.deformation:
         return polynomial_p_coordinates(u)
     scale = factorial(u.degree())
-    return scale, {
-        nu: _exact_quotient(c.numerator * scale, c.denominator)
-        for nu, c in p_expansion(u).items()
-    }
+    coords: dict = {}
+    for lam, c in u.coeffs.items():
+        # k! [p_nu] b_lam: k! for p_lam, else <b_lam, p_nu> (k!/z_nu)
+        weights = ((lam, scale),) if u.basis == "p" else (
+            (nu, v * (scale // stats(nu).z)) for nu, v in _class_values(u.basis, lam)
+        )
+        for nu, weight in weights:
+            coords[nu] = coords.get(nu, 0) + _exact_quotient(c.numerator * weight, c.denominator)
+    return scale, coords
 
 
 def _divided(value, scale):

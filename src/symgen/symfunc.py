@@ -1,33 +1,35 @@
 """Symmetric functions over a pluggable coefficient field.
 
 The power-sum basis is the computational hub: products are index unions and
-the Hall inner product is diagonal there.  Conversions route every basis
-through p:
+the Hall inner product is diagonal there.  Every classical basis reaches p
+through one integer table, its class values <b_lam, p_nu> = z_nu [p_nu]
+b_lam (``_class_values``):
 
-* ``m`` uses the domino-tabloid expansion of a monomial into power sums,
+* ``s`` has the characters chi^lam(nu), by the Murnaghan-Nakayama rule on
+  a bit mask of lam's beta-set (``_mn``: each part of nu moves one bead);
+  with mu's mask as the target it gives the skew characters,
+* ``m`` has eps_nu eps_lam w(nu, lam), w counting domino tabloids,
 * ``h`` is read off the counted p -> m matrix by Hall duality,
-  ``[p_nu] h_lam = [m_lam] p_nu / z_nu``, one row lam (``_p_in_m``),
-* ``s`` has the characters of the symmetric group as its coordinates,
-  ``s_lam = sum_nu chi^lam(nu) p_nu / z_nu``, each chi^lam(nu) an integer
-  from the Murnaghan-Nakayama rule (one rim hook per part of nu),
+  ``<h_lam, p_nu> = [m_lam] p_nu``, one row lam (``_p_in_m``),
 * ``e`` and ``f`` (forgotten) are the images of ``h`` and ``m`` under the
-  involution omega, ``omega p_nu = eps_nu p_nu``,
+  involution omega, ``omega p_nu = eps_nu p_nu``.
 
+The rational p-expansions (``_basis_to_p``) are those values over z_nu,
 and the reverse direction needs no inversion.  The coefficient of m_mu in
 p_nu is counted: the ways to drop the parts of nu into the rows of mu so
 that each row fills exactly.  Column nu is p_{nu_1} times the column of nu
 without nu_1 (``_p_in_m``), so one memo builds each column once across
 degrees.  For the other bases, the Hall inner product has
 ``<h_lam, m_mu> = delta`` and ``<p_lam, p_mu> = z_lam delta``, so the
-coefficient of b_mu in p_nu is ``z_nu * [p_nu] d_mu``, where d is the dual
-basis of b: h <-> m, e <-> f, s <-> s.  Those entries are integers; they are
-read off the cached p-expansions of the dual basis, once per degree.
+coefficient of b_mu in p_nu is ``<d_mu, p_nu>``, where d is the dual basis
+of b: h <-> m, e <-> f, s <-> s, read off the table once per degree.
 
 Skewing is the adjoint of multiplication.  The Hall form is diagonal on
 the power sums, so that adjoint is one formula on p-coefficients,
 ``skew_p``: p_beta removes the parts of beta from p_alpha, rescaled by the
-ratio of the norms z.  ``skew`` (every classical skew family) and
-``pn_perp`` are built on it (``deformed`` has its t-form analogue).
+ratio of the norms z.  ``pn_perp`` is built on it (``deformed`` has its
+t-form analogue); ``skew`` (every classical skew family) takes the same
+formula on class values, in integers.
 
 Coefficients are values of a ``CoeffRing``.  The rational coefficients of
 these expansions and the weights z and eps multiply them as plain numbers
@@ -44,6 +46,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .exactalg import RING_Q, CoeffRing, render
 from .partitions import (
@@ -141,79 +144,71 @@ def _p_convolve(a: dict, b: dict) -> dict:
     return out
 
 
-def _m_to_p(lam: Partition) -> tuple:
-    """m_lam = sum over nu of eps_nu eps_lam w(nu, lam)/z_nu * p_nu."""
-    el = eps_of(lam)
-    out = []
-    for nu in partitions_of(lam.size):
-        weight = w(nu, lam)
-        if weight:
-            st = stats(nu)
-            out.append((nu, Fraction(st.eps * el * weight, st.z)))
-    return tuple(out)
-
-
-def _beta_set(parts) -> tuple:
-    """The beta-set of a partition: its first-column hook lengths
-    lam_i + l - i, decreasing (l the number of nonzero parts)."""
-    parts = [p for p in parts if p]
-    return tuple(p + len(parts) - 1 - i for i, p in enumerate(parts))
+def _bead_mask(parts, beads: int) -> int:
+    """The beta-set of a partition padded to ``beads`` parts, as a bit mask:
+    bit lam_i + beads - i for i = 1..beads."""
+    padded = tuple(parts) + (0,) * (beads - len(parts))
+    return sum(1 << (part + beads - 1 - i) for i, part in enumerate(padded))
 
 
 @lru_cache(maxsize=None)
-def _character(beta: tuple, nu: tuple) -> int:
-    """The irreducible character chi^lam(nu) of S_|lam|, lam given by its
-    beta-set, by the Murnaghan-Nakayama rule (Macdonald I.7, Ex. 5).
+def _mn(mask: int, nu: tuple, target: int) -> int:
+    """The skew character chi^{lam/mu}(nu) by the Murnaghan-Nakayama rule
+    (Macdonald I.7, Ex. 5), lam and mu given as bead masks with one bead
+    count (``_bead_mask``): ``mask`` for lam, ``target`` for mu.
 
-    Removing a rim hook of length r = nu_1 from lam moves one bead of the
-    beta-set from b to a free b - r >= 0; the hook's height, and so the
-    sign, is the number of beads strictly between b - r and b.
+    Removing a rim hook of length r = nu_1 moves one bead from b to a free
+    b - r >= 0; the hook's height, and so the sign, is the number of beads
+    strictly between b - r and b.  The removals reach mu or never do, so a
+    mu outside lam gives 0; the empty mu gives chi^lam(nu).
     """
     if not nu:
-        return 1
+        return int(mask == target)
     r, rest = nu[0], nu[1:]
+    between = (1 << (r - 1)) - 1
+    movable = mask & ~(mask << r) & ~((1 << r) - 1)
     total = 0
-    for b in beta:
-        if b < r or b - r in beta:
-            continue
-        between = sum(1 for c in beta if b - r < c < b)
-        moved = sorted((c if c != b else b - r for c in beta), reverse=True)
-        parts = [c - (len(moved) - 1 - i) for i, c in enumerate(moved)]
-        chi = _character(_beta_set(parts), rest)
-        total += -chi if between % 2 else chi
+    while movable:
+        b = movable.bit_length() - 1
+        movable ^= 1 << b
+        chi = _mn(mask ^ (1 << b) ^ (1 << (b - r)), rest, target)
+        if chi:
+            total += -chi if (mask >> (b - r + 1) & between).bit_count() & 1 else chi
     return total
+
+
+@lru_cache(maxsize=None)
+def _class_values(basis: str, lam: Partition) -> tuple:
+    """((nu, <b_lam, p_nu>), ...) over the nu |- |lam| where it is nonzero,
+    nu ascending: integers, the p-coordinates of b_lam times z_nu.
+
+    For s the characters chi^lam(nu) (``_mn``), for m the tabloid counts
+    eps_nu eps_lam w(nu, lam), for h the counted [m_lam] p_nu
+    (``_p_in_m``), for e and f eps_nu times those of h and m, for p z_lam
+    at nu = lam.
+    """
+    if basis == "p":
+        return ((lam, stats(lam).z),)
+    order = reversed(partitions_of(lam.size))
+    if basis == "s":
+        beads = len(lam)
+        mask, target = _bead_mask(lam, beads), (1 << beads) - 1
+        return tuple((nu, chi) for nu in order if (chi := _mn(mask, nu, target)))
+    if basis == "m":
+        el = eps_of(lam)
+        return tuple((nu, eps_of(nu) * el * c) for nu in order if (c := w(nu, lam)))
+    if basis == "h":
+        return tuple((nu, c) for nu in order if (c := _p_in_m(nu).get(lam)))
+    if basis in _OMEGA:
+        return tuple((nu, eps_of(nu) * c) for nu, c in _class_values(_OMEGA[basis], lam))
+    raise ValueError(f"unknown basis {basis!r}")
 
 
 @lru_cache(maxsize=None)
 def _basis_to_p(basis: str, lam: Partition) -> tuple:
     """Power-sum expansion of one basis element, as ((nu, Fraction), ...),
-    nu ascending.
-
-    s_lam = sum_nu chi^lam(nu) p_nu / z_nu (``_character``), and by Hall
-    duality h_lam = sum_nu c_nu p_nu / z_nu with c_nu = [m_lam] p_nu, read
-    off the counted columns (``_p_in_m``); the other bases follow the
-    module docstring.
-    """
-    if basis == "p":
-        return ((lam, Fraction(1)),)
-    if basis == "m":
-        return _m_to_p(lam)
-    if basis == "h":
-        return tuple(
-            (nu, Fraction(count, stats(nu).z))
-            for nu in reversed(partitions_of(lam.size))
-            if (count := _p_in_m(nu).get(lam))
-        )
-    if basis in _OMEGA:
-        return tuple((nu, stats(nu).eps * c) for nu, c in _basis_to_p(_OMEGA[basis], lam))
-    if basis == "s":
-        beta = _beta_set(lam)
-        return tuple(
-            (nu, Fraction(chi, stats(nu).z))
-            for nu in reversed(partitions_of(lam.size))
-            if (chi := _character(beta, nu))
-        )
-    raise ValueError(f"unknown basis {basis!r}")
+    nu ascending: [p_nu] b_lam = <b_lam, p_nu> / z_nu (``_class_values``)."""
+    return tuple((nu, Fraction(c, stats(nu).z)) for nu, c in _class_values(basis, lam))
 
 
 # e = omega h and f = omega m, with omega p_nu = eps_nu p_nu
@@ -257,24 +252,19 @@ def _basis_matrix_inverse(basis: str, n: int) -> tuple:
     indices in canonical (reverse-lex) order.  For m the entries are counted,
     column nu_i being ``_p_in_m(nu_i)``.  For the other bases, pairing p_nu
     with the dual element d_mu and using <p_nu, p_rho> = z_nu delta gives
-    them without any inversion: entry = z_{nu_i} * [p_{nu_i}] d_{mu_j}, an
-    integer because p_nu lies in the integral ring.
+    them without any inversion: entry = <d_{mu_j}, p_{nu_i}>, row mu_j read
+    off ``_class_values`` of the dual basis.
     """
     order = partitions_of(n)
     if basis == "m":
         cols = [_p_in_m(nu) for nu in order]
         return tuple(tuple(col.get(mu, 0) for col in cols) for mu in order)
     idx = {lam: i for i, lam in enumerate(order)}
-    z = [stats(nu).z for nu in order]
     rows = []
     for mu in order:
         row = [0] * len(order)
-        for nu, c in _basis_to_p(_DUAL[basis], mu):
-            i = idx[nu]
-            entry = z[i] * c
-            if entry.denominator != 1:
-                raise ArithmeticError(f"non-integral p -> {basis} entry {entry}")
-            row[i] = entry.numerator
+        for nu, c in _class_values(_DUAL[basis], mu):
+            row[idx[nu]] = c
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -410,18 +400,36 @@ def pn_perp(x: SymFunc, n: int) -> SymFunc:
 
 
 def skew(family: str, lam, mu) -> SymFunc:
-    """The skew element u_{lam/mu} defined by <u_{lam/mu}, f> = <u_lam, u_mu f>.
-
-    That is u_mu^perp u_lam, the adjoint of multiplication by u_mu applied to
-    u_lam on the power sums (``skew_p``), given on the p-basis over Q; pairs
-    with |lam| < |mu| give the zero element.
+    """The skew element u_{lam/mu} defined by <u_{lam/mu}, f> = <u_lam, u_mu f>,
+    on the p-basis over Q (zero when |lam| < |mu|), from its integer class
+    values: for s the skew characters (``_mn``, mu the target), else the
+    adjoint of ``skew_p``, <u_{lam/mu}, p_gamma> = sum_beta Y(beta)
+    X(beta u gamma) / z_beta for the class values X of u_lam and Y of u_mu,
+    each term scaled by |mu|! and the sum divided exactly (a remainder
+    raises ValueError).
     """
     if family not in ("m", "h", "e", "s", "f"):
         raise ValueError(f"no skew family for basis {family!r}")
-    if Partition(lam).size < Partition(mu).size:
+    lam, mu = Partition(lam), Partition(mu)
+    if lam.size < mu.size:
         return SymFunc("p", {})
-    xp = p_expansion(sym(family, lam))
-    return SymFunc("p", skew_p(xp, p_expansion(sym(family, mu))))
+    order = partitions_of(lam.size - mu.size)
+    if family == "s":
+        beads = max(len(lam), len(mu))
+        mask, target = _bead_mask(lam, beads), _bead_mask(mu, beads)
+        values = ((gamma, _mn(mask, gamma, target)) for gamma in order)
+    else:
+        x = dict(_class_values(family, lam))
+        scale = factorial(mu.size)
+        y = [(beta, c * (scale // stats(beta).z)) for beta, c in _class_values(family, mu)]
+        values = []
+        for gamma in order:
+            total = sum(c * x.get(union(beta, gamma), 0) for beta, c in y)
+            value, remainder = divmod(total, scale)
+            if remainder:
+                raise ValueError(f"non-integral class value {Fraction(total, scale)}")
+            values.append((gamma, value))
+    return SymFunc("p", {gamma: Fraction(v, stats(gamma).z) for gamma, v in values if v})
 
 
 def skew_monomial_weight_sum(lam, mu, n: int) -> Fraction:

@@ -10,8 +10,11 @@ substitutes the point into its numerator and denominator and reduces, or at
 a root of unity takes the residues of both parts.
 
 The symmetric-function references build h, e and the Schur functions the
-long way: h_n and e_n by the Newton recurrences, and s_lam by every term of
-its Jacobi-Trudi determinant.  The tableau sums of the deformed families are
+long way: h_n and e_n by the Newton recurrences, s_lam by every term of
+its Jacobi-Trudi determinant, and the characters chi^lam(nu) by the
+Murnaghan-Nakayama rule on beta-sets held as tuples.  Monomials reach the
+power sums through the domino-tabloid counts, and a skew element is the
+rational adjoint ``skew_p`` applied to those expansions.  The tableau sums of the deformed families are
 grown over every shape of each degree, not only inside the shape built.
 """
 
@@ -33,7 +36,9 @@ from symgen.exactalg import (
     poly_exact_div,
     try_exact_div,
 )
-from symgen.partitions import EMPTY, Partition, union
+from symgen.partitions import EMPTY, Partition, partitions_of, stats, union
+from symgen.symfunc import SymFunc, _p_convolve, skew_p
+from symgen.tabloids import w
 
 
 def specialized_by_expansion(spec, lam, mu, n):
@@ -173,6 +178,73 @@ def newton_row(n, sign=1):
                 out[key] = out.get(key, 0) + sign ** (r - 1) * c / m
         rows.append(out)
     return rows[n]
+
+
+def beta_set(parts) -> tuple:
+    """The beta-set of a partition: its first-column hook lengths
+    lam_i + l - i, decreasing (l the number of nonzero parts)."""
+    parts = [p for p in parts if p]
+    return tuple(p + len(parts) - 1 - i for i, p in enumerate(parts))
+
+
+@lru_cache(maxsize=None)
+def character(beta: tuple, nu: tuple) -> int:
+    """chi^lam(nu), lam given by its beta-set, by the Murnaghan-Nakayama
+    rule: removing a rim hook of length r = nu_1 moves one bead from b to a
+    free b - r >= 0, with sign (-1)^(beads strictly between)."""
+    if not nu:
+        return 1
+    r, rest = nu[0], nu[1:]
+    total = 0
+    for b in beta:
+        if b < r or b - r in beta:
+            continue
+        between = sum(1 for c in beta if b - r < c < b)
+        moved = sorted((c if c != b else b - r for c in beta), reverse=True)
+        parts = [c - (len(moved) - 1 - i) for i, c in enumerate(moved)]
+        chi = character(beta_set(parts), rest)
+        total += -chi if between % 2 else chi
+    return total
+
+
+def m_to_p(lam) -> dict:
+    """m_lam = sum over nu of eps_nu eps_lam w(nu, lam)/z_nu * p_nu."""
+    lam = Partition(lam)
+    el = stats(lam).eps
+    out = {}
+    for nu in partitions_of(lam.size):
+        if weight := w(nu, lam):
+            st = stats(nu)
+            out[nu] = Fraction(st.eps * el * weight, st.z)
+    return out
+
+
+@lru_cache(maxsize=None)
+def p_expansion_by_reference(basis: str, lam) -> dict:
+    """{nu: [p_nu] b_lam} for a classical basis: s by ``character``, m by
+    ``m_to_p``, h and e as products of ``newton_row``, f = omega m."""
+    lam = Partition(lam)
+    if basis == "s":
+        beta = beta_set(lam)
+        out = {nu: Fraction(character(beta, nu), stats(nu).z) for nu in partitions_of(lam.size)}
+        return {nu: c for nu, c in out.items() if c}
+    if basis == "m":
+        return m_to_p(lam)
+    if basis == "f":
+        return {nu: stats(nu).eps * c for nu, c in m_to_p(lam).items()}
+    out = {EMPTY: Fraction(1)}
+    for part in lam:
+        out = _p_convolve(out, newton_row(part, 1 if basis == "h" else -1))
+    return out
+
+
+def skew_by_adjoint(family: str, lam, mu) -> SymFunc:
+    """u_{lam/mu} as u_mu^perp u_lam on the rational p-expansions
+    (``skew_p``); zero when |lam| < |mu|."""
+    if Partition(lam).size < Partition(mu).size:
+        return SymFunc("p", {})
+    xp = p_expansion_by_reference(family, lam)
+    return SymFunc("p", skew_p(xp, p_expansion_by_reference(family, mu)))
 
 
 def horizontal_strips_unpruned(mu, k):

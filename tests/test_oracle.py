@@ -296,6 +296,30 @@ def test_classical_degree_matrices_are_integral(name, ring):
     assert not hasattr(oracle, "multiply") and not hasattr(oracle, "to_basis")
 
 
+@pytest.mark.parametrize("ring", ["Q", "Z"])
+@pytest.mark.parametrize(
+    "name", sorted(name for name, fam in FAMILIES.items() if not fam.deformation)
+)
+def test_classical_elements_take_no_rational_expansion(name, ring, monkeypatch):
+    """A classical element reaches the oracle as its integer class values:
+    neither the rational p-expansions nor the rational adjoint is called."""
+    spec = FamilySpec(name, ring)
+    seq = SKEW_SEQ if spec.is_skew else STRAIGHT_SEQ
+    want = [degree_matrix(spec, seq, n).entries for n in range(1, 7)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rational expansion was built")
+
+    for module in (oracle, symfunc):
+        for attr in ("_basis_to_p", "skew_p"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    for cache in (symfunc._class_values, symfunc._mn, symfunc._p_in_m):
+        cache.cache_clear()
+    memo = {}
+    assert [degree_matrix(spec, seq, n, memo).entries for n in range(1, 7)] == want
+
+
 DEFORMED_SPECS = [
     spec
     for name, fam in sorted(FAMILIES.items())
@@ -349,25 +373,6 @@ def test_macdonald_degree_5_determinant_specializes():
         assert pair.apply(det) == degree_matrix(at_pair, seq, n, pair_memo).det(), n
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        FamilySpec("hl-P", "Qt"),
-        FamilySpec("hl-Q", "Q", Specialization.at_root(3)),
-        FamilySpec("big-S", "Qt"),
-        FamilySpec("whittaker", "Qt"),
-        FamilySpec("mac-P", "Qqt"),
-        FamilySpec("mac-J", "Qqt"),
-    ],
-)
-def test_deformed_route_matches_reference(spec):
-    seq = seq_of((1,), (1, 1), (2, 1), (3, 1))
-    memo = {}
-    for n in range(1, 5):
-        mat = degree_matrix(spec, seq, n, memo)
-        assert mat.entries == reference_entries(spec, seq, n), n
-
-
 # (q,t) pairs at which Macdonald P's keys vanish or its binomials collide
 COLLIDING_PAIRS = [
     FamilySpec(name, "Q", Specialization.at_pair(q, t))
@@ -381,10 +386,11 @@ DEGREE_4_SEQS = [seq_of(*lams) for lams in itertools.product(*map(partitions_of,
 
 @pytest.mark.parametrize("spec", DEFORMED_SPECS + COLLIDING_PAIRS, ids=spec_id)
 def test_one_route_matches_the_specialized_reference(spec):
-    """The oracle evaluates polynomial p-coordinates at the point; the
-    reference specializes the reduced element coefficient by coefficient.
-    Their matrices agree, and both find the first u_k that does not exist
-    at the same degree."""
+    """The oracle takes polynomial p-coordinates, evaluated at the point
+    when there is one; the reference reduces the element over its generic
+    field and specializes it coefficient by coefficient.  Their matrices
+    agree, and both find the first u_k that does not exist at the same
+    degree."""
     for seq in DEGREE_4_SEQS:
         memo = {}
         for n in range(1, 5):

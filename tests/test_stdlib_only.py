@@ -134,3 +134,17 @@ def test_oracle_takes_one_element_route():
         )
     } & {"reduced", "specialize_coeffs", "_basis_matrix_inverse"}
     assert named == set()
+
+
+def test_oracle_reads_classical_elements_off_their_class_values():
+    # a classical element's coordinates are its integer class values times
+    # k!/z_nu: no rational p-expansion enters the oracle
+    tree = dict(_trees())["oracle.py"]
+    named = {
+        name
+        for node in ast.walk(tree)
+        for name in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+        )
+    } & {"p_expansion", "_basis_to_p"}
+    assert named == set()

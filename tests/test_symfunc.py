@@ -32,7 +32,13 @@ from symgen.symfunc import (
 )
 from symgen.tabloids import SizeMismatch
 
-from exact_reference import jacobi_trudi_unpruned, newton_row
+from exact_reference import (
+    beta_set,
+    character,
+    jacobi_trudi_unpruned,
+    newton_row,
+    skew_by_adjoint,
+)
 
 
 def P(*parts):
@@ -332,12 +338,18 @@ def test_schur_characters_match_jacobi_trudi():
             assert got == _schur_by_jacobi_trudi(lam), lam
 
 
-def test_character_orthogonality():
-    from symgen.symfunc import _beta_set, _character
+def _chi(lam, nu):
+    """chi^lam(nu) from the bead-mask kernel, lam with len(lam) beads."""
+    from symgen.symfunc import _bead_mask, _mn
 
+    beads = len(lam)
+    return _mn(_bead_mask(lam, beads), tuple(nu), (1 << beads) - 1)
+
+
+def test_character_orthogonality():
     for n in range(10):
         order = partitions_of(n)
-        table = {lam: [_character(_beta_set(lam), nu) for nu in order] for lam in order}
+        table = {lam: [_chi(lam, nu) for nu in order] for lam in order}
         z = [stats(nu).z for nu in order]
         for lam in order:
             for mu in order:
@@ -350,10 +362,8 @@ def test_character_orthogonality():
 def test_character_degree_is_hook_length_formula():
     from math import factorial
 
-    from symgen.symfunc import _beta_set, _character
-
     # worked values: chi^(2,1) = (2, 0, -1) on (1^3), (2,1), (3)
-    assert [_character(_beta_set(P(2, 1)), nu) for nu in partitions_of(3)][::-1] == [2, 0, -1]
+    assert [_chi(P(2, 1), nu) for nu in partitions_of(3)][::-1] == [2, 0, -1]
     for n in range(13):
         for lam in partitions_of(n):
             conj = lam.conjugate()
@@ -361,7 +371,51 @@ def test_character_degree_is_hook_length_formula():
             for i, row in enumerate(lam):
                 for j in range(row):
                     hooks *= row - j + conj[j] - i - 1
-            assert _character(_beta_set(lam), P(*[1] * n)) == factorial(n) // hooks, lam
+            assert _chi(lam, P(*[1] * n)) == factorial(n) // hooks, lam
+
+
+def test_bead_masks_match_the_reference_characters():
+    # any bead count gives the same character; the class values are its row
+    from symgen.symfunc import _bead_mask, _class_values, _mn
+
+    for n in range(11):
+        order = partitions_of(n)
+        for lam in order:
+            want = [character(beta_set(lam), nu) for nu in order]
+            assert [_chi(lam, nu) for nu in order] == want, lam
+            beads = len(lam) + 2
+            mask, target = _bead_mask(lam, beads), (1 << beads) - 1
+            assert [_mn(mask, nu, target) for nu in order] == want, lam
+            assert dict(_class_values("s", lam)) == {
+                nu: c for nu, c in zip(order, want) if c
+            }, lam
+
+
+def test_skew_matches_the_adjoint_reference():
+    # every lam with |lam| <= 10 and mu with |mu| <= 3, mu inside lam or not
+    inner = [mu for m in range(4) for mu in partitions_of(m)]
+    for size in range(11):
+        for lam in partitions_of(size):
+            for mu in inner:
+                for family in ("m", "h", "e", "s", "f"):
+                    got = skew(family, lam, mu)
+                    assert all(type(c) is Fraction for c in got.coeffs.values())
+                    assert got == skew_by_adjoint(family, lam, mu), (family, lam, mu)
+
+
+def test_skew_refuses_a_non_integral_class_value(monkeypatch):
+    # class values of no integral element: h_(1,1) given as p_(1,1)/2, so
+    # <h_(2,1)/(1,1), p_1> would be <h_(2,1), p_(1,1,1)>/2 = 3/2
+    from symgen import symfunc
+
+    real = symfunc._class_values
+
+    def planted(basis, lam):
+        return ((P(1, 1), 1),) if lam == P(1, 1) else real(basis, lam)
+
+    monkeypatch.setattr(symfunc, "_class_values", planted)
+    with pytest.raises(ValueError, match="non-integral class value 3/2"):
+        skew("h", P(2, 1), P(1, 1))
 
 
 def test_h_and_e_rows_match_newton_recurrence():
@@ -400,7 +454,12 @@ def test_schur_expansions_take_no_jacobi_trudi_and_no_h_products(monkeypatch):
 
     # the p -> m counts have one home; setattr fails if it is renamed away
     monkeypatch.setattr(symfunc, "_p_in_m", counted("_p_in_m", symfunc._p_in_m))
-    for cache in (symfunc._basis_to_p, symfunc._basis_matrix_inverse, symfunc._character):
+    for cache in (
+        symfunc._basis_to_p,
+        symfunc._basis_matrix_inverse,
+        symfunc._class_values,
+        symfunc._mn,
+    ):
         cache.cache_clear()
     for n in range(9):
         _basis_matrix_inverse("s", n)
@@ -465,7 +524,7 @@ def _maps_filling_rows(parts: tuple, rows: list) -> int:
 
 
 def test_counted_p_to_m_matrix_matches_brute_force_and_tabloids():
-    from symgen.symfunc import _basis_matrix_inverse, _m_to_p
+    from symgen.symfunc import _basis_matrix_inverse, _class_values
 
     # worked entries: p_(2,1) = m_(3) + m_(2,1), p_(1,1,1) has 3 m_(2,1)
     order = partitions_of(3)
@@ -482,9 +541,9 @@ def test_counted_p_to_m_matrix_matches_brute_force_and_tabloids():
         # times the m -> p matrix of the domino tabloids, the identity
         for lam in order:
             column = [Fraction(0)] * len(order)
-            for nu, c in _m_to_p(lam):
+            for nu, c in _class_values("m", lam):
                 for j, row in enumerate(counted):
-                    column[j] += row[idx[nu]] * c
+                    column[j] += row[idx[nu]] * Fraction(c, stats(nu).z)
             assert column == [int(mu == lam) for mu in order], (n, lam)
 
 
