@@ -373,6 +373,25 @@ def test_macdonald_degree_5_determinant_specializes():
         assert pair.apply(det) == degree_matrix(at_pair, seq, n, pair_memo).det(), n
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("hl-P", "Qt"),
+        FamilySpec("hl-Q", "Q", Specialization.at_root(3)),
+        FamilySpec("big-S", "Qt"),
+        FamilySpec("whittaker", "Qt"),
+        FamilySpec("mac-P", "Qqt"),
+        FamilySpec("mac-J", "Qqt"),
+    ],
+)
+def test_deformed_route_matches_reference(spec):
+    seq = seq_of((1,), (1, 1), (2, 1), (3, 1))
+    memo = {}
+    for n in range(1, 5):
+        mat = degree_matrix(spec, seq, n, memo)
+        assert mat.entries == reference_entries(spec, seq, n), n
+
+
 # (q,t) pairs at which Macdonald P's keys vanish or its binomials collide
 COLLIDING_PAIRS = [
     FamilySpec(name, "Q", Specialization.at_pair(q, t))
