@@ -44,11 +44,11 @@ P/N = zeta for distinct (direction, root) pairs.  Cancelling equal keys
 between numerator and denominator by counting therefore leaves a coprime
 numerator and denominator, which is already the reduced form ``RatFunc.make``
 would reach through a bivariate gcd.  The key polynomials are irreducible (a
-unimodular change of monomials takes P/N to one variable), so trial division
-by the keys of a denominator D reduces a quotient (``KeyQuotient.divide``),
-and every D the engine builds is such a count.  A closed form stays a key
-count until it is used: over Q(t) or Q(q,t) it is multiplied out once, and
-at a specialization each key is evaluated once and the values multiplied.
+unimodular change of monomials takes P/N to one variable), so dividing out
+each key of a denominator D as often as it goes (``_divide_keys``) reduces
+a quotient (``KeyQuotient.divide``); every D the engine builds is a count.
+A closed form stays a key count until it is used: over Q(t) or Q(q,t) it is
+multiplied out once; at a specialization each key is evaluated once.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ from .exactalg import (
     CoeffRing,
     RatFunc,
     Specialization,
+    _phi_divmod,
     cyclotomic_poly,
-    poly_exact_div,
-    try_exact_div,
+    euler_phi,
 )
 from .partitions import EMPTY, Partition, is_hook, partitions_of, stats, union
 from .symfunc import SymFunc, _basis_to_p, _class_values, p_expansion, to_basis
@@ -197,6 +197,41 @@ def _key_product(count: Counter, out: Poly = P_ONE) -> Poly:
     return out
 
 
+def _fibre_quotient(f: Poly, d: int, pos: tuple, neg: tuple):
+    """f / H_d(P, N), or None if it does not divide f: H = N^phi(d) Phi_d(X),
+    X = P/N, divides f when the monic Phi_d divides each fibre of f along
+    v = P - N, a polynomial in X; the quotients over N^phi(d) make f / H."""
+    top = euler_phi(d)
+    v1, v2 = pos[0] - neg[0], pos[1] - neg[1]
+    step = v1 * v1 + v2 * v2  # v1 a + v2 b moves by step along v
+    fibres: dict = {}
+    for (a, b), c in f.terms.items():
+        fibres.setdefault(v2 * a - v1 * b, []).append((v1 * a + v2 * b, a, b, c))
+    out = {}
+    for terms in fibres.values():
+        low, a, b, _ = min(terms)
+        dense = [0] * ((max(terms)[0] - low) // step + 1)
+        for at, _, _, c in terms:
+            dense[(at - low) // step] = c
+        quotient, remainder = _phi_divmod(dense, d)
+        if any(remainder):
+            return None
+        for j, c in enumerate(quotient):
+            out[a + j * v1 - top * neg[0], b + j * v2 - top * neg[1]] = c
+    return Poly(out)
+
+
+def _divide_keys(polys: list, count: Counter) -> tuple[list, Counter]:
+    """(quotients, left): the polys divided by each key as often as it divides
+    them all, at most its count times, and the count left over."""
+    left = Counter()
+    for key, mult in count.items():
+        while mult > 0 and None not in (quotients := [_fibre_quotient(f, *key) for f in polys]):
+            polys, mult = quotients, mult - 1
+        left[key] = mult
+    return polys, left
+
+
 @dataclass(frozen=True)
 class KeyQuotient:
     """scale * q^a t^b * prod H_key^count[key], with monomial = (a, b): a
@@ -229,18 +264,12 @@ class KeyQuotient:
         ) + ((Poly({self.monomial: 1}), 1),)
 
     def divide(self, num: Poly) -> RatFunc:
-        """num / D, reduced by trial division: each key is divided out of num
-        at most its count times, and the keys left form the denominator."""
+        """num / D, reduced: each key is divided out of num at most its count
+        times (``_divide_keys``), and the keys left form the denominator."""
         if not num:
             return RF_ZERO
-        den = P_ONE
-        for key, mult in self.count.items():
-            factor = _cyclotomic_factor(*key)
-            while mult and (quotient := try_exact_div(num, factor)) is not None:
-                num, mult = quotient, mult - 1
-            if mult:
-                den = den * factor ** mult
-        return RatFunc._make_coprime(num, den, Fraction(1, self.scale))
+        (num,), left = _divide_keys([num], self.count)
+        return RatFunc._make_coprime(num, _key_product(left), Fraction(1, self.scale))
 
     def __mul__(self, other: "KeyQuotient") -> "KeyQuotient":
         count = self.count.copy()
@@ -309,8 +338,8 @@ def _tableau_states(content: tuple, kind: str, outer: Partition) -> dict:
     horizontal strip.  A tableau of shape ``outer`` passes only through
     shapes inside it, so no other shape is grown.  The values are
     polynomials (for "qt" those of J_lam, VI (8.11)), so the lcm of the key
-    denominators of the terms reaching one shape divides their sum exactly.
-    """
+    denominators of the terms reaching one shape divides out of their sum
+    exactly (``_divide_keys``)."""
     if not content:
         return {EMPTY: P_ONE}
     incoming: dict = {}
@@ -323,7 +352,7 @@ def _tableau_states(content: tuple, kind: str, outer: Partition) -> dict:
         for _, (_, count) in terms:
             lcm |= -count
         total = sum((c * s * _key_product(count + lcm) for c, (s, count) in terms), P_ZERO)
-        out[lam] = poly_exact_div(total, _key_product(lcm)) if lcm else total
+        out[lam] = _divide_keys([total], lcm)[0][0] if lcm else total
     return out
 
 
@@ -348,19 +377,13 @@ def _column(lam: Partition, kind: str) -> dict:
 def _gs_family(lam: Partition, kind: str) -> tuple:
     """The form of P_lam: its tableau sums {nu: [x^nu] c_lam P_lam}, grown
     inside lam only, over the keys of c_lam (c as in ``_strip_factor``) that
-    do not divide them all.  The name is historical (it built every lam of
-    one degree by Gram-Schmidt); the traced benchmark splits its span by
-    ``kind``."""
+    do not divide them all (``_divide_keys``).  The name is historical (it
+    built every lam of one degree by Gram-Schmidt); the traced benchmark
+    splits its span by ``kind``."""
     column = _column(lam, kind)
     sign, count = _binomial_count(_cell_binomials(lam)[1] if kind == "qt" else [], [])
-    for key in count:
-        factor = _cyclotomic_factor(*key)
-        while count[key]:
-            quotients = [try_exact_div(c, factor) for c in column.values()]
-            if any(quotient is None for quotient in quotients):
-                break
-            column, count[key] = dict(zip(column, quotients)), count[key] - 1
-    return KeyQuotient(sign, (0, 0), count), SymFunc("m", column, NUMERATORS)
+    quotients, left = _divide_keys(list(column.values()), count)
+    return KeyQuotient(sign, (0, 0), left), SymFunc("m", dict(zip(column, quotients)), NUMERATORS)
 
 
 def tableau_form(lam, kind: str) -> tuple:
@@ -551,13 +574,13 @@ def _skew_hl_coordinates(lam: Partition, mu: Partition, gammas) -> tuple:
     coordinates of P_lam and P_mu.  As <p_a, p_a>_t = z_a / prod
     (1 - t^{a_i}) (III.4), [p_gamma] P_{lam/mu} is the sum over beta |- |mu|
     of [p_beta] P_mu [p_{beta u gamma}] P_lam z_{beta u gamma} / (z_gamma
-    prod (1 - t^{beta_i})), and each prod (1 - t^{beta_i}) divides
-    phi_{|mu|}(t)."""
+    prod (1 - t^{beta_i})), and that quotient of phi_{|mu|}(t) is the key
+    product of the difference of their key counts (each sign is +1)."""
     d_lam, x = polynomial_p_coordinates(_gs_family(lam, "t"))
     d_mu, y = polynomial_p_coordinates(_gs_family(mu, "t"))
-    phi = phi_factorial(mu.size)
+    phi = [_one_minus(0, j) for j in range(1, mu.size + 1)]  # phi_{|mu|}(t)
     weighted = [
-        (beta, cy * poly_exact_div(phi, prod((P_ONE - Poly.t(r) for r in beta), start=P_ONE)))
+        (beta, _key_product(_binomial_count(phi, [_one_minus(0, r) for r in beta])[1], cy))
         for beta, cy in y.items()
     ]
     coords = {}
@@ -569,8 +592,7 @@ def _skew_hl_coordinates(lam: Partition, mu: Partition, gammas) -> tuple:
             if cx is not None:
                 total = total + cx * cy * (stats(alpha).z // z_gamma)
         coords[gamma] = total
-    phi_keys = _binomial_quotient(1, (0, 0), [_one_minus(0, j) for j in range(1, mu.size + 1)], [])
-    return d_lam * d_mu * phi_keys, coords
+    return d_lam * d_mu * _binomial_quotient(1, (0, 0), phi, []), coords
 
 
 def skew_hl_P(lam, mu) -> SymFunc:

@@ -28,8 +28,8 @@ GCD routes
 ``poly_gcd`` serves general RatFunc arithmetic: ``RatFunc.make`` and the
 cross-cancel of ``RatFunc.__mul__``, as in ``expand``/``to_basis`` over Q(t)
 and Q(q,t), ``deformed_inner`` and the tests' ``det_gauss``; the deformed
-families, the oracle and the probe divide by key counts instead
-(``deformed.KeyQuotient.divide``).  A constant argument gives 1 at once.
+families, the oracle and the probe divide by key counts, fibre by fibre,
+instead (``deformed.KeyQuotient.divide``).  A constant argument gives 1 at once.
 The cached core takes out the common monomial; then a pair in t alone takes
 a dense integer primitive PRS (polynomial remainder sequence), and every
 other pair the gcd of its q-contents times the primitive PRS in t over Z[q].
@@ -565,13 +565,7 @@ def _phi_dense(k: int) -> tuple:
     rem = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            div = _phi_dense(d)
-            quo = [0] * (len(rem) - len(div) + 1)
-            for i in reversed(range(len(quo))):
-                c = quo[i] = rem[i + len(div) - 1]
-                for j, b in enumerate(div):
-                    rem[i + j] -= c * b
-            rem = quo
+            rem = _phi_divmod(rem, d)[0]
     return tuple(rem)
 
 
@@ -794,18 +788,22 @@ RF_ONE = RatFunc(Fraction(1), P_ONE, P_ONE, _raw=True)
 # cyclotomic residues
 # ---------------------------------------------------------------------------
 
-def _poly_mod_phi(coeffs: list, k: int) -> list:
+def _phi_divmod(coeffs, k: int) -> tuple[list, list]:
+    """Dense coefficients (constant first) divided by the monic Phi_k."""
     phi = _phi_dense(k)
     d = len(phi) - 1
     r = list(coeffs)
-    while len(r) > d:
-        lead = r[-1]
-        if lead:
-            shift = len(r) - 1 - d
-            for i, c in enumerate(phi):
-                r[i + shift] -= lead * c
-        r.pop()
-    return r + [0] * (d - len(r))
+    quo = [0] * max(len(r) - d, 0)
+    for shift in reversed(range(len(quo))):
+        if lead := r.pop():
+            quo[shift] = lead
+            for i in range(d):
+                r[i + shift] -= lead * phi[i]
+    return quo, r + [0] * (d - len(r))
+
+
+def _poly_mod_phi(coeffs: list, k: int) -> list:
+    return _phi_divmod(coeffs, k)[1]
 
 
 class CycloElem(_Field):

@@ -58,7 +58,7 @@ residue mod Phi_k to its polynomial of degree < phi(k), and goes to
 taken at integer nodes by one ``det_bareiss`` each and recovered by exact
 interpolation (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5);
 a constant takes one node.  It is then divided by the rows' D's, one key
-count, by trial division (``KeyQuotient.divide``), or reduced mod Phi_k, a
+count, fibre by fibre (``KeyQuotient.divide``), or reduced mod Phi_k, a
 ring map.  ``det_gauss`` is kept as the tests' reference.
 
 The conjecture probe prints <P_{lam/mu}, p_n>_t, which it takes as one sum

@@ -12,6 +12,7 @@ from symgen.deformed import (
     _binomial_quotient,
     _cell_binomials,
     _cyclotomic_factor,
+    _divide_keys,
     _gram_inverse_t,
     _gs_family,
     _key_product,
@@ -54,6 +55,7 @@ from symgen.exactalg import (
     cyclotomic_poly,
     poly_exact_div,
     specialize_root_of_unity,
+    try_exact_div,
 )
 from symgen.partitions import EMPTY, Partition, contains, partitions_of, stats
 from symgen.symfunc import (
@@ -659,6 +661,40 @@ def test_divide_matches_gcd_reduction(poly, den_count, num_count, scale):
     den = KeyQuotient(scale, (0, 0), den_count)
     num = _key_product(num_count, poly)
     assert den.divide(num) == RatFunc.make(num, key_denominator(den))
+
+
+# (P, N) for the directions t, q and qt and the oriented pairs t - q^2, t^2 - q
+KEY_DIRECTIONS = [((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 0), (1, 1)),
+                  ((0, 1), (2, 0)), ((0, 2), (1, 0))]
+_small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=3),
+    max_size=4,
+).map(Poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from(KEY_DIRECTIONS),
+    st.lists(st.tuples(_small_polys, st.integers(0, 2)), min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(0, 3),
+)
+def test_divide_keys_matches_long_division(d, direction, factors, perturb, mult):
+    # each poly is H^e g, the first one perturbed by a monomial (which no H
+    # divides); _divide_keys decides and divides as repeated long division does
+    key = (d, *direction)
+    factor = _cyclotomic_factor(*key)
+    polys = [factor**e * g for g, e in factors]
+    if perturb:
+        polys[0] = polys[0] + Poly({(1, 2): Fraction(1, 2)})
+    want, left = polys, mult
+    while left and None not in (quotients := [try_exact_div(f, factor) for f in want]):
+        want, left = quotients, left - 1
+    got, got_left = _divide_keys(polys, Counter({key: mult}))
+    assert (got, got_left) == (want, Counter({key: left}))
+    assert all(min(term) >= 0 for f in got for term in f.terms)
 
 
 def test_closed_forms_take_no_gcd_or_exact_division(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from symgen.criteria import (
     FamilySpec,
     Specialization,
     criterion,
+    parse_sequence_file,
     render_value,
 )
 from symgen.deformed import (
@@ -508,6 +510,39 @@ def test_deformed_oracle_and_probe_take_no_gcd(monkeypatch, capsys):
     ):
         assert cli.run(argv) == 0
         assert capsys.readouterr().out == (golden / name).read_text(encoding="utf-8")
+
+
+def test_key_divisions_take_no_long_division(monkeypatch):
+    """With exactalg's sparse long division raising in every symgen module
+    that names it, the verdicts of Macdonald P, generic and at a pair (both
+    divide by c_lam's keys), and of two families that divide by no key give
+    the records they give with it in place, and so does the probe on its
+    golden sequence."""
+    cases = [
+        (FamilySpec("mac-P", "Qqt"), 4),
+        (FamilySpec("mac-P", "Q", Specialization.at_pair(2, 3)), 5),
+        (FamilySpec("whittaker", "Q", Specialization.at_root(3)), 5),
+        (FamilySpec("hl-P", "Qt"), 5),
+    ]
+    seq = seq_of(*((n,) for n in range(1, 6)))
+    probe_text = (Path(__file__).parent / "golden" / "ribbons5.txt").read_text(encoding="utf-8")
+    probe_seq = parse_sequence_file(probe_text)
+
+    def records():
+        deformed._gs_family.cache_clear()
+        deformed._tableau_states.cache_clear()
+        return [verdict(spec, seq, n) for spec, n in cases], conjecture_probe(probe_seq, 5)
+
+    want = records()
+
+    def raising(*args):
+        raise AssertionError("try_exact_div called")
+
+    modules = [module for key, module in sys.modules.items() if key.split(".")[0] == "symgen"]
+    for module in modules:
+        if hasattr(module, "try_exact_div"):
+            monkeypatch.setattr(module, "try_exact_div", raising)
+    assert records() == want
 
 
 def test_integrality_guard(monkeypatch, tmp_path, capsys):

@@ -3,7 +3,8 @@ src/symgen imports nothing but the standard library and symgen itself, none
 reaches into ``deformed``'s private names, none calls ``det_gauss``, only
 ``DegreeMatrix.det`` and ``det_polynomial`` call ``det_bareiss``, only
 ``exactalg`` calls a ring constructor, only ``exactalg`` names
-``poly_gcd``, and ``oracle`` takes one element route."""
+``poly_gcd``, neither ``deformed`` nor ``oracle`` names a long division,
+and ``oracle`` takes one element route."""
 
 import ast
 import sys
@@ -105,9 +106,9 @@ def test_only_exactalg_lifts_rationals_into_a_ring():
 
 
 def test_only_exactalg_names_poly_gcd():
-    # every denominator deformed and oracle build is a key count, reduced by
-    # trial division (``KeyQuotient.divide``); the gcd stays behind exactalg's
-    # general RatFunc arithmetic
+    # every denominator deformed and oracle build is a key count, divided out
+    # fibre by fibre (``deformed._divide_keys``); the gcd stays behind
+    # exactalg's general RatFunc arithmetic
     names = {
         name
         for name, tree in _trees()
@@ -116,6 +117,22 @@ def test_only_exactalg_names_poly_gcd():
         if "poly_gcd" in (
             getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
         )
+    }
+    assert names == set()
+
+
+def test_deformed_and_oracle_take_no_long_division():
+    # a key divides along its fibres (``deformed._divide_keys``): neither
+    # module reaches exactalg's sparse long division
+    names = {
+        (name, found)
+        for name, tree in _trees()
+        if name in ("deformed.py", "oracle.py")
+        for node in ast.walk(tree)
+        for found in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+        )
+        if found in ("try_exact_div", "poly_exact_div")
     }
     assert names == set()
 
