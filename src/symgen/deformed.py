@@ -75,7 +75,7 @@ from .exactalg import (
     cyclotomic_poly,
     euler_phi,
 )
-from .partitions import EMPTY, Partition, is_hook, partitions_of, stats, union
+from .partitions import EMPTY, Partition, is_hook, partitions_of, stats, union, z_of
 from .symfunc import SymFunc, _basis_to_p, _class_values, p_expansion, to_basis
 from .tabloids import SizeMismatch
 
@@ -91,7 +91,7 @@ def phi_factorial(r: int) -> Poly:
 @lru_cache(maxsize=None)
 def _p_norm(nu: Partition, kind: str = "t") -> RatFunc:
     """<p_nu, p_nu>_*: z_nu prod 1/(1-t^i), or z_nu prod (1-q^i)/(1-t^i)."""
-    num, den = Poly.const(stats(nu).z), P_ONE
+    num, den = Poly.const(z_of(nu)), P_ONE
     for part in nu:
         den = den * (P_ONE - Poly.t(part))
         if kind == "qt":
@@ -129,7 +129,7 @@ def polynomial_p_coordinates(form) -> tuple[KeyQuotient, dict]:
     acc: dict = {}
     for lam, num in x.coeffs.items():
         for nu, c in _class_values(x.basis, lam):
-            share = shares.get(nu) or shares.setdefault(nu, scale // stats(nu).z)
+            share = shares.get(nu) or shares.setdefault(nu, scale // z_of(nu))
             terms = acc.setdefault(nu, {})
             weight = c * share
             for term, v in num.terms.items():
@@ -585,12 +585,12 @@ def _skew_hl_coordinates(lam: Partition, mu: Partition, gammas) -> tuple:
     ]
     coords = {}
     for gamma in gammas:
-        z_gamma, total = stats(gamma).z, P_ZERO
+        z_gamma, total = z_of(gamma), P_ZERO
         for beta, cy in weighted:
             alpha = union(beta, gamma)
             cx = x.get(alpha)
             if cx is not None:
-                total = total + cx * cy * (stats(alpha).z // z_gamma)
+                total = total + cx * cy * (z_of(alpha) // z_gamma)
         coords[gamma] = total
     return d_lam * d_mu * _binomial_quotient(1, (0, 0), phi, []), coords
 

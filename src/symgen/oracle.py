@@ -8,12 +8,16 @@ a field, +-1 over Z).  Every ring takes one route: products are convolved in
 the power-sum basis, so none of the closed forms under test participate, and
 then taken to the monomial basis by the integer p -> m matrix that
 ``symfunc`` counts, each column read off its memo (``_p_in_m``) as a sparse
-map.  Each product u_lam is u_{lam_1} times the memoized
-u_{lam minus lam_1}; ``verdict`` keeps one memo of elements and products
-across all its degrees, so each u_k is built once, ``inner`` included.
+map.  Coordinates, products and columns key a partition nu by its
+multiplicity code (``partitions.code``: 8 bits per part size, a part that
+occurs 256 times or more refused with ValueError), so the index of a
+product is the sum of its factors' codes.  Each product u_lam is u_{lam_1}
+times the memoized u_{lam minus lam_1}; ``verdict`` keeps one memo of
+elements and products across all its degrees, so each u_k is built once,
+``inner`` included.
 
-Every element travels as one pair (D, {nu: D [p_nu] u}), with D chosen so
-that the coordinates need no fraction (``_p_coordinates``):
+Every element travels as one pair (D, {code(nu): D [p_nu] u}), with D
+chosen so that the coordinates need no fraction (``_p_coordinates``):
 
 * a classical family's degree-k element has D = k!.  Its coordinates are
   its integer class values <b_lam, p_nu> (``symfunc._class_values``) times
@@ -33,11 +37,10 @@ that the coordinates need no fraction (``_p_coordinates``):
 
 A product is the convolution of its factors' coordinates over the product
 of their D, and a row of m-entries is the product's row times the p -> m
-matrix.  A classical row is divided by its D in one pass that skips its
-zeros, each an exact integer quotient (a remainder raises ``ValueError``),
-and at D = 1 the row is the values themselves.  A key-count D is never
-divided entry by entry: the row stays its numerators, and the determinant
-divides once.  No rational-function arithmetic and no gcd is taken on the
+matrix.  A classical row is divided by its D in one checked pass: D must
+divide the gcd of the row (a remainder raises ``ValueError``), and at D = 1
+the row is the values themselves.  A key-count D is never divided entry by
+entry: the row stays its numerators, and the determinant divides once.  No rational-function arithmetic and no gcd is taken on the
 way.
 
 A specialization under which some u_k does not exist (a vanishing
@@ -85,12 +88,13 @@ from .partitions import (
     EMPTY,
     Partition,
     SkewPartition,
+    code,
     column_separated,
     contains,
     format_partition,
     is_ribbon,
     partitions_of,
-    stats,
+    z_of,
 )
 from .symfunc import SymFunc, _class_values, _p_convolve, _p_in_m
 
@@ -345,8 +349,8 @@ def _exact_quotient(num: int, den: int) -> int:
 
 
 def _p_coordinates(spec: FamilySpec, u) -> tuple:
-    """u as the pair (D, {nu: D [p_nu] u}) of the module docstring.  At a
-    specialization a form's coefficients that vanish at the point are
+    """u as the pair (D, {code(nu): D [p_nu] u}) of the module docstring.
+    At a specialization a form's coefficients that vanish at the point are
     dropped (most of q-Whittaker's at a root of unity), and its polynomial
     coordinates are evaluated once each and taken over D's value inverted:
     its integer scale as a rational (coefficient-wise on a residue), and
@@ -363,18 +367,20 @@ def _p_coordinates(spec: FamilySpec, u) -> tuple:
         if any(den.count.values()):
             inverted = Counter({key: -mult for key, mult in den.count.items()})
             inverse = spz.apply(KeyQuotient(1, (0, 0), inverted)) * inverse
-        return 1, {nu: v for nu, c in coords.items() if (v := spz.evaluate(c) * inverse)}
+        return 1, {code(nu): v for nu, c in coords.items() if (v := spz.evaluate(c) * inverse)}
     if spec.definition.deformation:
-        return polynomial_p_coordinates(u)
+        den, coords = polynomial_p_coordinates(u)
+        return den, {code(nu): c for nu, c in coords.items()}
     scale = factorial(u.degree())
     coords: dict = {}
     for lam, c in u.coeffs.items():
         # k! [p_nu] b_lam: k! for p_lam, else <b_lam, p_nu> (k!/z_nu)
         weights = ((lam, scale),) if u.basis == "p" else (
-            (nu, v * (scale // stats(nu).z)) for nu, v in _class_values(u.basis, lam)
+            (nu, v * (scale // z_of(nu))) for nu, v in _class_values(u.basis, lam)
         )
         for nu, weight in weights:
-            coords[nu] = coords.get(nu, 0) + _exact_quotient(c.numerator * weight, c.denominator)
+            key = code(nu)
+            coords[key] = coords.get(key, 0) + _exact_quotient(c.numerator * weight, c.denominator)
     return scale, coords
 
 
@@ -386,9 +392,12 @@ def _divided(value, scale):
 
 
 def _zero(spec: FamilySpec):
-    """The coordinates' zero: 0 for ints and polynomials, else the
+    """The coordinates' zero: 0 for a classical family's ints, P_ZERO for a
+    deformed family's polynomials over its generic field, else the
     specialized field's zero."""
-    return 0 if spec.specialization is None else spec.coeff_ring.zero
+    if spec.specialization is not None:
+        return spec.coeff_ring.zero
+    return P_ZERO if spec.definition.deformation else 0
 
 
 def _product(spec: FamilySpec, seq, lam: tuple, memo: dict) -> tuple:
@@ -431,21 +440,27 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
     if memo is None:
         memo = {}
     order = partitions_of(n)
-    index = {kappa: j for j, kappa in enumerate(order)}
-    # column nu of the p -> m matrix, as (row, entry) pairs for its nonzeros
-    cols = [[(index[kappa], r) for kappa, r in _p_in_m(nu).items()] for nu in order]
+    codes = [code(kappa) for kappa in order]
+    index = {key: j for j, key in enumerate(codes)}
+    # column nu of the p -> m matrix, by nu's code, as (row, entry) pairs for
+    # its nonzeros
+    cols = {
+        key: [(index[kappa], r) for kappa, r in _p_in_m(nu).items()]
+        for nu, key in zip(order, codes)
+    }
     rows, denominators = [], []
     for lam in order:
         scale, coords = _product(spec, seq, lam, memo)
         row = [zero] * len(order)
-        for nu, col in zip(order, cols):
-            c = coords.get(nu)
-            if c is not None:
-                for j, r in col:
-                    row[j] = row[j] + c * r
+        for nu, c in coords.items():
+            for j, r in cols[nu]:
+                row[j] = row[j] + c * r
         kept = isinstance(scale, KeyQuotient)
-        if not kept and scale != 1:  # a classical row: exact, zeros skipped
-            row = [_exact_quotient(v, scale) if v else 0 for v in row]
+        if not kept and scale != 1:  # a classical row: D divides its gcd
+            if gcd(*row) % scale:
+                for v in row:
+                    _exact_quotient(v, scale)  # raises at the first remainder
+            row = [v // scale for v in row]
         rows.append(tuple(row))
         denominators.append(scale if kept else None)
     return DegreeMatrix(
@@ -461,7 +476,7 @@ def recomputed_inner(spec: FamilySpec, seq, n: int, memo: dict):
     """<u_n, p_n> by full expansion of the constructed element (no closed
     forms): n times the coefficient of p_(n) in u_n's pair in ``memo``."""
     scale, coords = _product(spec, seq, (n,), memo)
-    return _divided(coords.get(Partition((n,)), _zero(spec)) * n, scale)
+    return _divided(coords.get(code((n,)), _zero(spec)) * n, scale)
 
 
 def verdict(spec: FamilySpec, seq, max_degree: int) -> list[dict]:

@@ -3,14 +3,24 @@
 Partitions are immutable tuples of weakly decreasing positive integers and
 serve as the index type for everything else in the package.  The text format
 is ``[3,1,1]`` (empty: ``[]``), skew pairs render as ``[3,1]/[1]``.
+
+The power-sum side (``symfunc``'s p -> m columns and products, ``oracle``'s
+coordinates) indexes a partition by one integer instead, its multiplicity
+code sum_p m_p(lam) 2^(8p) (``code``, ``decode``): slot p, bits 8p to 8p + 7,
+holds the number of parts equal to p.  The union of two part multisets is
+the sum of their codes, and raising one part s to s + r moves one count from
+slot s to slot s + r.  A slot holds 0..255: ``code`` refuses a part that
+occurs 256 times or more, and ``refuse_carry`` a sum of codes that would
+carry into the next slot, each with ValueError.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, reduce
+from operator import or_
 
 
 class NotARibbon(ValueError):
@@ -118,12 +128,14 @@ def parse_skew(text: str) -> SkewPartition:
 
 @lru_cache(maxsize=None)
 def _partitions_bounded(n: int, max_part: int) -> tuple[Partition, ...]:
+    """The partitions of n with parts at most max_part, each built as a
+    Partition without validation: its parts decrease by construction."""
     if n == 0:
         return (EMPTY,)
     out = []
     for first in range(min(n, max_part), 0, -1):
         for rest in _partitions_bounded(n - first, first):
-            out.append(Partition((first,) + tuple(rest)))
+            out.append(tuple.__new__(Partition, (first,) + rest))
     return tuple(out)
 
 
@@ -137,9 +149,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 def stats(lam: Partition) -> PartitionStats:
     lam = Partition(lam)
     mult = lam.multiplicities()
-    z = 1
-    for part, m in mult.items():
-        z *= part**m * factorial(m)
+    z = z_of(lam)
     n_lam = sum(i * p for i, p in enumerate(lam))
     n_conj = sum(p * (p - 1) // 2 for p in lam)
     return PartitionStats(
@@ -155,6 +165,17 @@ def stats(lam: Partition) -> PartitionStats:
 def eps_of(lam) -> int:
     lam = tuple(lam)
     return (-1) ** (sum(lam) - len(lam))
+
+
+def z_of(lam) -> int:
+    """z_lam = prod_p p^m_p m_p! for a partition (equal parts adjacent): the
+    i-th copy of a part p contributes p * i, in one pass."""
+    z, previous, copies = 1, 0, 0
+    for part in lam:
+        copies = copies + 1 if part == previous else 1
+        previous = part
+        z *= part * copies
+    return z
 
 
 def refines(lam: Partition, k: int) -> bool:
@@ -186,6 +207,51 @@ def union(lam, mu) -> Partition:
     two partitions are positive integers, so their merge is built as a
     Partition without validating it again."""
     return tuple.__new__(Partition, sorted((*lam, *mu), reverse=True))
+
+
+# the largest count one 8-bit slot of a code holds
+SLOT_MAX = 255
+
+
+def code(parts) -> int:
+    """The multiplicity code sum_p m_p 2^(8p) of a partition's parts (see
+    the module docstring); ValueError for a part that occurs 256 times or
+    more, which would carry into the next slot."""
+    if len(parts) > SLOT_MAX and max(Counter(parts).values()) > SLOT_MAX:
+        raise ValueError(f"a part occurs more than {SLOT_MAX} times: no multiplicity code")
+    out = 0
+    for part in parts:
+        out += 1 << (part << 3)  # one count in slot part, at bit 8 * part
+    return out
+
+
+def _slots(c: int) -> bytes:
+    """The slots of a code, slot p at index p."""
+    return c.to_bytes((c.bit_length() + 7) >> 3, "little")
+
+
+def decode(c: int) -> Partition:
+    """The partition of a multiplicity code (``code``), parts decreasing."""
+    parts: list = []
+    for part, copies in reversed(tuple(enumerate(_slots(c)))):
+        parts += [part] * copies
+    return tuple.__new__(Partition, parts)
+
+
+def refuse_carry(left, right) -> None:
+    """ValueError if a code of ``left`` plus one of ``right`` would take
+    some multiplicity past 255, so that their sum carries into the next
+    slot.  Each slot of the bitwise or of all the codes bounds that slot of
+    every code, so when every slot of the or is below 128 (its bytes are
+    ASCII) no two slots add to 256; otherwise each pair is checked."""
+    if _slots(reduce(or_, left, 0) | reduce(or_, right, 0)).isascii():
+        return
+    for a in left:
+        for b in right:
+            if any(x + y > SLOT_MAX for x, y in zip(_slots(a), _slots(b))):
+                raise ValueError(
+                    f"a part of {decode(a)} u {decode(b)} occurs more than {SLOT_MAX} times"
+                )
 
 
 def difference(lam, mu) -> Partition | None:
@@ -285,4 +351,4 @@ def partition_count(n: int) -> int:
 
 def z_reciprocal_sum(n: int) -> Fraction:
     """sum over lam |- n of 1/z_lam (equals 1 for every n >= 0)."""
-    return sum((Fraction(1, stats(lam).z) for lam in partitions_of(n)), Fraction(0))
+    return sum((Fraction(1, z_of(lam)) for lam in partitions_of(n)), Fraction(0))

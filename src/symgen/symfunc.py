@@ -1,9 +1,12 @@
 """Symmetric functions over a pluggable coefficient field.
 
 The power-sum basis is the computational hub: products are index unions and
-the Hall inner product is diagonal there.  Every classical basis reaches p
-through one integer table, its class values <b_lam, p_nu> = z_nu [p_nu]
-b_lam (``_class_values``):
+the Hall inner product is diagonal there.  The p -> m columns and the
+products (``_p_in_m``, ``_p_convolve``) key a partition by its multiplicity
+code (``partitions.code``, 8 bits per part size), so a union of indices is
+a sum of codes, refused (ValueError) where a slot would pass 255.  Every
+classical basis reaches p through one integer table, its class values
+<b_lam, p_nu> = z_nu [p_nu] b_lam (``_class_values``):
 
 * ``s`` has the characters chi^lam(nu), by the Murnaghan-Nakayama rule on
   a bit mask of lam's beta-set (``_mn``: each part of nu moves one bead);
@@ -50,13 +53,17 @@ from math import factorial
 
 from .exactalg import RING_Q, CoeffRing, render
 from .partitions import (
+    SLOT_MAX,
     Partition,
+    code,
+    decode,
     difference,
     eps_of,
     format_partition,
     partitions_of,
-    stats,
+    refuse_carry,
     union,
+    z_of,
 )
 from .tabloids import SizeMismatch, w
 
@@ -129,12 +136,14 @@ def sym(basis: str, lam, ring: CoeffRing = RING_Q) -> SymFunc:
 # ---------------------------------------------------------------------------
 
 def _p_convolve(a: dict, b: dict) -> dict:
-    """The product of two power-sum coordinate maps {nu: c}, as
-    p_la p_lb = p_{la u lb}."""
+    """The product of two power-sum coordinate maps {code(nu): c}, as
+    p_la p_lb = p_{la u lb}: the code of a union is the sum of the codes
+    (``refuse_carry`` raises ValueError where a slot would pass 255)."""
+    refuse_carry(a, b)
     out: dict = {}
     for la, ca in a.items():
         for lb, cb in b.items():
-            key = union(la, lb)
+            key = la + lb
             prev = out.get(key)
             s = ca * cb if prev is None else prev + ca * cb
             if s:
@@ -188,7 +197,7 @@ def _class_values(basis: str, lam: Partition) -> tuple:
     at nu = lam.
     """
     if basis == "p":
-        return ((lam, stats(lam).z),)
+        return ((lam, z_of(lam)),)
     order = reversed(partitions_of(lam.size))
     if basis == "s":
         beads = len(lam)
@@ -198,7 +207,8 @@ def _class_values(basis: str, lam: Partition) -> tuple:
         el = eps_of(lam)
         return tuple((nu, eps_of(nu) * el * c) for nu in order if (c := w(nu, lam)))
     if basis == "h":
-        return tuple((nu, c) for nu in order if (c := _p_in_m(nu).get(lam)))
+        key = code(lam)
+        return tuple((nu, c) for nu in order if (c := _p_in_m(nu).get(key)))
     if basis in _OMEGA:
         return tuple((nu, eps_of(nu) * c) for nu, c in _class_values(_OMEGA[basis], lam))
     raise ValueError(f"unknown basis {basis!r}")
@@ -208,7 +218,7 @@ def _class_values(basis: str, lam: Partition) -> tuple:
 def _basis_to_p(basis: str, lam: Partition) -> tuple:
     """Power-sum expansion of one basis element, as ((nu, Fraction), ...),
     nu ascending: [p_nu] b_lam = <b_lam, p_nu> / z_nu (``_class_values``)."""
-    return tuple((nu, Fraction(c, stats(nu).z)) for nu, c in _class_values(basis, lam))
+    return tuple((nu, Fraction(c, z_of(nu))) for nu, c in _class_values(basis, lam))
 
 
 # e = omega h and f = omega m, with omega p_nu = eps_nu p_nu
@@ -221,26 +231,34 @@ _DUAL = {"h": "m", "e": "f", "f": "e", "s": "s"}
 
 @lru_cache(maxsize=None)
 def _p_in_m(nu: tuple) -> dict:
-    """Column nu of the p -> m matrix, {kappa: [m_kappa] p_nu}, kappa as
-    plain tuples.
+    """Column nu of the p -> m matrix, {code(kappa): [m_kappa] p_nu}, kappa
+    by its multiplicity code (``partitions.code``).
 
     p_nu is p_r times p_rest, r = nu_1 and rest the other parts, and
     p_r m_kappa = sum over mu of m_{s+r}(mu) m_mu, mu being kappa with one
     part s (s = 0 included) raised to s + r and m_{s+r}(mu) the number of
-    parts of mu equal to s + r (Macdonald I.6).  The column of rest has a
-    lower degree, so the memo builds each column once across degrees."""
+    parts of mu equal to s + r (Macdonald I.6).  On codes, mu moves one
+    count of kappa from slot s to slot s + r (s = 0 adds one to slot r), and
+    m_{s+r}(mu) is kappa's slot s + r plus one.  Every kappa has at most
+    len(nu) parts, so a nu of 255 parts or fewer keeps each slot within
+    its 8 bits (ValueError otherwise).  The column of rest has a lower
+    degree, so the memo builds each column once across degrees."""
     if not nu:
-        return {(): 1}
+        return {0: 1}
+    if len(nu) > SLOT_MAX:
+        raise ValueError(f"{len(nu)} parts: a multiplicity code holds at most {SLOT_MAX}")
     r = nu[0]
+    width = sum(nu) + 1  # slots 0..|nu|: s + r <= |nu| for every part s
+    new = 1 << (r << 3)  # one count in slot r
     out: dict = {}
     for kappa, c in _p_in_m(nu[1:]).items():
-        previous = None
-        for i, s in enumerate(kappa + (0,)):  # each distinct part once
-            if s == previous:
-                continue
-            previous = s
-            mu = tuple(sorted(kappa[:i] + kappa[i + 1:] + (s + r,), reverse=True))
-            out[mu] = out.get(mu, 0) + c * mu.count(s + r)
+        slots = kappa.to_bytes(width, "little")
+        mu = kappa + new
+        out[mu] = out.get(mu, 0) + c * (slots[r] + 1)
+        for s in range(1, width - r):
+            if slots[s]:
+                mu = kappa + ((new - 1) << (s << 3))  # slot s to slot s + r
+                out[mu] = out.get(mu, 0) + c * (slots[s + r] + 1)
     return out
 
 
@@ -258,7 +276,7 @@ def _basis_matrix_inverse(basis: str, n: int) -> tuple:
     order = partitions_of(n)
     if basis == "m":
         cols = [_p_in_m(nu) for nu in order]
-        return tuple(tuple(col.get(mu, 0) for col in cols) for mu in order)
+        return tuple(tuple(col.get(key, 0) for col in cols) for key in map(code, order))
     idx = {lam: i for i, lam in enumerate(order)}
     rows = []
     for mu in order:
@@ -348,11 +366,13 @@ def to_basis(x: SymFunc, target: str) -> SymFunc:
 
 
 def multiply(x: SymFunc, y: SymFunc) -> SymFunc:
-    """Product, computed on the power-sum basis (index unions)."""
+    """Product, computed on the power-sum basis (index unions, as sums of
+    multiplicity codes)."""
     ring = x.ring
     if ring.name != y.ring.name:
         raise ValueError("mixed coefficient rings in multiply")
-    return SymFunc("p", _p_convolve(p_expansion(x), p_expansion(y)), ring)
+    xp, yp = ({code(nu): c for nu, c in p_expansion(f).items()} for f in (x, y))
+    return SymFunc("p", {decode(key): c for key, c in _p_convolve(xp, yp).items()}, ring)
 
 
 def hall_inner(x: SymFunc, y: SymFunc):
@@ -365,13 +385,13 @@ def hall_inner(x: SymFunc, y: SymFunc):
     for lam, cx in xp.items():
         cy = yp.get(lam)
         if cy is not None:
-            total = total + stats(lam).z * cx * cy
+            total = total + z_of(lam) * cx * cy
     return total
 
 
 def omega(x: SymFunc) -> SymFunc:
     """The involution with p_n -> (-1)^(n-1) p_n (so h <-> e, m <-> f)."""
-    out = {lam: c * stats(lam).eps for lam, c in p_expansion(x).items()}
+    out = {lam: c * eps_of(lam) for lam, c in p_expansion(x).items()}
     return SymFunc("p", out, x.ring)
 
 
@@ -383,12 +403,12 @@ def skew_p(xp: dict, yp: dict) -> dict:
     """
     out: dict = {}
     for alpha, cx in xp.items():
-        weighted = cx * stats(alpha).z
+        weighted = cx * z_of(alpha)
         for beta, cy in yp.items():
             gamma = difference(alpha, beta)
             if gamma is not None:
                 out[gamma] = out.get(gamma, 0) + cy * weighted
-    return {gamma: c * Fraction(1, stats(gamma).z) for gamma, c in out.items() if c}
+    return {gamma: c * Fraction(1, z_of(gamma)) for gamma, c in out.items() if c}
 
 
 def pn_perp(x: SymFunc, n: int) -> SymFunc:
@@ -421,7 +441,7 @@ def skew(family: str, lam, mu) -> SymFunc:
     else:
         x = dict(_class_values(family, lam))
         scale = factorial(mu.size)
-        y = [(beta, c * (scale // stats(beta).z)) for beta, c in _class_values(family, mu)]
+        y = [(beta, c * (scale // z_of(beta))) for beta, c in _class_values(family, mu)]
         values = []
         for gamma in order:
             total = sum(c * x.get(union(beta, gamma), 0) for beta, c in y)
@@ -429,7 +449,7 @@ def skew(family: str, lam, mu) -> SymFunc:
             if remainder:
                 raise ValueError(f"non-integral class value {Fraction(total, scale)}")
             values.append((gamma, value))
-    return SymFunc("p", {gamma: Fraction(v, stats(gamma).z) for gamma, v in values if v})
+    return SymFunc("p", {gamma: Fraction(v, z_of(gamma)) for gamma, v in values if v})
 
 
 def skew_monomial_weight_sum(lam, mu, n: int) -> Fraction:
@@ -447,7 +467,7 @@ def skew_monomial_weight_sum(lam, mu, n: int) -> Fraction:
             continue
         w2 = w(union(xi, (n,)), lam)
         if w2:
-            total += Fraction(w1 * w2, stats(xi).z)
+            total += Fraction(w1 * w2, z_of(xi))
     return total
 
 

@@ -14,7 +14,10 @@ long way: h_n and e_n by the Newton recurrences, s_lam by every term of
 its Jacobi-Trudi determinant, and the characters chi^lam(nu) by the
 Murnaghan-Nakayama rule on beta-sets held as tuples.  Monomials reach the
 power sums through the domino-tabloid counts, and a skew element is the
-rational adjoint ``skew_p`` applied to those expansions.  The tableau sums of the deformed families are
+rational adjoint ``skew_p`` applied to those expansions.  Power sums
+multiply by sorted unions of their parts (``p_convolve_by_union``), and the
+p -> m columns grow by the same recurrence as the engine's, on sorted
+tuples instead of multiplicity codes (``p_in_m_by_sorting``).  The tableau sums of the deformed families are
 grown over every shape of each degree, not only inside the shape built.
 """
 
@@ -37,7 +40,7 @@ from symgen.exactalg import (
     try_exact_div,
 )
 from symgen.partitions import EMPTY, Partition, partitions_of, stats, union
-from symgen.symfunc import SymFunc, _p_convolve, skew_p
+from symgen.symfunc import SymFunc, skew_p
 from symgen.tabloids import w
 
 
@@ -166,6 +169,51 @@ def jacobi_trudi_unpruned(lam):
     return tuple((key, c) for key, c in acc.items() if c)
 
 
+def p_convolve_by_union(a: dict, b: dict) -> dict:
+    """The product of two power-sum maps {nu: c}, p_la p_lb = p_{la u lb},
+    each key the sorted union of the parts."""
+    out: dict = {}
+    for la, ca in a.items():
+        for lb, cb in b.items():
+            key = union(la, lb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def p_in_m_by_sorting(nu: tuple) -> dict:
+    """Column nu of the p -> m matrix, {kappa: [m_kappa] p_nu} with kappa a
+    plain tuple: p_r m_kappa sums m_{s+r}(mu) m_mu over the mu that raise
+    one part s of kappa (s = 0 included) to s + r, each mu sorted and its
+    multiplicity counted (Macdonald I.6)."""
+    if not nu:
+        return {(): 1}
+    r = nu[0]
+    out: dict = {}
+    for kappa, c in p_in_m_by_sorting(nu[1:]).items():
+        for s in set(kappa) | {0}:
+            i = kappa.index(s) if s else len(kappa)
+            mu = tuple(sorted(kappa[:i] + kappa[i + 1:] + (s + r,), reverse=True))
+            out[mu] = out.get(mu, 0) + c * mu.count(s + r)
+    return out
+
+
+def p_in_m_by_placement(nu: tuple) -> dict:
+    """Column nu of the p -> m matrix by brute force: [m_kappa] p_nu counts
+    the ways to drop the parts of nu into the rows of kappa so that each row
+    fills exactly, found among all len(nu)^len(nu) placements as those whose
+    row sums are kappa followed by empty rows."""
+    out: dict = {}
+    for rows in product(range(len(nu)), repeat=len(nu)):
+        sums = [0] * len(nu)
+        for part, row in zip(nu, rows):
+            sums[row] += part
+        if all(a >= b for a, b in zip(sums, sums[1:])):
+            kappa = tuple(x for x in sums if x)
+            out[kappa] = out.get(kappa, 0) + 1
+    return out
+
+
 def newton_row(n, sign=1):
     """h_n (sign 1) or e_n (sign -1) on the power sums, as {nu: Fraction},
     by the Newton recurrence n u_n = sum_r sign^(r-1) p_r u_{n-r}."""
@@ -234,7 +282,7 @@ def p_expansion_by_reference(basis: str, lam) -> dict:
         return {nu: stats(nu).eps * c for nu, c in m_to_p(lam).items()}
     out = {EMPTY: Fraction(1)}
     for part in lam:
-        out = _p_convolve(out, newton_row(part, 1 if basis == "h" else -1))
+        out = p_convolve_by_union(out, newton_row(part, 1 if basis == "h" else -1))
     return out
 
 

@@ -49,6 +49,7 @@ from symgen.oracle import (
 from symgen.partitions import (
     EMPTY,
     Partition,
+    decode,
     partitions_of,
 )
 from symgen.symfunc import SymFunc, hall_inner, multiply, sym, to_basis
@@ -639,6 +640,27 @@ def test_recomputed_inner_matches_closed_value():
             assert got == want
 
 
+def test_generic_field_coordinates_have_a_polynomial_zero(monkeypatch):
+    # [p_4] S_(2,2) = 0 over Q(t): the recomputed inner product at n = 4
+    # reads the zero of the polynomial coordinates, and hands the key
+    # division a Poly, as every numerator of the matrix is
+    spec = FamilySpec("big-S", "Qt")
+    seq = seq_of((1,), (2,), (2, 1), (2, 2))
+    memo = {}
+    matrix = degree_matrix(spec, seq, 4, memo)
+    assert {type(v) for row in matrix.numerators for v in row} == {Poly}
+    divided = []
+    divide = deformed.KeyQuotient.divide
+
+    def recorded(self, num):
+        divided.append(num)
+        return divide(self, num)
+
+    monkeypatch.setattr(deformed.KeyQuotient, "divide", recorded)
+    assert render_value(recomputed_inner(spec, seq, 4, memo)) == "(0)"
+    assert [type(v) for v in divided] == [Poly]
+
+
 # ---------------------------------------------------------------------------
 # verdict records and the generation lemma
 # ---------------------------------------------------------------------------
@@ -690,7 +712,7 @@ def test_specialized_family_element_at_root():
     direct = symfunc.p_expansion(
         specialize_coeffs(deformed.hl_P((2, 1)), Specialization.at_value(-1))
     )
-    assert direct and {nu: c.as_fraction() for nu, c in coords.items()} == direct
+    assert direct and {decode(nu): c.as_fraction() for nu, c in coords.items()} == direct
 
 
 def test_xi_equals_one_adjudication():

@@ -10,8 +10,10 @@ from symgen.partitions import (
     NotARibbon,
     Partition,
     SkewPartition,
+    code,
     column_separated,
     contains,
+    decode,
     difference,
     eps_of,
     format_partition,
@@ -26,6 +28,7 @@ from symgen.partitions import (
     ribbon_height,
     stats,
     union,
+    z_of,
     z_reciprocal_sum,
 )
 
@@ -67,6 +70,9 @@ def test_enumeration_order_and_counts():
     for n in range(13):
         assert len(partitions_of(n)) == partition_count(n)
         assert len(set(partitions_of(n))) == len(partitions_of(n))
+        # built without validation, each is what validation would build
+        for lam in partitions_of(n):
+            assert type(lam) is Partition and Partition(tuple(lam)) == lam
 
 
 def test_stats_examples():
@@ -138,6 +144,32 @@ def test_union_is_the_validated_merge(a, b):
     merged = union(a, b)
     assert type(merged) is Partition
     assert merged == Partition(sorted(a + b, reverse=True))
+
+
+@given(_parts, _parts)
+def test_code_of_a_union_is_the_sum_of_codes(a, b):
+    assert code(union(a, b)) == code(a) + code(b)
+    assert decode(code(a)) == a
+    assert type(decode(code(a))) is Partition
+
+
+def test_code_refuses_a_multiplicity_of_256():
+    # slot p holds m_p(lam) in 8 bits: 255 copies fit, a 256th never
+    # carries into the slot of p + 1
+    assert code((2,) * 255) == 255 << 16
+    assert decode(code((3,) + (2,) * 255)) == Partition((3,) + (2,) * 255)
+    with pytest.raises(ValueError, match="more than 255"):
+        code((2,) * 256)
+    with pytest.raises(ValueError, match="more than 255"):
+        code((5,) + (1,) * 256)
+    assert code((2,) * 128 + (1,) * 128) == (128 << 16) + (128 << 8)
+
+
+def test_z_of_matches_stats():
+    for n in range(12):
+        for lam in partitions_of(n):
+            assert z_of(lam) == stats(lam).z
+    assert z_of(Partition((3, 3, 1, 1, 1))) == 3**2 * 2 * 1**3 * 6
 
 
 @given(_parts, _parts)

@@ -4,7 +4,8 @@ reaches into ``deformed``'s private names, none calls ``det_gauss``, only
 ``DegreeMatrix.det`` and ``det_polynomial`` call ``det_bareiss``, only
 ``exactalg`` calls a ring constructor, only ``exactalg`` names
 ``poly_gcd``, neither ``deformed`` nor ``oracle`` names a long division,
-and ``oracle`` takes one element route."""
+``oracle`` takes one element route, and the power-sum products and p -> m
+columns index partitions by multiplicity codes, with no sorted union."""
 
 import ast
 import sys
@@ -165,3 +166,32 @@ def test_oracle_reads_classical_elements_off_their_class_values():
         )
     } & {"p_expansion", "_basis_to_p"}
     assert named == set()
+
+
+def test_power_sum_products_take_no_sorted_union():
+    # a product's index is the sum of its factors' multiplicity codes, and
+    # p_r m_kappa moves one count between slots: neither the p -> m columns
+    # nor a product sorts parts or merges them
+    trees = dict(_trees())
+    wanted = {
+        ("symfunc.py", "_p_in_m"),
+        ("symfunc.py", "_p_convolve"),
+        ("oracle.py", "_product"),
+        ("oracle.py", "degree_matrix"),
+    }
+    found = {
+        (name, function): node
+        for name, function in wanted
+        for function_name, node in _functions(trees[name])
+        if function_name == function
+    }
+    assert set(found) == wanted
+    calls = {
+        (key, called)
+        for key, node in found.items()
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        for called in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        if called in ("union", "sorted", "sort")
+    }
+    assert calls == set()

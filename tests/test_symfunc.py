@@ -6,6 +6,8 @@ from symgen.partitions import (
     EMPTY,
     Partition,
     SkewPartition,
+    code,
+    decode,
     is_hook,
     is_ribbon,
     partitions_of,
@@ -37,6 +39,9 @@ from exact_reference import (
     character,
     jacobi_trudi_unpruned,
     newton_row,
+    p_convolve_by_union,
+    p_in_m_by_placement,
+    p_in_m_by_sorting,
     skew_by_adjoint,
 )
 
@@ -419,14 +424,14 @@ def test_skew_refuses_a_non_integral_class_value(monkeypatch):
 
 
 def test_h_and_e_rows_match_newton_recurrence():
-    from symgen.symfunc import _basis_to_p, _p_convolve
+    from symgen.symfunc import _basis_to_p
 
     for n in range(11):
         for lam in partitions_of(n):
             for basis, sign in (("h", 1), ("e", -1)):
                 want = {EMPTY: Fraction(1)}
                 for part in lam:
-                    want = _p_convolve(want, newton_row(part, sign))
+                    want = p_convolve_by_union(want, newton_row(part, sign))
                 assert _basis_to_p(basis, lam) == tuple(sorted(want.items())), (basis, lam)
 
 
@@ -436,6 +441,57 @@ def test_one_row_and_one_column_schur():
     for n in range(15):
         assert _basis_to_p("s", P(n)) == _basis_to_p("h", P(n)), n
         assert _basis_to_p("s", P(*[1] * n)) == _basis_to_p("e", P(n)), n
+
+
+def test_p_in_m_columns_match_the_sorted_recurrence():
+    # the code-keyed columns decode to the sorted-tuple recurrence's for
+    # every nu |- k <= 10, and to a brute-force count of the ways to drop
+    # the parts of nu into the rows of kappa for k <= 6
+    from symgen.symfunc import _p_in_m
+
+    for k in range(11):
+        for nu in partitions_of(k):
+            got = {decode(key): c for key, c in _p_in_m(tuple(nu)).items()}
+            assert got == p_in_m_by_sorting(tuple(nu)), nu
+            if k <= 6:
+                assert got == p_in_m_by_placement(tuple(nu)), nu
+
+
+def test_p_convolve_matches_the_union_convolution():
+    from symgen.symfunc import _p_convolve
+
+    rows = [newton_row(n, sign) for n in range(5) for sign in (1, -1)]
+    for a in rows:
+        for b in rows:
+            coded = [{code(nu): c for nu, c in row.items()} for row in (a, b)]
+            got = {decode(key): c for key, c in _p_convolve(*coded).items()}
+            assert got == p_convolve_by_union(a, b)
+
+
+def test_p_convolve_refuses_a_carry():
+    # a slot holds 255 parts: one more raises instead of carrying into the
+    # slot of the next part size
+    from symgen.symfunc import _p_convolve
+
+    ones = {code((1,) * 200): 1}
+    assert _p_convolve(ones, {code((1,) * 55): 2}) == {code((1,) * 255): 2}
+    with pytest.raises(ValueError, match="more than 255"):
+        _p_convolve(ones, {code((1,) * 56): 1})
+    # a slot of the codes' bitwise or passes 127, so each pair is checked,
+    # and no single sum carries
+    twos = {code((2,) * 100): 3, code((1,) * 50): 1}
+    got = _p_convolve(ones, twos)
+    assert {decode(key): c for key, c in got.items()} == {
+        P(*[2] * 100, *[1] * 200): 3,
+        P(*[1] * 250): 1,
+    }
+
+
+def test_p_in_m_refuses_256_parts():
+    from symgen.symfunc import _p_in_m
+
+    with pytest.raises(ValueError, match="at most 255"):
+        _p_in_m((1,) * 256)
 
 
 def test_schur_expansions_take_no_jacobi_trudi_and_no_h_products(monkeypatch):
