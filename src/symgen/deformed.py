@@ -49,6 +49,19 @@ each key of a denominator D as often as it goes (``_divide_keys``) reduces
 a quotient (``KeyQuotient.divide``); every D the engine builds is a count.
 A closed form stays a key count until it is used: over Q(t) or Q(q,t) it is
 multiplied out once; at a specialization each key is evaluated once.
+
+Multiplying keys out (``_key_product``) is Kronecker substitution: q^a t^b
+goes to X^(a S + b) with S = sum deg_t(H) m + 1 over the keys H counted m
+times, which exceeds the t-degree of the product, and X = 2^B.  Every
+coefficient of prod H^m is at most prod |H|_1^m in absolute value (|H|_1
+the sum of the absolute values of H's coefficients), so with B - 1 at
+least the bit length of that bound each coefficient c has c + 2^(B-1) in
+[1, 2^B - 1].  Each key is packed into one integer, raised with the integer
+power and multiplied with the others; adding 2^(B-1) to every slot leaves
+no borrow between slots, so the biased product's bytes, B/8 per slot (B is
+rounded up to whole bytes), are read off in one pass; a monomial factor,
+the one of a closed form, shifts the exponents read.  A lone key counted
+once is multiplied as it is.
 """
 
 from __future__ import annotations
@@ -71,8 +84,8 @@ from .exactalg import (
     CoeffRing,
     RatFunc,
     Specialization,
+    _phi_dense,
     _phi_divmod,
-    cyclotomic_poly,
     euler_phi,
 )
 from .partitions import EMPTY, Partition, is_hook, partitions_of, stats, union, z_of
@@ -165,15 +178,27 @@ def _binomial_keys(binomial) -> tuple[int, tuple]:
 
 
 @lru_cache(maxsize=None)
+def _key_shape(key: tuple) -> tuple:
+    """(deg_q, deg_t, |H|_1, ((a, b, c), ...)) for the key (d, P, N) and its
+    polynomial H = H_d(P, N) = N^phi(d) Phi_d(P/N), the monomials P and N
+    given as exponent pairs (deg_q, deg_t): H's degrees, the sum of the
+    absolute values of its coefficients, and its terms c q^a t^b.  The
+    degrees are those of the terms N^phi(d) and P^phi(d), as Phi_d is monic
+    with constant term +-1."""
+    d, pos, neg = key
+    dense = _phi_dense(d)
+    top = len(dense) - 1
+    terms = tuple(
+        (k * pos[0] + (top - k) * neg[0], k * pos[1] + (top - k) * neg[1], c)
+        for k, c in enumerate(dense) if c
+    )
+    return top * max(pos[0], neg[0]), top * max(pos[1], neg[1]), sum(map(abs, dense)), terms
+
+
+@lru_cache(maxsize=None)
 def _cyclotomic_factor(d: int, pos: tuple, neg: tuple) -> Poly:
-    """H_d(P, N) = N^phi(d) Phi_d(P/N), with the monomials P and N given as
-    exponent pairs (deg_q, deg_t)."""
-    phi = cyclotomic_poly(d)
-    top = phi.deg_t()
-    return Poly({
-        (k * pos[0] + (top - k) * neg[0], k * pos[1] + (top - k) * neg[1]): c
-        for (_, k), c in phi.terms.items()
-    })
+    """H_d(P, N) as a Poly (``_key_shape``)."""
+    return Poly({(a, b): c for a, b, c in _key_shape((d, pos, neg))[3]})
 
 
 def _binomial_count(num_binomials, den_binomials) -> tuple[int, Counter]:
@@ -190,11 +215,41 @@ def _binomial_count(num_binomials, den_binomials) -> tuple[int, Counter]:
 
 
 def _key_product(count: Counter, out: Poly = P_ONE) -> Poly:
-    """out * prod H_key^count[key] over the keys counted positive."""
-    for key, mult in count.items():
-        if mult > 0:
-            out = out * _cyclotomic_factor(*key) ** mult
-    return out
+    """out * prod H_key^count[key] over the keys counted positive, the keys
+    multiplied as one big integer (Kronecker substitution, module docstring).
+    A monomial out shifts and scales the decoded terms; any other multiplies
+    the product as a Poly."""
+    factors = [(key, mult) for key, mult in count.items() if mult > 0]
+    if not factors:
+        return out
+    if len(factors) == 1 and factors[0][1] == 1:
+        return out * _cyclotomic_factor(*factors[0][0])
+    factors = [(_key_shape(key), mult) for key, mult in factors]
+    span, bound, top_q = 1, 1, 0  # span S, the bound prod |H|_1^m, the q-degree
+    for (deg_q, deg_t, norm, _), mult in factors:
+        span += deg_t * mult
+        top_q += deg_q * mult
+        bound *= norm ** mult
+    width = bound.bit_length() // 8 + 1  # bytes per slot: 2^(8 width - 1) > bound
+    bits = 8 * width
+    packed = 1
+    for (_, _, _, terms), mult in factors:
+        packed *= sum(c << bits * (a * span + b) for a, b, c in terms) ** mult
+    # every slot c + 2^(bits-1) lies in [1, 2^bits - 1]: no borrow crosses a slot
+    slots = (top_q + 1) * span
+    half = bytes(width - 1) + b"\x80"
+    raw = (packed + int.from_bytes(half * slots, "little")).to_bytes(width * slots, "little")
+    offset = 1 << bits - 1
+    monomial = len(out.terms) == 1
+    (da, db), scale = next(iter(out.terms.items())) if monomial else ((0, 0), 1)
+    terms = {}
+    for k in range(slots):
+        chunk = raw[k * width:(k + 1) * width]
+        if chunk != half:
+            a, b = divmod(k, span)
+            terms[a + da, b + db] = (int.from_bytes(chunk, "little") - offset) * scale
+    keys = Poly(terms)
+    return keys if monomial else out * keys
 
 
 def _fibre_quotient(f: Poly, d: int, pos: tuple, neg: tuple):

@@ -455,20 +455,22 @@ def skew(family: str, lam, mu) -> SymFunc:
 def skew_monomial_weight_sum(lam, mu, n: int) -> Fraction:
     """The z-weighted tabloid sum sum_xi w(xi,mu) w(xi+(n),lam) / z_xi.
 
-    A priori rational; provably a nonnegative integer.
+    A priori rational; provably a nonnegative integer.  Summed in integers,
+    each term times k!/z_xi (z_xi divides k! = |mu|!), and divided by k!
+    once.
     """
     lam, mu = Partition(lam), Partition(mu)
     if lam.size != mu.size + n:
         raise SizeMismatch(f"|{lam}| != |{mu}| + {n}")
-    total = Fraction(0)
+    scale, total = factorial(mu.size), 0
     for xi in partitions_of(mu.size):
         w1 = w(xi, mu)
         if not w1:
             continue
         w2 = w(union(xi, (n,)), lam)
         if w2:
-            total += Fraction(w1 * w2, z_of(xi))
-    return total
+            total += w1 * w2 * (scale // z_of(xi))
+    return Fraction(total, scale)
 
 
 def skew_monomial_pn_inner(lam, mu, n: int) -> Fraction:

@@ -17,8 +17,12 @@ power sums through the domino-tabloid counts, and a skew element is the
 rational adjoint ``skew_p`` applied to those expansions.  Power sums
 multiply by sorted unions of their parts (``p_convolve_by_union``), and the
 p -> m columns grow by the same recurrence as the engine's, on sorted
-tuples instead of multiplicity codes (``p_in_m_by_sorting``).  The tableau sums of the deformed families are
-grown over every shape of each degree, not only inside the shape built.
+tuples instead of multiplicity codes (``p_in_m_by_sorting``), and the
+domino-tabloid weights are counted with the dominoes left as a tuple
+(``w_by_tuples``).  The tableau sums of the deformed families are grown
+over every shape of each degree, not only inside the shape built, and the
+key polynomials are multiplied one ``Poly`` product at a time
+(``key_product_by_dicts``), not packed into one integer.
 """
 
 from collections import Counter
@@ -26,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from symgen.deformed import _key_product, _strip_factor
+from symgen.deformed import _cyclotomic_factor, _strip_factor
 from symgen.exactalg import (
     P_ONE,
     P_ZERO,
@@ -41,7 +45,6 @@ from symgen.exactalg import (
 )
 from symgen.partitions import EMPTY, Partition, partitions_of, stats, union
 from symgen.symfunc import SymFunc, skew_p
-from symgen.tabloids import w
 
 
 def specialized_by_expansion(spec, lam, mu, n):
@@ -71,7 +74,51 @@ def specialized_by_expansion(spec, lam, mu, n):
 def key_denominator(den) -> Poly:
     """The polynomial a key-count denominator (``deformed.KeyQuotient``)
     stands for, multiplied out."""
-    return Poly.const(den.scale) * _key_product(den.count, Poly({den.monomial: 1}))
+    return Poly.const(den.scale) * key_product_by_dicts(den.count, Poly({den.monomial: 1}))
+
+
+def key_product_by_dicts(count, out: Poly = P_ONE) -> Poly:
+    """out * prod H_key^count[key] over the keys counted positive, one
+    ``Poly`` product per key (the engine packs them into one integer)."""
+    for key, mult in count.items():
+        if mult > 0:
+            out = out * _cyclotomic_factor(*key) ** mult
+    return out
+
+
+def _remove(avail: tuple, value: int) -> tuple:
+    out = list(avail)
+    out.remove(value)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _w_rows_by_tuples(rows: tuple, avail: tuple) -> int:
+    if not rows:
+        return 1 if not avail else 0
+    total = 0
+    for a in sorted(set(avail), reverse=True):
+        if a <= rows[0]:
+            total += a * _w_fill_by_tuples(rows[0] - a, _remove(avail, a), rows[1:])
+    return total
+
+
+@lru_cache(maxsize=None)
+def _w_fill_by_tuples(rem: int, avail: tuple, rows: tuple) -> int:
+    if rem == 0:
+        return _w_rows_by_tuples(rows, avail)
+    total = 0
+    for b in sorted(set(avail), reverse=True):
+        if b <= rem:
+            total += _w_fill_by_tuples(rem - b, _remove(avail, b), rows)
+    return total
+
+
+def w_by_tuples(shape, typ) -> int:
+    """The domino-tabloid weight sum w(shape, typ), the remaining dominoes
+    held as a sorted tuple and removed with ``list.remove`` (the engine
+    keys its memo by the type's multiplicity code)."""
+    return _w_rows_by_tuples(tuple(shape), tuple(typ))
 
 
 def ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:
@@ -261,7 +308,7 @@ def m_to_p(lam) -> dict:
     el = stats(lam).eps
     out = {}
     for nu in partitions_of(lam.size):
-        if weight := w(nu, lam):
+        if weight := w_by_tuples(nu, lam):
             st = stats(nu)
             out[nu] = Fraction(st.eps * el * weight, st.z)
     return out
@@ -319,6 +366,6 @@ def tableau_states_unpruned(content: tuple, kind: str) -> dict:
         lcm: Counter = Counter()
         for _, (_, count) in terms:
             lcm |= -count
-        total = sum((c * s * _key_product(count + lcm) for c, (s, count) in terms), P_ZERO)
-        out[lam] = poly_exact_div(total, _key_product(lcm)) if lcm else total
+        total = sum((c * s * key_product_by_dicts(count + lcm) for c, (s, count) in terms), P_ZERO)
+        out[lam] = poly_exact_div(total, key_product_by_dicts(lcm)) if lcm else total
     return out

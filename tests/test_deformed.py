@@ -74,6 +74,7 @@ from exact_reference import (
     cyclotomic_multiplicity,
     jacobi_trudi_unpruned,
     key_denominator,
+    key_product_by_dicts,
     ratfunc_subs,
     ratfunc_subs_q_to_t,
     tableau_states_unpruned,
@@ -695,6 +696,54 @@ def test_divide_keys_matches_long_division(d, direction, factors, perturb, mult)
     got, got_left = _divide_keys(polys, Counter({key: mult}))
     assert (got, got_left) == (want, Counter({key: left}))
     assert all(min(term) >= 0 for f in got for term in f.terms)
+
+
+# keys over every direction of KEY_DIRECTIONS, the bivariate ones included
+_packed_keys = st.tuples(st.integers(1, 12), st.sampled_from(KEY_DIRECTIONS)).map(
+    lambda drawn: (drawn[0], *drawn[1])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(_packed_keys, st.integers(-1, 4), max_size=6),
+    _small_polys | st.just(P_ONE),
+    st.integers(0, 6),
+)
+def test_key_product_matches_the_dict_product(count, out, power_of_one_minus_t):
+    # the packed product decodes every coefficient and its sign: (1 - t)^k
+    # alternates in sign, and out may hold Fractions
+    count = Counter(count)
+    count[(1, (0, 0), (0, 1))] += power_of_one_minus_t
+    assert _key_product(count, out) == key_product_by_dicts(count, out)
+
+
+def test_key_product_decodes_signs_and_large_coefficients():
+    one_minus_t = (1, (0, 0), (0, 1))
+    for k in range(8):
+        assert _key_product(Counter({one_minus_t: k})) == (P_ONE - T) ** k
+    # (1 - t)^40 (1 + t)^40 = (1 - t^2)^40: binomial(40, 20) needs 38 bits
+    count = Counter({one_minus_t: 40, (2, (0, 0), (0, 1)): 40})
+    assert _key_product(count, Poly({(1, 0): Fraction(1, 3)})) == (
+        Poly({(1, 0): Fraction(1, 3)}) * (P_ONE - T**2) ** 40
+    )
+
+
+def test_expand_multiplies_no_key_as_a_poly(monkeypatch):
+    # the keys are multiplied as one packed integer, and the monomial of the
+    # closed form shifts the decoded terms: no Poly product is left
+    calls = []
+    original = Poly.__mul__
+
+    def counted(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    value = hl_Q_pn_keys((1,) * 16, 16).expand()
+    monkeypatch.undo()
+    assert not calls
+    assert value == hl_Q_pn_closed((1,) * 16, 16) * RatFunc.make(P_ONE - T**16)
 
 
 def test_closed_forms_take_no_gcd_or_exact_division(monkeypatch):

@@ -10,8 +10,11 @@ from symgen.partitions import (
     partitions_of,
     union,
 )
+from symgen import tabloids
 from symgen.symfunc import sym, to_basis
 from symgen.tabloids import DominoTabloid, SizeMismatch, enumerate_tabloids, w
+
+from exact_reference import w_by_tuples
 
 
 def test_enumerate_examples():
@@ -31,6 +34,30 @@ def test_w_examples():
         assert w((n,), (n,)) == n
     assert w((2, 2), (2, 1, 1)) == 4
     assert w(EMPTY, EMPTY) == 1  # empty product
+
+
+def test_w_matches_the_tuple_reference():
+    # the memo keyed by multiplicity codes against the DP on sorted tuples
+    for n in range(13):
+        for shape in partitions_of(n):
+            for typ in partitions_of(n):
+                assert w(shape, typ) == w_by_tuples(shape, typ), (shape, typ)
+
+
+def test_w_is_total_where_a_part_repeats_256_times():
+    # a multiplicity code holds at most 255 copies of a part; w takes wider
+    # slots for such a type
+    assert w((300,), (1,) * 300) == 1
+    assert w((150, 150), (1,) * 300) == 1
+    # one 2 among 298 ones in a row: weight 2 when it leads, else 1
+    assert w((300,), (2,) + (1,) * 298) == 2 + 298 == w_by_tuples((300,), (2,) + (1,) * 298)
+    assert [t.rows for t in enumerate_tabloids((258,), (1,) * 258)] == [((1,) * 258,)]
+
+
+def test_dominoes_are_removed_by_code():
+    # removing a domino subtracts one count from its slot of the code; no
+    # tuple is copied to remove it
+    assert not hasattr(tabloids, "_remove")
 
 
 def test_size_mismatch():
