@@ -9,9 +9,18 @@ Verdict records are JSON lines with a fixed field order
 inner]).  Sequence files are UTF-8 text, one line per degree, "n: [lam]" or
 "n: [lam]/[mu]", '#' comments, degrees consecutive from 1.
 
+Command lines read ``[--seed-manifest] COMMAND [FLAG ...]`` against one
+flag table per subcommand (``_COMMANDS``).  A long flag may be given by any
+unique prefix (``--seq`` for ``--seq-file``) and its value as the next token
+or after ``=`` (``--n=3``).  The token after a flag that takes a value is
+that value, even when it starts with ``-`` (``--at-value -1/2``).  A flag
+given twice keeps its last value.  ``-h``/``--help`` prints the usage of
+symgen, or of the subcommand it follows, and exits 0.
+
 Exit codes: 0 success, 1 when a check/oracle run's overall verdict is false,
-2 on parse errors (more than one of --at-root, --at-value and --at-q/--at-t
-included), shapes that do not fit the degree (``inner`` included),
+2 on parse errors (an unknown or ambiguous flag, a missing required flag
+or value, a rejected value, or more than one of --at-root, --at-value and
+--at-q/--at-t), shapes that do not fit the degree (``inner`` included),
 a ``--max-degree`` below 1 or beyond the file (or, for probe, beyond
 ``oracle.PROBE_MAX_DEGREE``, which is 8), or a criterion that disagrees with
 its own exact value (one-line diagnostic on stderr).
@@ -19,12 +28,11 @@ its own exact value (one-line diagnostic on stderr).
 
 from __future__ import annotations
 
-import argparse
 import json
-import shutil
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import __version__
 from .criteria import (
@@ -47,21 +55,8 @@ from .symfunc import parse_symfunc, render_symfunc, skew, to_basis
 from .tabloids import enumerate_tabloids, w
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CliError(message)
-
-
 class CliError(Exception):
     pass
-
-
-@cache
-def _formatter():
-    """argparse's help formatter at the terminal width, read once per
-    process: argparse builds a formatter for every declared argument, and
-    each would otherwise query the terminal, though only help text uses it."""
-    return partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
 
 class _Default(int):
@@ -79,84 +74,213 @@ _SKEW_ELEMENTS = {
 }
 
 
+class _Flag(NamedTuple):
+    """One row of a flag table.  ``convert`` is ``str`` or ``int`` for a
+    flag that takes a value, a tuple of the values it accepts, or ``bool``
+    for a flag that takes none and sets True."""
+
+    name: str
+    dest: str
+    convert: object
+    required: bool = False
+    default: object = None
+    help: str = ""
+
+
+_HELP = _Flag("--help", "help", bool, help="show this help and exit")
+_TOP_FLAGS = (
+    _Flag("--seed-manifest", "seed_manifest", bool, default=False,
+          help="print a JSON manifest of the full invocation before the output"),
+)
+_BASES = tuple("mhepsf")
+_SEQ_FILE = _Flag("--seq-file", "seq_file", str, True, help="one shape per degree")
+_SPECIALIZATION_FLAGS = (
+    _Flag("--at-root", "at_root", int, help="at a primitive root of unity of this order"),
+    _Flag("--at-value", "at_value", str, help="the parameter at a rational"),
+    _Flag("--at-q", "at_q", str, help="q at a rational, with --at-t"),
+    _Flag("--at-t", "at_t", str, help="t at a rational, with --at-q"),
+)
+_SEQUENCE_FLAGS = (
+    _Flag("--family", "family", str, True, help="the family of every u_n"),
+    _Flag("--ring", "ring", ("Q", "Z", "Qt", "Qqt"), True, help="the ring of coefficients"),
+    _SEQ_FILE,
+    *_SPECIALIZATION_FLAGS,
+)
+_EXPAND_FLAGS = (
+    _Flag("--expr", "expr", str, True, help='e.g. "s[2,1]" or "3*m[2,1] - 1*m[3]"'),
+    _Flag("--to", "to", _BASES, True, help="the target basis"),
+    _Flag("--ring", "ring", ("Q", "Qt", "Qqt"), default="Q", help="the ring of coefficients"),
+)
+_INNER_FLAGS = (
+    _Flag("--family", "family", str, True),
+    _Flag("--lambda", "lam", str, True, help="the outer shape"),
+    _Flag("--mu", "mu", str, help="the inner shape of a skew family"),
+    _Flag("--n", "n", int, True, help="the degree of p_n"),
+    *_SPECIALIZATION_FLAGS,
+)
+_SKEW_FLAGS = (
+    _Flag("--family", "family", tuple(_SKEW_ELEMENTS), True),
+    _Flag("--lambda", "lam", str, True),
+    _Flag("--mu", "mu", str, default=""),
+    _Flag("--to", "to", _BASES, help="the target basis (default h, m for hl-P)"),
+)
+_TABLOIDS_FLAGS = (
+    _Flag("--shape", "shape", str, True),
+    _Flag("--type", "typ", str, True),
+    _Flag("--list", "list", bool, default=False, help="list every tabloid"),
+)
+_ORACLE_FLAGS = (
+    *_SEQUENCE_FLAGS,
+    _Flag("--max-degree", "max_degree", int, help="the last degree (default: all)"),
+)
+_PROBE_FLAGS = (
+    _SEQ_FILE,
+    _Flag("--max-degree", "max_degree", int, default=PROBE_DEFAULT_DEGREE,
+          help="the last degree (default 4)"),
+)
+
+
+def _lookup(name: str, flags) -> _Flag | None:
+    """The row ``name`` spells: -h, a long flag, or a unique prefix of one.
+    None when it spells no flag; CliError when it is a prefix of several."""
+    if name == "-h":
+        return _HELP
+    if name[:2] != "--" or name == "--":
+        return None
+    rows = (*flags, _HELP)
+    found = [row for row in rows if row.name == name] or [
+        row for row in rows if row.name.startswith(name)
+    ]
+    if len(found) > 1:
+        spelled = ", ".join(row.name for row in found)
+        raise CliError(f"ambiguous option: {name} could match {spelled}")
+    return found[0] if found else None
+
+
+def _converted(flag: _Flag, value: str):
+    if flag.convert is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise CliError(f"argument {flag.name}: invalid int value: {value!r}") from None
+    if isinstance(flag.convert, tuple) and value not in flag.convert:
+        raise CliError(
+            f"argument {flag.name}: invalid choice: {value!r} "
+            f"(choose from {', '.join(flag.convert)})"
+        )
+    return value
+
+
+def _spelled(flag: _Flag) -> str:
+    if flag.convert is bool:
+        return flag.name
+    if isinstance(flag.convert, tuple):
+        return f"{flag.name} {{{','.join(flag.convert)}}}"
+    return f"{flag.name} {flag.dest.upper()}"
+
+
+def _usage(flags) -> str:
+    return " ".join(_spelled(flag) if flag.required else f"[{_spelled(flag)}]" for flag in flags)
+
+
+def _rows(rows) -> str:
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join(f"  {left:<{width}}{text}".rstrip() for left, text in rows)
+
+
+class _Parser:
+    """The command line read against ``commands``' flag tables:
+    ``[--seed-manifest] COMMAND [FLAG ...]`` (see the module doc)."""
+
+    def __init__(self, commands: dict):
+        self.commands = commands
+
+    def parse_args(self, argv) -> SimpleNamespace:
+        """argv as a namespace of seed_manifest, command and every dest of
+        the command's flags (its default when not given).  CliError on a
+        rejected argv; SystemExit(0) once a requested help is printed."""
+        values, given, unknown = {"seed_manifest": False}, set(), []
+        at = self._read(argv, 0, None, values, given, unknown)
+        if at == len(argv):
+            raise CliError(f"a command is required: {', '.join(self.commands)}")
+        command = argv[at]
+        if command not in self.commands:
+            raise CliError(
+                f"invalid command: {command!r} (choose from {', '.join(self.commands)})"
+            )
+        flags = self.commands[command][1]
+        values["command"] = command
+        values.update((flag.dest, flag.default) for flag in flags)
+        self._read(argv, at + 1, command, values, given, unknown)
+        missing = [flag.name for flag in flags if flag.required and flag.dest not in given]
+        if missing:
+            raise CliError(f"the following arguments are required: {', '.join(missing)}")
+        if unknown:
+            raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
+        return SimpleNamespace(**values)
+
+    def _read(self, argv, at, command, values, given, unknown) -> int:
+        """Reads the flags of ``command`` (the top level when None) from
+        argv[at:] in order, up to the command's name on the top level, and
+        returns where it stopped.  The token after a flag that takes a value
+        is that value.  Tokens that spell no flag are kept in ``unknown``.
+        After -h/--help the rest is read but not applied, so only an
+        ambiguous prefix still fails; then the help is printed."""
+        flags = _TOP_FLAGS if command is None else self.commands[command][1]
+        helping = False
+        while at < len(argv):
+            token = argv[at]
+            if token[:1] != "-" or token == "-":
+                if command is None:
+                    break
+                unknown.append(token)
+                at += 1
+                continue
+            at += 1
+            name, eq, value = token.partition("=")
+            flag = _lookup(name, flags)
+            if flag is None:
+                unknown.append(token)
+                continue
+            if flag.convert is not bool and not eq:
+                if at == len(argv):
+                    if helping:
+                        break
+                    raise CliError(f"argument {flag.name}: expected one argument")
+                value = argv[at]
+                at += 1
+            if helping:
+                continue
+            if flag.convert is bool and eq:
+                raise CliError(f"argument {flag.name}: ignored explicit argument {value!r}")
+            if flag is _HELP:
+                helping = True
+                continue
+            values[flag.dest] = True if flag.convert is bool else _converted(flag, value)
+            given.add(flag.dest)
+        if helping:
+            sys.stdout.write(self.help(command))
+            raise SystemExit(0)
+        return at
+
+    def help(self, command: str | None = None) -> str:
+        """The usage of ``command``, or of the top level when None."""
+        if command is None:
+            flags = _TOP_FLAGS
+            usage = f"[-h] {_usage(flags)} COMMAND [FLAG ...]"
+            commands = [(name, spec[0]) for name, spec in self.commands.items()]
+            text = f"{__doc__.splitlines()[0]}\n\ncommands:\n{_rows(commands)}"
+        else:
+            text, flags, _ = self.commands[command]
+            usage = f"{command} [-h] {_usage(flags)}"
+        rows = [("-h, --help", _HELP.help)] + [(_spelled(flag), flag.help) for flag in flags]
+        return f"usage: symgen {usage}\n\n{text}\n\noptions:\n{_rows(rows)}\n"
+
+
 def _build_parser(command: str | None = None) -> _Parser:
-    """The parser with only ``command``'s subparser declared, or with all of
-    them when ``command`` names none (None, ``--help``, a typo)."""
-    parser = _Parser(
-        prog="symgen", description=__doc__.splitlines()[0], formatter_class=_formatter()
-    )
-    parser.add_argument(
-        "--seed-manifest",
-        action="store_true",
-        help="print a JSON manifest of the full invocation before the output",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        help_text, declare, _ = _COMMANDS[name]
-        declare(sub.add_parser(name, help=help_text, formatter_class=_formatter()))
-    return parser
-
-
-def _named_command(argv: list[str]) -> str | None:
-    """The subcommand argv names, when only --seed-manifest (or one of its
-    abbreviations) comes before it; else None, and the full parser decides."""
-    for arg in argv:
-        if not arg.startswith("-"):
-            return arg
-        if len(arg) < 3 or not "--seed-manifest".startswith(arg):
-            return None
-    return None
-
-
-def _expand_flags(p):
-    p.add_argument("--expr", required=True, help='e.g. "s[2,1]" or "3*m[2,1] - 1*m[3]"')
-    p.add_argument("--to", required=True, choices=list("mhepsf"))
-    p.add_argument("--ring", default="Q", choices=["Q", "Qt", "Qqt"])
-
-
-def _inner_flags(p):
-    p.add_argument("--family", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", default=None)
-    p.add_argument("--n", type=int, required=True)
-    _specialization_flags(p)
-
-
-def _skew_flags(p):
-    p.add_argument("--family", required=True, choices=list(_SKEW_ELEMENTS))
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", default="")
-    p.add_argument("--to", default=None, choices=list("mhepsf"))
-
-
-def _tabloids_flags(p):
-    p.add_argument("--shape", required=True)
-    p.add_argument("--type", dest="typ", required=True)
-    p.add_argument("--list", action="store_true")
-
-
-def _sequence_flags(p):
-    p.add_argument("--family", required=True)
-    p.add_argument("--ring", required=True, choices=["Q", "Z", "Qt", "Qqt"])
-    p.add_argument("--seq-file", required=True)
-    _specialization_flags(p)
-
-
-def _oracle_flags(p):
-    _sequence_flags(p)
-    p.add_argument("--max-degree", type=int, default=None)
-
-
-def _probe_flags(p):
-    p.add_argument("--seq-file", required=True)
-    p.add_argument("--max-degree", type=int, default=PROBE_DEFAULT_DEGREE)
-
-
-def _specialization_flags(p):
-    p.add_argument("--at-root", type=int, default=None, metavar="K")
-    p.add_argument("--at-value", default=None, metavar="RAT")
-    p.add_argument("--at-q", default=None, metavar="RAT")
-    p.add_argument("--at-t", default=None, metavar="RAT")
+    """The parser over every subcommand, or over ``command``'s alone when
+    it names one."""
+    return _Parser({command: _COMMANDS[command]} if command in _COMMANDS else _COMMANDS)
 
 
 def _rational(flag: str, text: str) -> Fraction:
@@ -293,25 +417,23 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-# name -> (help, flag declarer, handler), in the order --help lists them
+# name -> (help, flag table, handler), in the order --help lists them
 _COMMANDS = {
-    "expand": ("re-express a symmetric function", _expand_flags, _cmd_expand),
-    "inner": ("closed-form <u_n, p_n> for a family", _inner_flags, _cmd_inner),
-    "skew": ("expand a skew family element", _skew_flags, _cmd_skew),
-    "tabloids": ("domino tabloid weight sums", _tabloids_flags, _cmd_tabloids),
-    "check": ("criteria verdicts for a sequence file", _sequence_flags, _cmd_check),
-    "oracle": ("determinant verdicts for a sequence file", _oracle_flags, _cmd_oracle),
-    "probe": ("skew Hall-Littlewood conjecture probe", _probe_flags, _cmd_probe),
+    "expand": ("re-express a symmetric function", _EXPAND_FLAGS, _cmd_expand),
+    "inner": ("closed-form <u_n, p_n> for a family", _INNER_FLAGS, _cmd_inner),
+    "skew": ("expand a skew family element", _SKEW_FLAGS, _cmd_skew),
+    "tabloids": ("domino tabloid weight sums", _TABLOIDS_FLAGS, _cmd_tabloids),
+    "check": ("criteria verdicts for a sequence file", _SEQUENCE_FLAGS, _cmd_check),
+    "oracle": ("determinant verdicts for a sequence file", _ORACLE_FLAGS, _cmd_oracle),
+    "probe": ("skew Hall-Littlewood conjecture probe", _PROBE_FLAGS, _cmd_probe),
 }
 
 
 def run(argv=None) -> int:
-    """One invocation; only the subcommand argv names is declared, so a job
-    pays for its own parser and no other (argv None reads sys.argv)."""
+    """One invocation (argv None reads sys.argv)."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(_named_command(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.seed_manifest:
             _emit(json.dumps(_manifest(args)))
         return _COMMANDS[args.command][2](args)

@@ -160,7 +160,9 @@ def det_bareiss(mat: list) -> int:
     One row at a time: each step keeps the rows below the pivot row, each
     without its first column, as (entry * pivot - lead * pivot entry) // prev,
     exact by Sylvester's identity.  A row whose lead is 0 is only scaled,
-    entry * pivot // prev, or kept as it is when pivot == prev."""
+    entry * pivot // prev, or kept as it is when pivot == prev; when
+    pivot == prev divides a row's lead, that row is entry - (lead // pivot)
+    * pivot entry, the same quotient with no product by the pivot."""
     size = len(mat)
     if size == 0:
         return 1
@@ -177,14 +179,23 @@ def det_bareiss(mat: list) -> int:
         top = rows[0]
         p, tail = top[0], top[1:]
         lower = []
-        for row in rows[1:]:
-            lead = row[0]
-            if lead:
-                lower.append([(x * p - lead * y) // prev for x, y in zip(row[1:], tail)])
-            elif p == prev:
-                lower.append(row[1:])
-            else:
-                lower.append([x * p // prev for x in row[1:]])
+        if p == prev:
+            for row in rows[1:]:
+                lead = row[0]
+                if not lead:
+                    lower.append(row[1:])
+                elif lead % p:
+                    lower.append([(x * p - lead * y) // p for x, y in zip(row[1:], tail)])
+                else:
+                    f = lead // p
+                    lower.append([x - f * y for x, y in zip(row[1:], tail)])
+        else:
+            for row in rows[1:]:
+                lead = row[0]
+                if lead:
+                    lower.append([(x * p - lead * y) // prev for x, y in zip(row[1:], tail)])
+                else:
+                    lower.append([x * p // prev for x in row[1:]])
         rows = lower
         prev = p
     return sign * rows[0][0]

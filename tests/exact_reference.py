@@ -23,13 +23,20 @@ domino-tabloid weights are counted with the dominoes left as a tuple
 over every shape of each degree, not only inside the shape built, and the
 key polynomials are multiplied one ``Poly`` product at a time
 (``key_product_by_dicts``), not packed into one integer.
+
+The command line is also read by argparse (``reference_parser``), declared
+from the CLI's own flag tables as the CLI declared it before it read them
+itself.
 """
+
+import argparse
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from symgen.cli import _COMMANDS, _TOP_FLAGS, CliError
 from symgen.deformed import _cyclotomic_factor, _strip_factor
 from symgen.exactalg import (
     P_ONE,
@@ -369,3 +376,30 @@ def tableau_states_unpruned(content: tuple, kind: str) -> dict:
         total = sum((c * s * key_product_by_dicts(count + lcm) for c, (s, count) in terms), P_ZERO)
         out[lam] = poly_exact_div(total, key_product_by_dicts(lcm)) if lcm else total
     return out
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise CliError(message)
+
+
+def _declare(parser, flags):
+    for flag in flags:
+        if flag.convert is bool:
+            parser.add_argument(flag.name, dest=flag.dest, action="store_true")
+            continue
+        typed = {int: {"type": int}, str: {}}.get(flag.convert, {"choices": flag.convert})
+        parser.add_argument(
+            flag.name, dest=flag.dest, required=flag.required, default=flag.default, **typed
+        )
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """argparse over the CLI's flag tables: ``[--seed-manifest] COMMAND``
+    with one subparser per command; a rejected argv raises CliError."""
+    parser = _ReferenceParser(prog="symgen")
+    _declare(parser, _TOP_FLAGS)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, _) in _COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_text), flags)
+    return parser

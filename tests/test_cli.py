@@ -1,13 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import symgen
-from symgen.cli import run
+from symgen.cli import CliError, _build_parser, run
 from symgen.criteria import (
     FAMILIES,
     FamilySpec,
@@ -22,11 +27,23 @@ from symgen.partitions import Partition
 from symgen.symfunc import render_symfunc, skew, sym, to_basis
 from symgen.tabloids import w
 
+from exact_reference import reference_parser
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _python(*argv):
+    """A fresh interpreter on argv, importing symgen from this checkout."""
+    src = str(Path(symgen.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
 
 
 RIBBON_FILE = """# ribbons at every degree
@@ -161,13 +178,9 @@ def test_oracle_subcommand(capsys, ribbon_path):
 def test_python_dash_m_runs_the_cli(tmp_path, second, code, overall):
     path = tmp_path / "two.txt"
     path.write_text(f"1: [1]\n2: {second}\n", encoding="utf-8")
-    src = str(Path(symgen.__file__).resolve().parent.parent)
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    proc = subprocess.run(
-        [sys.executable, "-m", "symgen", "oracle", "--family", "m", "--ring", "Z",
-         "--seq-file", str(path), "--max-degree", "2"],
-        capture_output=True, text=True, check=False,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    proc = _python(
+        "-m", "symgen", "oracle", "--family", "m", "--ring", "Z",
+        "--seq-file", str(path), "--max-degree", "2",
     )
     assert proc.returncode == code and proc.stderr == ""
     lines = proc.stdout.splitlines()
@@ -287,24 +300,18 @@ def test_expand_rejects_terms_without_operator(capsys):
     assert err == "error: cannot parse symmetric function near ' m[1,1]'\n"
 
 
-def test_parsers_read_the_terminal_width_once(monkeypatch):
+def test_parsing_reads_no_terminal_width(monkeypatch, ribbon_path):
     import shutil
 
-    from symgen import cli
-    from symgen.cli import _build_parser
+    def refused(*args, **kwargs):
+        raise AssertionError("the parser queried the terminal")
 
-    queries = []
-    original = shutil.get_terminal_size
-
-    def counted(*args, **kwargs):
-        queries.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(shutil, "get_terminal_size", counted)
-    cli._formatter.cache_clear()
-    _build_parser()
-    _build_parser("check")
-    assert len(queries) == 1
+    monkeypatch.setattr(shutil, "get_terminal_size", refused)
+    parser = _build_parser()
+    args = parser.parse_args(["check", "--family", "s", "--ring", "Q", "--seq-file", ribbon_path])
+    assert args.seq_file == ribbon_path
+    with pytest.raises(SystemExit):
+        parser.parse_args(["check", "--help"])
 
 
 def test_expand_zero_denominator_exit_code(capsys):
@@ -512,38 +519,23 @@ def test_incomplete_specializations_exit_two(capsys, flags, message):
     assert err == f"error: {message}\n"
 
 
-def _count_subparsers(monkeypatch):
-    import argparse
-
-    declared = []
-    original = argparse._SubParsersAction.add_parser
-
-    def counted(self, name, **kwargs):
-        declared.append(name)
-        return original(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    return declared
-
-
-def test_named_command_declares_one_subparser(capsys, monkeypatch, ribbon_path):
-    declared = _count_subparsers(monkeypatch)
-    code, _, _ = invoke(
-        capsys, "--seed", "check", "--family", "skew-s", "--ring", "Z",
-        "--seq-file", ribbon_path,
+def test_cli_run_imports_no_argparse(ribbon_path):
+    script = (
+        "import sys\n"
+        "from symgen import cli\n"
+        "code = cli.run(['--seed', 'check', '--family', 'skew-s', '--ring', 'Z',"
+        f" '--seq-file', {ribbon_path!r}])\n"
+        "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)),"
+        " sorted({'argparse', 'shutil'} & set(vars(cli))))\n"
     )
-    assert code == 0 and declared == ["check"]
-    declared.clear()
-    with pytest.raises(SystemExit):
-        run(["--help"])
-    assert declared == ["expand", "inner", "skew", "tabloids", "check", "oracle", "probe"]
+    proc = _python("-c", script)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "0 [] []"
 
 
 def _full_parser_outcome(capsys, argv):
     """(exit code, stdout, stderr) of argv parsed by the parser that declares
     every subcommand, as ``run`` reports a parse."""
-    from symgen.cli import CliError, _build_parser
-
     try:
         _build_parser().parse_args(argv)
         code = None
@@ -579,8 +571,6 @@ def test_parse_outcome_matches_full_parser(capsys, argv):
 
 
 def test_seed_abbreviation_and_manifest_keys_match_full_parser(capsys):
-    from symgen.cli import _build_parser
-
     argv = ["--seed", "inner", "--family", "s", "--lambda", "2,1", "--n", "3"]
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
@@ -597,12 +587,113 @@ def test_seed_abbreviation_and_manifest_keys_match_full_parser(capsys):
 )
 def test_python_dash_m_help(argv, shown):
     # the only path on which run reads its argv from sys.argv
-    src = str(Path(symgen.__file__).resolve().parent.parent)
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    proc = subprocess.run(
-        [sys.executable, "-m", "symgen", *argv],
-        capture_output=True, text=True, check=False,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
-    )
+    proc = _python("-m", "symgen", *argv)
     assert proc.returncode == 0 and proc.stderr == ""
     assert all(word in proc.stdout for word in shown)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--at-value", "-1/2"), ("--at-q", "-2", "--at-t", "-1/3"), ("--at-root", "-3")],
+)
+def test_value_may_start_with_a_dash(capsys, flags):
+    argv = ("inner", "--family", "mac-P", "--lambda", "2", "--n", "2")
+    if flags[0] == "--at-value":
+        argv = ("inner", "--family", "hl-P", "--lambda", "2", "--n", "2")
+    joined = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+    assert invoke(capsys, *argv, *flags) == invoke(capsys, *argv, *joined)
+    code, out, err = invoke(capsys, *argv, *flags)
+    if flags[0] == "--at-root":
+        assert code == 2 and err == "error: root order must be positive\n"
+    else:
+        assert code == 0 and err == "" and out.strip() not in ("", "undefined")
+
+
+# (accepted, rejected) values of a flag; argparse reads the dashed ones
+# only after "="
+_TEST_VALUES = {
+    int: (["3", "-1", "0"], ["x", "2.5"]),
+    str: (["s", "2,1", "[2]", "1/2", "-1/2", "-x", "-h", "--n", "a=b"], []),
+}
+
+
+def _flag_tokens(draw, flag):
+    """(tokens, the same with a dashed value joined by "="), for one use of
+    a flag of the table, spelled out or, half the time, by a prefix of at
+    least three characters, which may be ambiguous; one use in eight is
+    rejected."""
+    name = flag.name
+    if draw(st.booleans()):
+        name = draw(st.sampled_from([name[:k] for k in range(3, len(name) + 1)]))
+    rejected = draw(st.integers(0, 7)) == 0
+    if flag.convert is bool:
+        tokens = [f"{name}=x"] if rejected else [name]
+        return tokens, tokens
+    accepted, bad = _TEST_VALUES.get(flag.convert) or (list(flag.convert), ["bad"])
+    value = draw(st.sampled_from(bad if rejected and bad else accepted))
+    if draw(st.booleans()):
+        return [f"{name}={value}"], [f"{name}={value}"]
+    return [name, value], [f"{name}={value}"] if value.startswith("-") else [name, value]
+
+
+@st.composite
+def argvs(draw):
+    """(argv, argparse's argv): a command line drawn from the flag tables,
+    with flags missing, repeated, abbreviated, unknown or after --help, in
+    any order.  argparse's argv joins a value that starts with "-" to its
+    flag, the one place where the two parsers read a command's flags
+    differently."""
+    from symgen.cli import _COMMANDS
+
+    top = draw(st.sampled_from([[], ["--seed-manifest"], ["--seed"], ["--s"], ["-h"]]))
+    command = draw(st.sampled_from([*_COMMANDS, "chek"]))
+    flags = _COMMANDS.get(command, (None, _COMMANDS["inner"][1]))[1]
+    items = [_flag_tokens(draw, flag) for flag in flags if draw(st.integers(0, 7))]
+    extras = draw(st.lists(st.sampled_from(
+        ["repeat", "repeat", "unknown", "unknown=", "stray", "-h", "--help", "--he", "--a"]
+    ), max_size=2))
+    for extra in extras:
+        if extra == "repeat":
+            items.append(_flag_tokens(draw, draw(st.sampled_from(flags))))
+        else:
+            tokens = {"unknown": ["--bogus"], "unknown=": ["--bogus=1"], "stray": ["x"]}
+            items.append((tokens.get(extra, [extra]),) * 2)
+    items = draw(st.permutations(items))
+    if draw(st.integers(0, 5)) == 0:  # a value flag with no value, at the end
+        bare = [flag.name for flag in flags if flag.convert is not bool]
+        items.append(([draw(st.sampled_from(bare))],) * 2)
+    head = top + [command]
+    ours = head + [token for tokens, _ in items for token in tokens]
+    if command not in _COMMANDS:  # the flags are not the scope's: nothing to join
+        return ours, ours
+    return ours, head + [token for _, tokens in items for token in tokens]
+
+
+def _parsed(parser, argv):
+    """The namespace as a dict, or the exit code of a rejected argv (2) or a
+    printed help (0)."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except CliError:
+        return 2
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=600, deadline=None)
+@given(argvs())
+@example((["inner", "--fam", "s", "--l=2", "--n", "2", "--n", "3"],) * 2)
+@example((["check", "--help", "--at", "1"],) * 2)
+@example((["check", "--family", "s", "--ring", "Q", "--seq-file", "f", "--max"],) * 2)
+@example((["inner", "--family", "s", "--lambda", "2", "--n", "2", "--at-value", "-1/2"],
+          ["inner", "--family", "s", "--lambda", "2", "--n", "2", "--at-value=-1/2"]))
+def test_parser_matches_argparse(pair):
+    ours, theirs = pair
+    reference = _reference_parser()
+    want = _parsed(reference, theirs)
+    assert _parsed(_build_parser(), ours) == want
+    assert _parsed(_build_parser(), theirs) == want
+
+
+_reference_parser = cache(reference_parser)

@@ -112,6 +112,35 @@ def test_bareiss_matches_gauss(mat):
     assert det_bareiss(mat) == det_gauss([[Fraction(v) for v in row] for row in mat])
 
 
+@st.composite
+def repeated_pivot_matrices(draw):
+    """Integer matrices whose leading principal minors, the pivots Bareiss
+    divides by, repeat.  a_11 is drawn from 1, 2, 3, -2 and 6; each later
+    a_kk is, where it can be, set so that the k-th minor equals the one
+    before (m_k = a_kk m_(k-1) + c, with c the minor at a_kk = 0).  The
+    other entries are free, so the repeated pivot often does not divide a
+    row's lead."""
+    size = draw(st.integers(2, 7))
+    mat = [[draw(st.integers(-5, 5)) for _ in range(size)] for _ in range(size)]
+    mat[0][0] = prev = draw(st.sampled_from([1, 2, 3, -2, 6]))
+    for k in range(1, size):
+        kept, mat[k][k] = mat[k][k], 0
+        c = det_gauss([[Fraction(v) for v in row[: k + 1]] for row in mat[: k + 1]])
+        if prev and (prev - c) % prev == 0 and draw(st.integers(0, 3)):
+            mat[k][k] = int((prev - c) / prev)
+        else:
+            mat[k][k] = kept
+        prev = c + mat[k][k] * prev
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_pivot_matrices())
+@example([[2, 1, 0], [0, 1, 1], [1, 1, 1]])
+def test_bareiss_with_repeated_pivots_matches_gauss(mat):
+    assert det_bareiss(mat) == det_gauss([[Fraction(v) for v in row] for row in mat])
+
+
 def polys(q_top: int):
     """Polys of degree <= q_top in q and <= 3 in t, Fraction coefficients."""
     return st.dictionaries(
