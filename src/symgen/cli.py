@@ -199,8 +199,8 @@ class _Parser:
         """argv as a namespace of seed_manifest, command and every dest of
         the command's flags (its default when not given).  CliError on a
         rejected argv; SystemExit(0) once a requested help is printed."""
-        values, given, unknown = {"seed_manifest": False}, set(), []
-        at = self._read(argv, 0, None, values, given, unknown)
+        values, unknown = {"seed_manifest": False}, []
+        at = self._read(argv, 0, None, values, unknown)
         if at == len(argv):
             raise CliError(f"a command is required: {', '.join(self.commands)}")
         command = argv[at]
@@ -211,15 +211,16 @@ class _Parser:
         flags = self.commands[command][1]
         values["command"] = command
         values.update((flag.dest, flag.default) for flag in flags)
-        self._read(argv, at + 1, command, values, given, unknown)
-        missing = [flag.name for flag in flags if flag.required and flag.dest not in given]
+        self._read(argv, at + 1, command, values, unknown)
+        # a required flag defaults to None, and a given value is never None
+        missing = [flag.name for flag in flags if flag.required and values[flag.dest] is None]
         if missing:
             raise CliError(f"the following arguments are required: {', '.join(missing)}")
         if unknown:
             raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
         return SimpleNamespace(**values)
 
-    def _read(self, argv, at, command, values, given, unknown) -> int:
+    def _read(self, argv, at, command, values, unknown) -> int:
         """Reads the flags of ``command`` (the top level when None) from
         argv[at:] in order, up to the command's name on the top level, and
         returns where it stopped.  The token after a flag that takes a value
@@ -257,7 +258,6 @@ class _Parser:
                 helping = True
                 continue
             values[flag.dest] = True if flag.convert is bool else _converted(flag, value)
-            given.add(flag.dest)
         if helping:
             sys.stdout.write(self.help(command))
             raise SystemExit(0)

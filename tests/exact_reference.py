@@ -30,7 +30,6 @@ itself.
 """
 
 import argparse
-
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
