@@ -189,11 +189,8 @@ def _rows(rows) -> str:
 
 
 class _Parser:
-    """The command line read against ``commands``' flag tables:
+    """The command line read against ``_COMMANDS``' flag tables:
     ``[--seed-manifest] COMMAND [FLAG ...]`` (see the module doc)."""
-
-    def __init__(self, commands: dict):
-        self.commands = commands
 
     def parse_args(self, argv) -> SimpleNamespace:
         """argv as a namespace of seed_manifest, command and every dest of
@@ -202,13 +199,13 @@ class _Parser:
         values, unknown = {"seed_manifest": False}, []
         at = self._read(argv, 0, None, values, unknown)
         if at == len(argv):
-            raise CliError(f"a command is required: {', '.join(self.commands)}")
+            raise CliError(f"a command is required: {', '.join(_COMMANDS)}")
         command = argv[at]
-        if command not in self.commands:
+        if command not in _COMMANDS:
             raise CliError(
-                f"invalid command: {command!r} (choose from {', '.join(self.commands)})"
+                f"invalid command: {command!r} (choose from {', '.join(_COMMANDS)})"
             )
-        flags = self.commands[command][1]
+        flags = _COMMANDS[command][1]
         values["command"] = command
         values.update((flag.dest, flag.default) for flag in flags)
         self._read(argv, at + 1, command, values, unknown)
@@ -227,7 +224,7 @@ class _Parser:
         is that value.  Tokens that spell no flag are kept in ``unknown``.
         After -h/--help the rest is read but not applied, so only an
         ambiguous prefix still fails; then the help is printed."""
-        flags = _TOP_FLAGS if command is None else self.commands[command][1]
+        flags = _TOP_FLAGS if command is None else _COMMANDS[command][1]
         helping = False
         while at < len(argv):
             token = argv[at]
@@ -268,19 +265,17 @@ class _Parser:
         if command is None:
             flags = _TOP_FLAGS
             usage = f"[-h] {_usage(flags)} COMMAND [FLAG ...]"
-            commands = [(name, spec[0]) for name, spec in self.commands.items()]
+            commands = [(name, spec[0]) for name, spec in _COMMANDS.items()]
             text = f"{__doc__.splitlines()[0]}\n\ncommands:\n{_rows(commands)}"
         else:
-            text, flags, _ = self.commands[command]
+            text, flags, _ = _COMMANDS[command]
             usage = f"{command} [-h] {_usage(flags)}"
         rows = [("-h, --help", _HELP.help)] + [(_spelled(flag), flag.help) for flag in flags]
         return f"usage: symgen {usage}\n\n{text}\n\noptions:\n{_rows(rows)}\n"
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The parser over every subcommand, or over ``command``'s alone when
-    it names one."""
-    return _Parser({command: _COMMANDS[command]} if command in _COMMANDS else _COMMANDS)
+def _build_parser() -> _Parser:
+    return _Parser()
 
 
 def _rational(flag: str, text: str) -> Fraction:

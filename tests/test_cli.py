@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -533,19 +534,20 @@ def test_cli_run_imports_no_argparse(ribbon_path):
     assert proc.stdout.splitlines()[-1] == "0 [] []"
 
 
-def _full_parser_outcome(capsys, argv):
-    """(exit code, stdout, stderr) of argv parsed by the parser that declares
-    every subcommand, as ``run`` reports a parse."""
+def _outcome(parse, capsys):
+    """(what ``parse()`` returns or its exit code, the long flags named on
+    stdout, the heads of the stderr lines): 0 after a help, 2 on a rejected
+    argv."""
     try:
-        _build_parser().parse_args(argv)
-        code = None
+        code = parse()
     except SystemExit as exc:
         code = exc.code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    named = set(re.findall(r"--[a-z][a-z-]*", captured.out))
+    return code, named, [line.split(":")[0] for line in captured.err.splitlines()]
 
 
 @pytest.mark.parametrize(
@@ -560,14 +562,11 @@ def _full_parser_outcome(capsys, argv):
     ],
 )
 def test_parse_outcome_matches_full_parser(capsys, argv):
-    want = _full_parser_outcome(capsys, argv)
-    try:
-        code = run(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == want
-    assert want[0] in (0, 2) and (want[1] or want[2])
+    # argparse declaring every subcommand from the same flag tables: run
+    # exits as it does, prints a help naming the same flags, or one error line
+    want = _outcome(lambda: reference_parser().parse_args(argv), capsys)
+    assert _outcome(lambda: run(argv), capsys) == want
+    assert (want[0] == 0 and want[1] and not want[2]) or want == (2, set(), ["error"])
 
 
 def test_seed_abbreviation_and_manifest_keys_match_full_parser(capsys):
