@@ -17,7 +17,7 @@ elements and products across all its degrees, so each u_k is built once,
 ``inner`` included.
 
 Every element travels as one pair (D, {code(nu): D [p_nu] u}), with D
-chosen so that the coordinates need no fraction (``_p_coordinates``):
+chosen so that the coordinates are integral (``_p_coordinates``):
 
 * a classical family's degree-k element has D = k!.  Its coordinates are
   its integer class values <b_lam, p_nu> (``symfunc._class_values``) times
@@ -25,23 +25,22 @@ chosen so that the coordinates need no fraction (``_p_coordinates``):
   coefficients; no Fraction is built.  z_nu divides k!, so the
   coordinates of an integral element are integers; a fraction raises
   ``ValueError``;
-* a deformed family over its generic field Q(t) or Q(q,t) comes as its
-  form (``deformed.reduced``): D is k! times the form's key count (a
-  ``KeyQuotient``), and its coordinates are polynomials
-  (``deformed.polynomial_p_coordinates``);
-* a specialized deformed family (at a value, a root of unity or a (q,t)
-  pair) takes the same polynomial coordinates, each evaluated once at the
-  point and multiplied by D's value inverted: D = 1, and coordinates in its
-  coefficient field.  Only Macdonald P's D has keys, and u_k is undefined
-  exactly where one of them vanishes (``_p_coordinates``).
+* a deformed family takes the polynomial coordinates of its form
+  (``deformed.polynomial_p_coordinates``) over k! times the form's key
+  count.  Over Q(t) or Q(q,t) they are term dicts {(deg_q, deg_t): int}
+  over that ``KeyQuotient``; at a root of unity their residues mod Phi_k,
+  as term dicts in t, over its integer scale (keys occur in Macdonald P
+  only, specialized at (q,t) pairs only); at a rational point their values
+  as integers over the lcm of their denominators times D's value, the
+  keys evaluated and multiplied, never inverted.
 
 A product is the convolution of its factors' coordinates over the product
-of their D, and a row of m-entries is the product's row times the p -> m
-matrix.  A classical row is divided by its D in one checked pass: D must
-divide the gcd of the row (a remainder raises ``ValueError``), and at D = 1
-the row is the values themselves.  A key-count D is never divided entry by
-entry: the row stays its numerators, and the determinant divides once.  No rational-function arithmetic and no gcd is taken on the
-way.
+of their D (term dicts summed in one dict, reduced mod Phi_k once at a
+root), and a row of m-entries is the product's row times the p -> m
+matrix, each entry made a ``Poly`` or a residue once.  A classical row is
+divided by its D in one checked pass (a remainder raises ``ValueError``);
+every other row stays its numerators, and the determinant divides once.
+No rational-function arithmetic, gcd or field inverse is taken on the way.
 
 A specialization under which some u_k does not exist (a vanishing
 denominator) leaves ``det`` null and ``independent`` false from degree k on,
@@ -52,17 +51,16 @@ Determinants: every ring takes one fraction-free elimination,
 ``det_bareiss`` on integers (Bareiss 1968), with two callers.  It
 eliminates one row at a time: each step rebuilds the rows below the pivot
 without the eliminated column, and a row already 0 in that column is only
-rescaled, or kept as it is when the pivot equals the previous one.  A
-classical family's matrix on m is integral over Q as over Z and goes to it
-directly.
-Every other matrix is lifted to polynomials, a rational to a constant and a
-residue mod Phi_k to its polynomial of degree < phi(k), and goes to
-``det_polynomial``: the determinant is a polynomial of bounded degree,
-taken at integer nodes by one ``det_bareiss`` each and recovered by exact
-interpolation (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5);
-a constant takes one node.  It is then divided by the rows' D's, one key
-count, fibre by fibre (``KeyQuotient.divide``), or reduced mod Phi_k, a
-ring map.  ``det_gauss`` is kept as the tests' reference.
+rescaled, or kept as it is when the pivot equals the previous one.  Integer
+rows (a classical family's, integral over Q as over Z, and a rational
+point's) go to it directly.  Polynomial rows, a residue mod Phi_k lifted to
+its polynomial of degree < phi(k), go to ``det_polynomial``: the
+determinant is a polynomial of bounded degree, taken at integer nodes by
+one ``det_bareiss`` each and recovered by exact interpolation (von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 5), a residue's reduced
+mod Phi_k.  It is divided once by the rows' D's (``_divided``): a Fraction
+over an integer D, a key count fibre by fibre (``KeyQuotient.divide``).
+``det_gauss`` is kept as the tests' reference.
 
 The conjecture probe prints <P_{lam/mu}, p_n>_t, which it takes as one sum
 over the power-sum coordinates of P_lam and P_mu
@@ -71,7 +69,6 @@ over the power-sum coordinates of P_lam and P_mu
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
@@ -94,6 +91,7 @@ from .partitions import (
     format_partition,
     is_ribbon,
     partitions_of,
+    refuse_carry,
     z_of,
 )
 from .symfunc import SymFunc, _class_values, _p_convolve, _p_in_m
@@ -108,46 +106,42 @@ class DegreeMatrix:
     its numerator row over its D.
 
     ``numerators[i]`` is D_lam times u_lam's m-coordinates, D_lam =
-    ``denominators[i]`` the product of the D of each u_{lam_j}.  Only a
-    deformed family over its generic field keeps its D's (key counts): its
-    rows are never reduced entry by entry, and ``det`` divides once.  Every
-    other row is divided when it is built, an exact integer quotient for a
-    classical family and nothing at a specialization (D = 1), and has no D.
+    ``denominators[i]`` the product of the D of each u_{lam_j}: ints or
+    residues with int coefficients over an int D at a rational point or a
+    root of unity, Polys over a key count over Q(t) and Q(q,t), and ``det``
+    divides once.  A classical row is divided when it is built (D None).
     """
 
     degree: int
     rows: tuple  # partitions indexing the products u_lam
     cols: tuple  # partitions indexing the monomial coordinates
-    numerators: tuple  # row-major: ints, Fractions, CycloElems or Polys
-    denominators: tuple  # per row, its D as a KeyQuotient (None: divided)
+    numerators: tuple  # row-major: ints, CycloElems or Polys
+    denominators: tuple  # per row, its D: an int, a KeyQuotient or None
 
     @property
     def entries(self) -> tuple:
-        """Row-major exact ring values, each numerator reduced over its row's
-        D by ``KeyQuotient.divide``.  For comparison with a reference;
-        ``det`` does not read it."""
+        """Row-major exact ring values, each numerator divided by its row's
+        D (``_divided``).  For comparison with a reference; ``det`` does not
+        read it."""
         return tuple(
-            tuple(den.divide(v) for v in row) if den else row
+            row if den is None else tuple(_divided(v, den) for v in row)
             for row, den in zip(self.numerators, self.denominators)
         )
 
     def det(self):
-        """The determinant, by ``det_bareiss`` on integers on every ring:
-        directly on a classical family's entries, and through
-        ``det_polynomial`` on every other matrix, a rational point's entries
-        lifted to constants and a residue to its polynomial in t (no
-        separate clearing of rational rows)."""
-        first = self.numerators[0][0]
+        """The determinant of the numerators, by ``det_bareiss`` on integers
+        on every ring: directly on int rows, and through ``det_polynomial``
+        on every other matrix, a residue lifted to its polynomial in t; then
+        divided once by the product of the rows' D (``_divided``)."""
+        first, dens = self.numerators[0][0], self.denominators
         if isinstance(first, int):
-            return det_bareiss(self.numerators)
-        if isinstance(first, Fraction):
-            lifted = [[Poly.const(v) for v in row] for row in self.numerators]
-            return Fraction(det_polynomial(lifted).as_fraction())
-        if isinstance(first, CycloElem):
+            det = det_bareiss(self.numerators)
+        elif isinstance(first, CycloElem):
             lifted = [[v.as_poly() for v in row] for row in self.numerators]
-            return CycloElem.from_poly(det_polynomial(lifted), first.k)
-        dens = self.denominators
-        return prod(dens[1:], start=dens[0]).divide(det_polynomial(self.numerators))
+            det = CycloElem.from_poly(det_polynomial(lifted), first.k)
+        else:
+            det = det_polynomial(self.numerators)
+        return det if dens[0] is None else _divided(det, prod(dens[1:], start=dens[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -355,33 +349,43 @@ def family_element(spec: FamilySpec, lam, mu=None) -> SymFunc | tuple:
 def _exact_quotient(num: int, den: int) -> int:
     quotient, remainder = divmod(num, den)
     if remainder:
-        raise ValueError(f"expected an integer entry, got {Fraction(num, den)}")
+        g = gcd(num, den)  # den > 0
+        raise ValueError(f"expected an integer entry, got {num // g}/{den // g}")
     return quotient
+
+
+def _in_terms(spec: FamilySpec) -> bool:
+    """Whether coordinates are term dicts: over Q(t), Q(q,t) or at a root."""
+    spz = spec.specialization
+    return spz.kind == "root" if spz else spec.ring in ("Qt", "Qqt")
 
 
 def _p_coordinates(spec: FamilySpec, u) -> tuple:
     """u as the pair (D, {code(nu): D [p_nu] u}) of the module docstring.
     At a specialization a form's coefficients that vanish at the point are
     dropped (most of q-Whittaker's at a root of unity), and its polynomial
-    coordinates are evaluated once each and taken over D's value inverted:
-    its integer scale as a rational (coefficient-wise on a residue), and
-    only its keys by a field inverse, which raises ZeroDenominator where one
-    vanishes.  A form keeps a key only while it fails to divide some
-    coefficient, and keys are irreducible, so that is exactly where u does
-    not exist."""
+    coordinates are evaluated once each.  D's value at a rational point is
+    0, and ZeroDenominator raised, exactly where u does not exist: a form
+    keeps a key only while it fails to divide some coefficient, and keys
+    are irreducible."""
     spz = spec.specialization
     if spz is not None:
         keys, x = u
         nonzero = {lam: c for lam, c in x.coeffs.items() if spz.evaluate(c)}
         den, coords = polynomial_p_coordinates((keys, SymFunc(x.basis, nonzero, x.ring)))
-        inverse = Fraction(1, den.scale)
-        if any(den.count.values()):
-            inverted = Counter({key: -mult for key, mult in den.count.items()})
-            inverse = spz.apply(KeyQuotient(1, (0, 0), inverted)) * inverse
-        return 1, {code(nu): v for nu, c in coords.items() if (v := spz.evaluate(c) * inverse)}
+        values = {code(nu): v for nu, c in coords.items() if (v := spz.evaluate(c))}
+        if spz.kind == "root":
+            return den.scale, {key: v.as_poly().terms for key, v in values.items()}
+        at = spz.apply(den)  # D at the point, 0 where one of its keys vanishes
+        if not at:
+            raise ZeroDenominator("zero denominator")
+        lcd = lcm(*(v.denominator for v in values.values()))
+        return lcd * at.numerator, {
+            key: v.numerator * (lcd * at.denominator // v.denominator) for key, v in values.items()
+        }
     if spec.definition.deformation:
         den, coords = polynomial_p_coordinates(u)
-        return den, {code(nu): c for nu, c in coords.items()}
+        return den, {code(nu): c.terms for nu, c in coords.items()}
     scale = factorial(u.degree())
     coords: dict = {}
     for lam, c in u.coeffs.items():
@@ -395,20 +399,38 @@ def _p_coordinates(spec: FamilySpec, u) -> tuple:
     return scale, coords
 
 
-def _divided(value, scale):
-    """value / scale for a coordinate value over its pair's D."""
-    if isinstance(scale, KeyQuotient):
-        return scale.divide(value)
-    return value if scale == 1 else _exact_quotient(value, scale)
+def _terms_product(spec: FamilySpec, a: dict, b: dict) -> dict:
+    """``symfunc._p_convolve`` on term dicts: each coordinate summed in one
+    dict and, at a root of unity, reduced mod Phi_k once."""
+    refuse_carry(a, b)
+    out: dict = {}
+    for la, ca in a.items():
+        for lb, cb in b.items():
+            acc = out.setdefault(la + lb, {})
+            for (qa, ta), x in ca.items():
+                for (qb, tb), y in cb.items():
+                    term = qa + qb, ta + tb
+                    acc[term] = acc.get(term, 0) + x * y
+    if (spz := spec.specialization) is None:
+        return out
+    return {key: t for key, acc in out.items() if (t := spz.evaluate(Poly(acc)).as_poly().terms)}
 
 
-def _zero(spec: FamilySpec):
-    """The coordinates' zero: 0 for a classical family's ints, P_ZERO for a
-    deformed family's polynomials over its generic field, else the
-    specialized field's zero."""
-    if spec.specialization is not None:
-        return spec.coeff_ring.zero
-    return P_ZERO if spec.definition.deformation else 0
+def _value(spec: FamilySpec, terms: dict):
+    """A term dict as a ring value: a Poly, or at a root (reduced) a residue."""
+    if spec.specialization is None:
+        return Poly(terms)
+    zero = spec.coeff_ring.zero
+    return CycloElem(zero.k, [terms.get((0, i), 0) for i in range(len(zero.coeffs))])
+
+
+def _divided(value, den):
+    """value / den: a numerator over its D, divided once (module docstring)."""
+    if isinstance(den, KeyQuotient):
+        return den.divide(value)
+    if isinstance(value, CycloElem):
+        return CycloElem(value.k, [Fraction(c, den) for c in value.coeffs])
+    return Fraction(value, den)
 
 
 def _product(spec: FamilySpec, seq, lam: tuple, memo: dict) -> tuple:
@@ -426,7 +448,10 @@ def _product(spec: FamilySpec, seq, lam: tuple, memo: dict) -> tuple:
         else:
             d_head, head = _product(spec, seq, lam[:1], memo)
             d_tail, tail = _product(spec, seq, lam[1:], memo)
-            memo[lam] = d_head * d_tail, _p_convolve(head, tail)
+            if _in_terms(spec):
+                memo[lam] = d_head * d_tail, _terms_product(spec, head, tail)
+            else:
+                memo[lam] = d_head * d_tail, _p_convolve(head, tail)
     pair = memo[lam]
     if pair is None:
         raise ZeroDenominator(f"u_{lam[0]} does not exist under the specialization")
@@ -439,15 +464,14 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
     Rows follow the canonical order of the product index lam; columns the
     canonical order of the monomial index.  Products are convolved on the
     p-basis as (D, coordinates) pairs and then taken to m by the integer
-    p -> m matrix.  Over Q(t) and Q(q,t) a row stays the numerator over the
-    D's of its factors (``DegreeMatrix``); every other row is divided by its
-    D (module docstring).  ``memo`` maps each product index to its pair
+    p -> m matrix, as ints or term dicts.  A classical row is divided by its
+    D; every other row stays its numerators over the D's of its factors
+    (``DegreeMatrix``).  ``memo`` maps each product index to its pair
     (``_product``).  Pass the same dict for every degree of one sequence to
     build each element and product once.
     """
     if len(seq) < n:
         raise ValueError(f"sequence defines degrees 1..{len(seq)}, need {n}")
-    zero = _zero(spec)
     if memo is None:
         memo = {}
     order = partitions_of(n)
@@ -459,21 +483,31 @@ def degree_matrix(spec: FamilySpec, seq, n: int, memo: dict | None = None) -> De
         key: [(index[kappa], r) for kappa, r in _p_in_m(nu).items()]
         for nu, key in zip(order, codes)
     }
+    in_terms, classical = _in_terms(spec), not spec.definition.deformation
     rows, denominators = [], []
     for lam in order:
         scale, coords = _product(spec, seq, lam, memo)
-        row = [zero] * len(order)
-        for nu, c in coords.items():
-            for j, r in cols[nu]:
-                row[j] = row[j] + c * r
-        kept = isinstance(scale, KeyQuotient)
-        if not kept and scale != 1:  # a classical row: D divides its gcd
-            if gcd(*row) % scale:
-                for v in row:
-                    _exact_quotient(v, scale)  # raises at the first remainder
-            row = [v // scale for v in row]
+        if in_terms:
+            sums = [{} for _ in order]
+            for nu, c in coords.items():
+                for j, r in cols[nu]:
+                    acc = sums[j]
+                    for term, v in c.items():
+                        acc[term] = acc.get(term, 0) + v * r
+            row = [_value(spec, acc) for acc in sums]
+        else:
+            row = [0] * len(order)
+            for nu, c in coords.items():
+                for j, r in cols[nu]:
+                    row[j] = row[j] + c * r
+        if classical:  # D divides the row's gcd
+            if scale != 1:
+                if gcd(*row) % scale:
+                    for v in row:
+                        _exact_quotient(v, scale)  # raises at the first remainder
+                row = [v // scale for v in row]
         rows.append(tuple(row))
-        denominators.append(scale if kept else None)
+        denominators.append(None if classical else scale)
     return DegreeMatrix(
         degree=n,
         rows=order,
@@ -487,7 +521,10 @@ def recomputed_inner(spec: FamilySpec, seq, n: int, memo: dict):
     """<u_n, p_n> by full expansion of the constructed element (no closed
     forms): n times the coefficient of p_(n) in u_n's pair in ``memo``."""
     scale, coords = _product(spec, seq, (n,), memo)
-    return _divided(coords.get(code((n,)), _zero(spec)) * n, scale)
+    c = coords.get(code((n,)), {} if _in_terms(spec) else 0)
+    if isinstance(c, dict):
+        return _divided(_value(spec, {t: v * n for t, v in c.items()}), scale)
+    return _divided(c * n, scale) if spec.definition.deformation else _exact_quotient(c * n, scale)
 
 
 def verdict(spec: FamilySpec, seq, max_degree: int) -> list[dict]:

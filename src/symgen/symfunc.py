@@ -65,7 +65,7 @@ from .partitions import (
     union,
     z_of,
 )
-from .tabloids import SizeMismatch, w
+from .tabloids import SizeMismatch, _type_code, _w_rows, w
 
 BASES = ("m", "h", "e", "p", "s", "f")
 
@@ -204,8 +204,10 @@ def _class_values(basis: str, lam: Partition) -> tuple:
         mask, target = _bead_mask(lam, beads), (1 << beads) - 1
         return tuple((nu, chi) for nu in order if (chi := _mn(mask, nu, target)))
     if basis == "m":
-        el = eps_of(lam)
-        return tuple((nu, eps_of(nu) * el * c) for nu in order if (c := w(nu, lam)))
+        el, (avail, bits) = eps_of(lam), _type_code(lam)
+        return tuple(
+            (nu, eps_of(nu) * el * c) for nu in order if (c := _w_rows(tuple(nu), avail, bits))
+        )
     if basis == "h":
         key = code(lam)
         return tuple((nu, c) for nu in order if (c := _p_in_m(nu).get(key)))

@@ -210,17 +210,20 @@ def test_numerator_rows_over_their_denominators(mat, data):
 
 
 def test_rational_determinant_matches_gauss():
+    """At a rational point each row is ints over an int D (negative too):
+    det divides the integer determinant once by the product of the D's."""
     rng = random.Random(11)
     for size in range(1, 5):
         for _ in range(20):
-            mat = [
-                [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(size)]
-                for _ in range(size)
-            ]
+            mat = [[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)]
             if rng.random() < 0.3:
-                mat[rng.randrange(size)] = [Fraction(0)] * size
-            got = DegreeMatrix(size, (), (), tuple(map(tuple, mat)), ((),) * size).det()
-            assert type(got) is Fraction and got == det_gauss(mat)
+                mat[rng.randrange(size)] = [0] * size
+            dens = [rng.choice([1, 2, 3, 4, -6, 12]) for _ in range(size)]
+            matrix = DegreeMatrix(size, (), (), tuple(map(tuple, mat)), tuple(dens))
+            want = [[Fraction(v, d) for v in row] for row, d in zip(mat, dens)]
+            assert matrix.entries == tuple(map(tuple, want))
+            got = matrix.det()
+            assert type(got) is Fraction and got == det_gauss(want)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +361,28 @@ DEFORMED_SPECS = [
     if fam.deformation
     for spec in (
         [FamilySpec(name, "Qqt")]
-        + [FamilySpec(name, "Q", Specialization.at_pair(*pair)) for pair in ((2, 3), (3, 9))]
+        + [
+            FamilySpec(name, "Q", Specialization.at_pair(*pair))
+            for pair in ((2, 3), (3, 9), (4, Fraction(1, 2)))
+        ]
         if fam.deformation == "qt"
         else [FamilySpec(name, "Qt")]
         + [FamilySpec(name, "Q", Specialization.at_root(k)) for k in (1, 2, 3, 4, 6)]
-        + [FamilySpec(name, "Q", Specialization.at_value(v)) for v in (2, -1, 0)]
+        + [
+            FamilySpec(name, "Q", Specialization.at_value(v))
+            for v in (2, -1, 0, Fraction(1, 2), Fraction(-2, 3))
+        ]
     )
+]
+
+
+# (q,t) pairs at which Macdonald P's keys vanish or its binomials collide,
+# those DEFORMED_SPECS does not hold already
+COLLIDING_PAIRS = [
+    FamilySpec(name, "Q", Specialization.at_pair(q, t))
+    for name in ("mac-J", "mac-P")
+    for q, t in ((1, 1), (-1, 1), (4, Fraction(1, 2)), (Fraction(1, 4), 2))
+    if FamilySpec(name, "Q", Specialization.at_pair(q, t)) not in DEFORMED_SPECS
 ]
 
 
@@ -375,10 +394,11 @@ def spec_id(spec):
     return f"{spec.family}-{spz.kind}-{point[spz.kind]}"
 
 
-@pytest.mark.parametrize("spec", DEFORMED_SPECS, ids=spec_id)
+@pytest.mark.parametrize("spec", DEFORMED_SPECS + COLLIDING_PAIRS, ids=spec_id)
 def test_determinant_matches_gauss_on_the_entries(spec):
     """Every deformed field: det of the numerator rows equals det_gauss of
-    the reduced entries, in value and in rendering."""
+    the reduced entries, in value and in rendering (at a rational point
+    with a denominator too, and where Macdonald P's keys vanish)."""
     top = 3 if spec.definition.deformation == "qt" else 4
     seqs = [seq_of(*[(n,) for n in range(1, top + 1)]), seq_of((1,), (1, 1), (2, 1), (3, 1))]
     for seq in seqs:
@@ -424,13 +444,6 @@ def test_deformed_route_matches_reference(spec):
         assert mat.entries == reference_entries(spec, seq, n), n
 
 
-# (q,t) pairs at which Macdonald P's keys vanish or its binomials collide
-COLLIDING_PAIRS = [
-    FamilySpec(name, "Q", Specialization.at_pair(q, t))
-    for name in ("mac-J", "mac-P")
-    for q, t in ((1, 1), (-1, 1), (4, Fraction(1, 2)), (Fraction(1, 4), 2))
-]
-
 # every sequence u_1, ..., u_4 of one partition of each degree
 DEGREE_4_SEQS = [seq_of(*lams) for lams in itertools.product(*map(partitions_of, range(1, 5)))]
 
@@ -465,7 +478,7 @@ GENERIC_DEFORMED = [
 def test_polynomial_route_takes_no_rational_function_arithmetic(spec, monkeypatch):
     """Over Q(t) and Q(q,t) the products are convolved on polynomial
     p-coordinates and the rows stay numerators: no RatFunc product, sum or
-    make, and no gcd at all (an element's D is a key count)."""
+    make, no Poly sum, and no gcd at all (an element's D is a key count)."""
     seq = seq_of((1,), (1, 1), (2, 1), (3, 1))
     elements = {lam: family_element(spec, lam, mu) for lam, mu in seq}
     monkeypatch.setattr(oracle, "family_element", lambda spec, lam, mu=None: elements[lam])
@@ -492,15 +505,61 @@ def test_polynomial_route_takes_no_rational_function_arithmetic(spec, monkeypatc
     monkeypatch.setattr(exactalg, "poly_gcd", counting("gcd", exactalg.poly_gcd))
     coordinates = counting("coordinates", deformed.polynomial_p_coordinates)
     monkeypatch.setattr(oracle, "polynomial_p_coordinates", coordinates)
+    # products and rows are summed as term dicts, each entry made a Poly once
+    monkeypatch.setattr(Poly, "__add__", counting("poly-add", Poly.__add__))
+    monkeypatch.setattr(Poly, "__radd__", counting("poly-add", Poly.__radd__))
     lookups = _poly_gcd_prim.cache_info()
     memo = {}
     for n in range(1, 5):
         degree_matrix(spec, seq, n, memo).det()
     assert calls["coordinates", "products"] == 4
     assert calls["make", "products"] == 0
-    assert not any(name in ("mul", "add", "gcd") for name, _ in calls)
+    assert not any(name in ("mul", "add", "gcd", "poly-add") for name, _ in calls)
     after = _poly_gcd_prim.cache_info()
     assert (after.hits, after.misses) == (lookups.hits, lookups.misses)
+
+
+SPECIALIZED_POINTS = [
+    FamilySpec("hl-Q", "Q", Specialization.at_root(3)),
+    FamilySpec("whittaker", "Q", Specialization.at_root(3)),
+    FamilySpec("hl-P", "Q", Specialization.at_value(Fraction(1, 2))),
+    FamilySpec("whittaker", "Q", Specialization.at_value(Fraction(1, 2))),
+    FamilySpec("mac-P", "Q", Specialization.at_pair(2, 3)),
+    FamilySpec("mac-J", "Q", Specialization.at_pair(2, 3)),
+]
+
+
+@pytest.mark.parametrize("spec", SPECIALIZED_POINTS, ids=spec_id)
+def test_specialized_rows_are_integer_numerators(spec, monkeypatch):
+    """At a root of unity and at a rational point every row is integer
+    numerators (ints, or residues with int coefficients) over an int D,
+    divided once after the determinant: no residue is inverted or
+    multiplied by a Fraction on the way."""
+    seq = seq_of((1,), (1, 1), (2, 1), (3, 1))
+    calls = Counter()
+    inverse, mul = exactalg.CycloElem.inverse, exactalg.CycloElem.__mul__
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    def counted_mul(self, other):
+        calls["mul by a Fraction"] += isinstance(other, Fraction)
+        return mul(self, other)
+
+    monkeypatch.setattr(exactalg.CycloElem, "inverse", counted_inverse)
+    monkeypatch.setattr(exactalg.CycloElem, "__mul__", counted_mul)
+    monkeypatch.setattr(exactalg.CycloElem, "__rmul__", counted_mul)
+    memo = {}
+    for n in range(1, 5):
+        matrix = degree_matrix(spec, seq, n, memo)
+        assert all(type(d) is int for d in matrix.denominators), n
+        assert all(
+            type(v) is int or all(type(c) is int for c in v.coeffs)
+            for row in matrix.numerators for v in row
+        ), n
+        matrix.det()
+    assert not +calls
 
 
 def test_deformed_oracle_and_probe_take_no_gcd(monkeypatch, capsys):
@@ -732,16 +791,18 @@ def test_hl_sequence_verdict_over_qt():
 
 def test_specialized_family_element_at_root():
     # a specialized family's element is its unspecialized form; the oracle
-    # evaluates its polynomial p-coordinates at zeta_2, over D = 1
+    # evaluates its polynomial p-coordinates at zeta_2, residues of degree
+    # < phi(2) = 1 with int coefficients over D = 3!
     spec = FamilySpec("hl-P", "Q", Specialization.at_root(2))
     assert family_element(spec, P(2, 1)) == deformed.tableau_form((2, 1), "t")
     scale, coords = oracle._product(spec, seq_of((1,), (2,), (2, 1)), (3,), {})
-    assert scale == 1 and all(c.k == 2 for c in coords.values())
+    assert scale == 6
+    assert all(c.keys() == {(0, 0)} and type(c[0, 0]) is int for c in coords.values())
     # at t = -1 the coordinates are rational: compare against direct subs
     direct = symfunc.p_expansion(
         specialize_coeffs(deformed.hl_P((2, 1)), Specialization.at_value(-1))
     )
-    assert direct and {decode(nu): c.as_fraction() for nu, c in coords.items()} == direct
+    assert direct and {decode(nu): Fraction(c[0, 0], 6) for nu, c in coords.items()} == direct
 
 
 def test_xi_equals_one_adjudication():

@@ -4,8 +4,9 @@ reaches into ``deformed``'s private names, none calls ``det_gauss``, only
 ``DegreeMatrix.det`` and ``det_polynomial`` call ``det_bareiss``, only
 ``exactalg`` calls a ring constructor, only ``exactalg`` names
 ``poly_gcd``, neither ``deformed`` nor ``oracle`` names a long division,
-``oracle`` takes one element route, and the power-sum products and p -> m
-columns index partitions by multiplicity codes, with no sorted union."""
+``oracle`` divides by the rows' D's once and takes one element route, and
+the power-sum products and p -> m columns index partitions by multiplicity
+codes, with no sorted union."""
 
 import ast
 import sys
@@ -88,6 +89,27 @@ def test_det_bareiss_has_two_callers():
         and "det_bareiss" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
     }
     assert callers == {("oracle.py", "det"), ("oracle.py", "det_polynomial")}
+
+
+def test_oracle_divides_once():
+    # every row is integer numerators over its D, divided once after the
+    # determinant: oracle builds a Fraction or takes an inverse only in that
+    # division, ``_divided``, which only ``DegreeMatrix.det``, ``.entries``
+    # and ``recomputed_inner`` call, and in the kernels that take rational
+    # input (``det_polynomial``) or are the tests' reference (``det_gauss``)
+    functions = list(_functions(dict(_trees())["oracle.py"]))
+
+    def calling(*names):
+        return {
+            function
+            for function, node in functions
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and {getattr(call.func, "id", None), getattr(call.func, "attr", None)} & set(names)
+        }
+
+    assert calling("Fraction", "inverse") == {"_divided", "det_polynomial", "det_gauss"}
+    assert calling("_divided") == {"det", "entries", "recomputed_inner"}
 
 
 def test_only_exactalg_lifts_rationals_into_a_ring():
